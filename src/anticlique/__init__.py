@@ -51,6 +51,8 @@ from .search import (
     core,
     max_anticlique,
     max_weight_anticlique,
+    maximum_sets,
+    threshold_alpha,
     threshold_search,
 )
 
@@ -93,6 +95,7 @@ __all__ = [
     "max_weight_anticlique",
     "maximal_anticliques",
     "maximal_family",
+    "maximum_sets",
     "oracle_matching",
     "oracle_report",
     "parse_graph",
@@ -102,6 +105,7 @@ __all__ = [
     "run_standard",
     "serialize_graph",
     "sieve_maximal",
+    "threshold_alpha",
     "threshold_search",
     "to_complement",
 ]

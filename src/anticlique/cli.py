@@ -23,13 +23,15 @@ from .graph import FORMATS, Graph, parse_graph, random_graph, serialize_graph
 from .maximal import chromatic_with_stats, maximal_family
 from .oracle import oracle_report
 from .search import (
-    all_max_anticliques,
+    SearchOptions,
     bipartite_options,
-    core,
     max_anticlique,
-    max_weight_anticlique,
+    maximum_sets,
+    threshold_alpha,
     threshold_search,
 )
+# Not called here any more; kept because perfbench/tracer.py wraps them by name.
+from .search import all_max_anticliques, core, max_weight_anticlique  # noqa: F401
 
 _EXTENSION_FORMATS = {".col": "dimacs", ".dimacs": "dimacs", ".json": "json"}
 
@@ -177,19 +179,15 @@ def _trace_printer(args):
     def hook(kind: str, info: dict) -> None:
         if kind == "impose":
             print(f"impose {info['t']}: {info['outcome']}")
-            if "working" in info:
-                print("  working stack (top first):")
-                for line in info["working"]:
+            print("  working stack (top first):")
+            for line in info["working"]:
+                print(f"    {line}")
+            if info["output"]:
+                print("  output stack (top first):")
+                for line in reversed(info["output"]):
                     print(f"    {line}")
-                if info.get("output"):
-                    print("  output stack (top first):")
-                    for line in reversed(info["output"]):
-                        print(f"    {line}")
         elif kind == "finalize":
-            if "count" in info:
-                print(f"finalize {info['row']} N={info['count']}")
-            else:
-                print(f"finalize {info['row']} w_max={info['w_max']}")
+            print(f"finalize {info['row']} N={info['count']}")
         elif kind == "done":
             print("final output stack (top first):")
             for row, count in reversed(info["output"]):
@@ -281,24 +279,27 @@ def _cmd_alpha(args) -> int:
     trace = _trace_printer(args)
     t0 = time.perf_counter()
     if args.weights:
-        weights = _read_weights(args.weights)
-        res = max_weight_anticlique(g, weights, trace=trace)
+        opts = SearchOptions(weights=_read_weights(args.weights))
     elif args.bipartite:
-        res = max_anticlique(g, bipartite_options(g), trace=trace)
+        opts = bipartite_options(g)
     else:
-        res = max_anticlique(g, trace=trace)
+        opts = None
+    res = max_anticlique(g, opts, trace=trace)
+    stats = res.stats
     payload: dict[str, Any] = {"alpha": res.alpha, "witness": sorted(res.witness)}
     lines = [f"alpha = {res.alpha}", f"witness = {_fmt_set(res.witness)}"]
+    if args.all or args.core:
+        sets, phase2 = maximum_sets(g, res, opts, trace=trace)
+        stats = stats + phase2
     if args.all:
-        _alpha, sets = all_max_anticliques(g)
         payload["maximum_sets"] = [sorted(X) for X in sets]
         lines += [f"maximum sets ({len(sets)}):"] + [f"  {_fmt_set(X)}" for X in sets]
     if args.core:
-        core_set = core(g)
+        core_set = frozenset.intersection(*sets)
         payload["core"] = sorted(core_set)
         lines.append(f"core = {_fmt_set(core_set)}")
     wall = (time.perf_counter() - t0) * 1000
-    _emit(args, desc, payload, res.stats, wall, lines)
+    _emit(args, desc, payload, stats, wall, lines)
     return 0
 
 
@@ -437,7 +438,7 @@ def _bench_cell(v: int, d: float, seed: int, method: str,
             res = max_anticlique(g, timeout_s=timeout_s)
             alpha, stats = res.alpha, res.stats
         elif method == "threshold":
-            alpha, stats = _threshold_alpha(g, timeout_s)
+            alpha, stats = threshold_alpha(g, timeout_s=timeout_s)
         else:
             report = oracle_report(g)
             alpha = report.alpha
@@ -447,29 +448,6 @@ def _bench_cell(v: int, d: float, seed: int, method: str,
         status = "refused"
     wall = (time.perf_counter() - t0) * 1000
     return RunRecord(method, g.v, g.w, d, seed, status, alpha, stats, wall)
-
-
-def _threshold_alpha(g: Graph, timeout_s: float | None) -> tuple[int, SearchStats]:
-    """Iterated threshold probe: raise k to each hit's size until none is left.
-
-    The final empty probe at k = alpha certifies maximality.
-    """
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    total = SearchStats()
-    k = 0
-    while True:
-        remaining = None if deadline is None else deadline - time.monotonic()
-        if remaining is not None and remaining <= 0:
-            raise SearchTimeout("threshold probe exceeded its time budget")
-        found, stats = threshold_search(g, k, "first", timeout_s=remaining)
-        total.rsp += stats.rsp
-        total.trivial_changes += stats.trivial_changes
-        total.deleted += stats.deleted
-        total.finalized += stats.finalized
-        total.peak_stack = max(total.peak_stack, stats.peak_stack)
-        if found is None:
-            return k, total
-        k = len(found)
 
 
 _BENCH_COLUMNS = ("method", "v", "w", "d", "seed", "status", "alpha",

@@ -1,20 +1,23 @@
-"""The standard exclusion run: a LIFO stack of rows, finalized rows streamed out.
+"""The exclusion run: a LIFO stack of rows, finalized rows streamed out.
 
 Starting from the all-free row, every vertex's anti-implication is imposed in
 increasing order on the top row of a working stack.  Splits push the t-out
 son below the t-in son; rows whose pending anti-implications are exhausted
-are finalized and streamed to the caller.  The finalized rows are pairwise
-disjoint families whose union is exactly the set of anticliques (independent
-sets) of the graph.
+are finalized and streamed to the caller.  In the standard run the finalized
+rows are pairwise disjoint families whose union is exactly the set of
+anticliques (independent sets) of the graph.  The searches in search.py run
+the same loop with a prune policy that deletes rows whose bound cannot beat
+a limit.
 """
 
 from __future__ import annotations
 
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import ConfigurationError, StackBoundWarning
+from .errors import ConfigurationError, SearchTimeout, StackBoundWarning
 from .graph import Graph
 from .imposition import Mutated, Unchanged, anti_implication_holds, impose
 from .rows import Polynomial, Row, full_row
@@ -32,14 +35,26 @@ class SearchStats:
     finalized: int = 0        # rows that reached the output stack
     deleted: int = 0          # rows pruned (0 in a standard run)
 
+    def __add__(self, other: "SearchStats") -> "SearchStats":
+        """Counters of two runs together; the peak is the larger of the two."""
+        total = SearchStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
+        total.peak_stack = max(self.peak_stack, other.peak_stack)
+        return total
+
     def as_dict(self) -> dict:
-        return {
-            "rsp": self.rsp,
-            "trivial_changes": self.trivial_changes,
-            "peak_stack": self.peak_stack,
-            "finalized": self.finalized,
-            "deleted": self.deleted,
-        }
+        return asdict(self)
+
+
+@dataclass
+class Prune:
+    """Delete every row whose ``bound`` falls to ``limit`` or below.
+
+    The consumer of an exclusion run may raise ``limit`` between the rows it
+    receives; currentmax raises it to each finalized row's bound.
+    """
+
+    bound: Callable[[Row], int]
+    limit: int
 
 
 @dataclass(frozen=True)
@@ -107,24 +122,44 @@ def run_standard(
     """
     ord_ = _resolve_order(g, order)
     stats = SearchStats()
-    return _standard_gen(g, ord_, stats, trace), stats
+    return _exclusion_run(g, ord_.order, stats, None, trace, None), stats
 
 
-def _standard_gen(
-    g: Graph, order: ImpositionOrder, stats: SearchStats, trace: TraceHook | None
+def _deadline(timeout_s: float | None) -> float | None:
+    return None if timeout_s is None else time.monotonic() + timeout_s
+
+
+def _exclusion_run(
+    g: Graph,
+    seq: tuple[int, ...],
+    stats: SearchStats,
+    prune: Prune | None,
+    trace: TraceHook | None,
+    deadline: float | None,
 ) -> Iterator[Row]:
-    seq = order.order
+    """The row-stack loop behind every engine; yields the finalized rows.
+
+    Anti-implications are imposed in ``seq`` order on the top row; a split
+    pushes the t-out son below the t-in son.  With ``prune`` set, a row is
+    deleted once its bound is at most the limit: when it is popped (the
+    limit may have risen since it was pushed), after a Mutated outcome, and
+    for each son of a split.  ``deadline`` is absolute, on time.monotonic().
+    """
     stack = [full_row(g.v)]
-    output: list[Row] | None = [] if trace else None
+    output: list[Row] = []   # kept only for the trace's snapshots
     stats.peak_stack = 1
     while stack:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchTimeout("search exceeded its time budget")
         row = stack.pop()
+        if prune is not None and _kept(row, prune, stats, trace) is None:
+            continue
         # a popped row's pending anti-implication may hold already; test it
         # once, then run the mechanical case analysis until split or finalize
         if row.pa < len(seq) and anti_implication_holds(row, seq[row.pa], g.adjacency[seq[row.pa]]):
             stats.trivial_changes += 1
             row.pa += 1
-        while row.pa < len(seq):
+        while row is not None and row.pa < len(seq):
             t = seq[row.pa]
             outcome = impose(row, t, g.adjacency[t])
             if isinstance(outcome, Unchanged):
@@ -134,22 +169,31 @@ def _standard_gen(
                 stats.trivial_changes += 1
                 row = outcome.row
                 row.pa += 1
+                if prune is not None:
+                    row = _kept(row, prune, stats, trace)
             else:
                 stats.rsp += 1
                 zero, one = outcome.zero_son, outcome.one_son
                 zero.pa = one.pa = row.pa + 1
-                stack.append(zero)
-                stats.peak_stack = max(stats.peak_stack, len(stack) + 1)
-                row = one
+                if prune is not None:
+                    zero = _kept(zero, prune, stats, trace)
+                    one = _kept(one, prune, stats, trace)
+                if zero is not None and one is not None:
+                    stack.append(zero)
+                    stats.peak_stack = max(stats.peak_stack, len(stack) + 1)
+                    row = one
+                else:
+                    row = zero if one is None else one
             if trace:
                 trace("impose", _snapshot(t, outcome, row, stack, output, seq))
+        if row is None:
+            continue
         stats.finalized += 1
-        if output is not None:
-            output.append(row)
         if trace:
+            output.append(row)
             trace("finalize", {"row": row.debug(), "count": row.member_count()})
         yield row
-    if stats.peak_stack > max(g.w, 1):
+    if prune is None and stats.peak_stack > max(g.w, 1):
         warnings.warn(
             f"working stack peaked at {stats.peak_stack} rows, above the "
             f"edge-count bound {g.w}",
@@ -158,8 +202,18 @@ def _standard_gen(
         )
     if trace:
         trace("done", {
-            "output": [(r.debug(), r.member_count()) for r in (output or [])],
+            "output": [(r.debug(), r.member_count()) for r in output],
         })
+
+
+def _kept(row: Row, prune: Prune, stats: SearchStats, trace: TraceHook | None) -> Row | None:
+    """The row if its bound beats the limit; otherwise None, counted as deleted."""
+    if prune.bound(row) > prune.limit:
+        return row
+    stats.deleted += 1
+    if trace:
+        trace("prune", {"row": row.debug(), "bound": prune.bound(row), "limit": prune.limit})
+    return None
 
 
 def _snapshot(t, outcome, current, stack, output, seq) -> dict:
@@ -167,16 +221,12 @@ def _snapshot(t, outcome, current, stack, output, seq) -> dict:
         pending = seq[r.pa] if r.pa < len(seq) else "-"
         return f"{r.debug()} PA={pending}"
 
-    kind = (
-        "unchanged" if isinstance(outcome, Unchanged)
-        else "mutated" if isinstance(outcome, Mutated)
-        else "split"
-    )
+    working = [] if current is None else [label(current)]
     return {
         "t": t,
-        "outcome": kind,
-        "working": [label(current)] + [label(r) for r in reversed(stack)],
-        "output": [f"{r.debug()} N={r.member_count()}" for r in (output or [])],
+        "outcome": type(outcome).__name__.lower(),
+        "working": working + [label(r) for r in reversed(stack)],
+        "output": [f"{r.debug()} N={r.member_count()}" for r in output],
     }
 
 

@@ -1,26 +1,31 @@
 """Search variants: threshold runs, currentmax branch and bound, bipartite setup.
 
-All of them reuse the imposition engine but prune rows by the cheap bound
-w_max (or its weighted generalization) instead of finalizing everything.
+All of them consume the exclusion run of enumerator.py with a prune policy:
+rows are deleted by the cheap bound w_max (or its weighted generalization)
+instead of all being finalized.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping
 
 from .enumerator import (
     ImpositionOrder,
+    Prune,
     SearchStats,
     TraceHook,
+    _deadline,
+    _exclusion_run,
     _resolve_order,
     cover_order,
+    full_order,
 )
-from .errors import ConfigurationError, SearchTimeout
+from .errors import ConfigurationError
 from .graph import Graph, bipartition
-from .imposition import Mutated, Unchanged, anti_implication_holds, impose
-from .rows import ONE, TWO, Row, full_row
+from .imposition import anti_implication_holds, impose  # noqa: F401  wrapped by perfbench/tracer.py
+from .rows import ONE, TWO, Row
 
 
 @dataclass(frozen=True)
@@ -69,77 +74,34 @@ def threshold_search(
         raise ConfigurationError(f"threshold must be non-negative, got {k}")
     if mode not in ("all", "first"):
         raise ConfigurationError(f"unknown threshold mode {mode!r}")
-    ord_ = _resolve_order(g, order)
-    seq = ord_.order
+    seq = _resolve_order(g, order).order
     stats = SearchStats()
+    rows = _exclusion_run(g, seq, stats, Prune(Row.w_max, k), trace, _deadline(timeout_s))
+    if mode == "all":
+        return list(rows), stats
+    row = next(rows, None)
+    return (None if row is None else row.max_member()), stats
+
+
+def threshold_alpha(
+    g: Graph, *, timeout_s: float | None = None
+) -> tuple[int, SearchStats]:
+    """Alpha by iterated threshold probes, with the counters of all of them.
+
+    Each probe raises k to its hit's size until none is left; the final empty
+    probe at k = alpha certifies maximality.  One deadline bounds them all.
+    """
+    seq = full_order(g.v).order
     deadline = _deadline(timeout_s)
-    survivors: list[Row] = []
-    root = full_row(g.v)
-    if root.w_max() <= k:
-        stats.deleted += 1
-        return (([], stats) if mode == "all" else (None, stats))
-
-    def pruned(victim: Row) -> None:
-        stats.deleted += 1
-        if trace:
-            trace("prune", {"row": victim.debug(), "bound": victim.w_max(), "limit": k})
-
-    stack = [root]
-    stats.peak_stack = 1
-    while stack:
-        _check_deadline(deadline)
-        row = stack.pop()
-        if row.pa < len(seq) and anti_implication_holds(row, seq[row.pa], g.adjacency[seq[row.pa]]):
-            stats.trivial_changes += 1
-            row.pa += 1
-        alive = True
-        while row.pa < len(seq):
-            t = seq[row.pa]
-            outcome = impose(row, t, g.adjacency[t])
-            if trace:
-                trace("impose", {"t": t, "outcome": type(outcome).__name__.lower()})
-            if isinstance(outcome, Unchanged):
-                stats.trivial_changes += 1
-                row.pa += 1
-            elif isinstance(outcome, Mutated):
-                stats.trivial_changes += 1
-                son = outcome.row
-                son.pa += 1
-                if son.w_max() <= k:
-                    pruned(son)
-                    alive = False
-                    break
-                row = son
-            else:
-                stats.rsp += 1
-                zero, one = outcome.zero_son, outcome.one_son
-                zero.pa = one.pa = row.pa + 1
-                zero_ok = zero.w_max() > k
-                one_ok = one.w_max() > k
-                if not zero_ok:
-                    pruned(zero)
-                if not one_ok:
-                    pruned(one)
-                if zero_ok and one_ok:
-                    stack.append(zero)
-                    stats.peak_stack = max(stats.peak_stack, len(stack) + 1)
-                    row = one
-                elif one_ok:
-                    row = one
-                elif zero_ok:
-                    row = zero
-                else:
-                    alive = False
-                    break
-        if not alive:
-            continue
-        stats.finalized += 1
-        if trace:
-            trace("finalize", {"row": row.debug(), "w_max": row.w_max()})
-        if mode == "first":
-            return row.max_member(), stats
-        survivors.append(row)
-    return ((survivors, stats) if mode == "all" else (None, stats))
+    total = SearchStats()
+    k = 0
+    while True:
+        stats = SearchStats()
+        hit = next(_exclusion_run(g, seq, stats, Prune(Row.w_max, k), None, deadline), None)
+        total += stats
+        if hit is None:
+            return k, total
+        k = hit.w_max()
 
 
 def max_anticlique(
@@ -158,11 +120,18 @@ def max_anticlique(
     """
     opts = opts or SearchOptions()
     wt = _weight_vector(g, opts.weights) if opts.weights is not None else None
-    bound0, witness0 = _initial_state(g, opts, wt)
-    ord_ = _resolve_order(g, opts.order)
-    best, best_set, stats = _currentmax_search(
-        g, ord_, bound0, witness0, wt, trace, _deadline(timeout_s)
-    )
+    best, best_set = _initial_state(g, opts, wt)
+    seq = _resolve_order(g, opts.order).order
+    bound, extract = _objective(wt)
+    stats = SearchStats()
+    prune = Prune(bound, best)
+    for row in _exclusion_run(g, seq, stats, prune, trace, _deadline(timeout_s)):
+        # every check kept the bound strictly above currentmax, so a
+        # finalized row always improves it
+        best = prune.limit = bound(row)
+        best_set = extract(row)
+        if trace:
+            trace("improve", {"row": row.debug(), "currentmax": best})
     assert best_set is not None, "search ended without any witness"
     return MaxResult(alpha=best, witness=best_set, stats=stats)
 
@@ -180,25 +149,57 @@ def max_weight_anticlique(
     return max_anticlique(g, opts, trace=trace, timeout_s=timeout_s)
 
 
-def all_max_anticliques(
-    g: Graph, *, timeout_s: float | None = None
-) -> tuple[int, list[frozenset[int]]]:
-    """All maximum-cardinality anticliques, each exactly once, sorted.
+def maximum_sets(
+    g: Graph,
+    res: MaxResult,
+    opts: SearchOptions | None = None,
+    *,
+    trace: TraceHook | None = None,
+    timeout_s: float | None = None,
+) -> tuple[list[frozenset[int]], SearchStats]:
+    """Every anticlique achieving ``res.alpha``, each once, sorted; plus counters.
 
-    Phase 1 learns alpha with the currentmax search; phase 2 reruns the
-    threshold variant at k = alpha - 1 from scratch (phase-1 pruning discards
-    rows that still hold equal-sized maxima, so its rows cannot be reused).
+    ``res`` is ``max_anticlique(g, opts)``.  This reruns the exclusion run
+    from scratch with the same bound and order at the fixed limit alpha - 1
+    (currentmax pruning discards rows that still hold equal-valued maxima,
+    so the rows of ``res`` cannot be reused).  With weights, the sets are the
+    members whose total weight is alpha.
     """
-    res = max_anticlique(g, timeout_s=timeout_s)
-    rows, _stats = threshold_search(g, res.alpha - 1, "all", timeout_s=timeout_s)
-    sets = [X for row in rows for X in row.expand(res.alpha)]
+    opts = opts or SearchOptions()
+    wt = _weight_vector(g, opts.weights) if opts.weights is not None else None
+    seq = _resolve_order(g, opts.order).order
+    bound, _extract = _objective(wt)
+    stats = SearchStats()
+    rows = _exclusion_run(
+        g, seq, stats, Prune(bound, res.alpha - 1), trace, _deadline(timeout_s)
+    )
+    if wt is None:
+        sets = [X for row in rows for X in row.expand(res.alpha)]
+    else:
+        sets = [X for row in rows for X in row.expand()
+                if sum(wt[p] for p in X) == res.alpha]
     sets.sort(key=sorted)
+    return sets, stats
+
+
+def all_max_anticliques(
+    g: Graph, opts: SearchOptions | None = None, *, timeout_s: float | None = None
+) -> tuple[int, list[frozenset[int]]]:
+    """All maximum anticliques (maximum weight with ``opts.weights``), sorted.
+
+    Phase 1 learns alpha with the currentmax search; phase 2 is
+    ``maximum_sets``.
+    """
+    res = max_anticlique(g, opts, timeout_s=timeout_s)
+    sets, _stats = maximum_sets(g, res, opts, timeout_s=timeout_s)
     return res.alpha, sets
 
 
-def core(g: Graph, *, timeout_s: float | None = None) -> frozenset[int]:
+def core(
+    g: Graph, opts: SearchOptions | None = None, *, timeout_s: float | None = None
+) -> frozenset[int]:
     """Intersection of all maximum anticliques."""
-    _alpha, sets = all_max_anticliques(g, timeout_s=timeout_s)
+    _alpha, sets = all_max_anticliques(g, opts, timeout_s=timeout_s)
     return frozenset.intersection(*sets)
 
 
@@ -221,15 +222,6 @@ def bipartite_options(g: Graph) -> SearchOptions:
 
 
 # -- internals --------------------------------------------------------------
-
-
-def _deadline(timeout_s: float | None) -> float | None:
-    return None if timeout_s is None else time.monotonic() + timeout_s
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise SearchTimeout("search exceeded its time budget")
 
 
 def _weight_vector(g: Graph, weights: Mapping[int, int]) -> list[int]:
@@ -268,6 +260,16 @@ def _weighted_member(row: Row, wt: list[int]) -> frozenset[int]:
     return frozenset(member)
 
 
+def _objective(
+    wt: list[int] | None,
+) -> tuple[Callable[[Row], int], Callable[[Row], frozenset[int]]]:
+    """The row bound to prune by and a member achieving it: cardinality
+    without weights, total weight with them."""
+    if wt is None:
+        return Row.w_max, Row.max_member
+    return partial(_weighted_bound, wt=wt), partial(_weighted_member, wt=wt)
+
+
 def _is_anticlique(g: Graph, X: frozenset[int]) -> bool:
     return all(X.isdisjoint(g.adjacency[y]) for y in X)
 
@@ -293,94 +295,3 @@ def _initial_state(
             "a positive initial bound needs an initial witness achieving it"
         )
     return 0, None
-
-
-def _currentmax_search(
-    g: Graph,
-    order: ImpositionOrder,
-    bound0: int,
-    witness0: frozenset[int] | None,
-    wt: list[int] | None,
-    trace: TraceHook | None,
-    deadline: float | None,
-) -> tuple[int, frozenset[int] | None, SearchStats]:
-    seq = order.order
-    stats = SearchStats()
-    best = bound0
-    best_set = witness0
-    if wt is None:
-        bound = Row.w_max
-        extract = Row.max_member
-    else:
-        def bound(row: Row) -> int:
-            return _weighted_bound(row, wt)
-
-        def extract(row: Row) -> frozenset[int]:
-            return _weighted_member(row, wt)
-
-    def pruned(victim: Row) -> None:
-        stats.deleted += 1
-        if trace:
-            trace("prune", {"row": victim.debug(), "bound": bound(victim), "limit": best})
-
-    stack = [full_row(g.v)]
-    stats.peak_stack = 1
-    while stack:
-        _check_deadline(deadline)
-        row = stack.pop()
-        if bound(row) <= best:
-            pruned(row)
-            continue
-        if row.pa < len(seq) and anti_implication_holds(row, seq[row.pa], g.adjacency[seq[row.pa]]):
-            stats.trivial_changes += 1
-            row.pa += 1
-        alive = True
-        while row.pa < len(seq):
-            t = seq[row.pa]
-            outcome = impose(row, t, g.adjacency[t])
-            if trace:
-                trace("impose", {"t": t, "outcome": type(outcome).__name__.lower()})
-            if isinstance(outcome, Unchanged):
-                stats.trivial_changes += 1
-                row.pa += 1
-            elif isinstance(outcome, Mutated):
-                stats.trivial_changes += 1
-                son = outcome.row
-                son.pa += 1
-                if bound(son) <= best:
-                    pruned(son)
-                    alive = False
-                    break
-                row = son
-            else:
-                stats.rsp += 1
-                zero, one = outcome.zero_son, outcome.one_son
-                zero.pa = one.pa = row.pa + 1
-                zero_ok = bound(zero) > best
-                one_ok = bound(one) > best
-                if not zero_ok:
-                    pruned(zero)
-                if not one_ok:
-                    pruned(one)
-                if zero_ok and one_ok:
-                    stack.append(zero)
-                    stats.peak_stack = max(stats.peak_stack, len(stack) + 1)
-                    row = one
-                elif one_ok:
-                    row = one
-                elif zero_ok:
-                    row = zero
-                else:
-                    alive = False
-                    break
-        if not alive:
-            continue
-        value = bound(row)
-        # every check kept the bound strictly above currentmax, so a
-        # finalized row always improves it
-        stats.finalized += 1
-        best = value
-        best_set = extract(row)
-        if trace:
-            trace("improve", {"row": row.debug(), "currentmax": best})
-    return best, best_set, stats

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from anticlique import max_anticlique, random_graph, threshold_search
 from anticlique.cli import main
 from conftest import G5_DIMACS
 
@@ -95,6 +96,25 @@ class TestAlpha:
         payload = json.loads(out)
         assert payload["alpha"] == 10
         assert payload["witness"] == [4]
+
+    def test_weights_with_all_and_core(self, capsys, tmp_path):
+        path = tmp_path / "path3.col"
+        path.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+        wfile = tmp_path / "weights.txt"
+        wfile.write_text("2 10\n")
+        _, out, _ = run_cli(capsys, "alpha", "--graph", str(path), "--weights",
+                            str(wfile), "--all", "--core", "--json")
+        payload = json.loads(out)
+        assert payload["alpha"] == 10
+        assert payload["maximum_sets"] == [[2]]
+        assert payload["core"] == [2]
+
+    def test_all_and_core_count_both_runs(self, capsys):
+        _, out, _ = run_cli(capsys, "alpha", "--gen", "30,0.2,5", "--all", "--core", "--json")
+        g = random_graph(30, 0.2, 5)
+        res = max_anticlique(g)
+        _rows, phase2 = threshold_search(g, res.alpha - 1, "all")
+        assert json.loads(out)["stats"] == (res.stats + phase2).as_dict()
 
     def test_bipartite_on_nonbipartite_is_usage_error(self, capsys, g5_file):
         code, _, err = run_cli(capsys, "alpha", "--graph", str(g5_file),
@@ -219,6 +239,12 @@ class TestTrace:
         tail = out[out.index("final output stack"):]
         counts = sorted(int(m) for m in re.findall(r"N=(\d+)", tail))
         assert counts == [1, 1, 2, 3, 4]
+
+    def test_alpha_shows_stacks_and_improvements(self, capsys, g5_file):
+        code, out, _ = run_cli(capsys, "alpha", "--graph", str(g5_file), "--trace")
+        assert code == 0
+        assert "working stack (top first):" in out
+        assert "improve currentmax=3" in out
 
 
 class TestBench:

@@ -1,0 +1,130 @@
+"""Counter identity: every engine's counters and answers, pinned.
+
+The values below were recorded with the three hand-written row-stack loops
+that preceded the shared exclusion run (``_exclusion_run`` in
+enumerator.py).  Any change to the loop that alters a counter (``rsp``,
+``trivial_changes``, ``peak_stack``, ``finalized``, ``deleted``), an answer or
+a witness fails here.  Stats are tuples in ``SearchStats.as_dict()`` order.
+"""
+
+import random
+
+import pytest
+
+from anticlique import (
+    bipartite_options,
+    max_anticlique,
+    max_weight_anticlique,
+    random_graph,
+    run_standard,
+    threshold_search,
+)
+from conftest import random_bipartite
+
+# graph, stats, f
+STANDARD = [
+    ((14, 0.3, 1), (27, 99, 5, 28, 0), 480),
+    ((22, 0.2, 2), (497, 1969, 7, 498, 0), 5021),
+    ((28, 0.15, 3), (3124, 9156, 9, 3125, 0), 184876),
+    ((32, 0.3, 4), (2283, 11365, 8, 2284, 0), 19532),
+]
+
+# graph, stats, alpha, witness
+CURRENTMAX = [
+    ((14, 0.3, 1), (11, 27, 5, 2, 10), 7, "4 5 7 9 10 12 14"),
+    ((22, 0.2, 2), (116, 221, 7, 3, 114), 8, "2 4 5 14 16 18 19 22"),
+    ((28, 0.15, 3), (199, 254, 9, 3, 197), 13, "2 4 5 6 7 10 11 15 16 18 25 26 28"),
+    ((45, 0.25, 4), (2119, 3487, 8, 3, 2117), 12, "4 5 18 19 24 25 27 32 33 39 42 45"),
+    ((60, 0.3, 5), (7208, 16018, 9, 5, 7204), 12, "3 4 6 10 14 16 17 19 45 50 52 57"),
+]
+
+# graph (vertex weights 1..9 drawn from its seed), stats, alpha, witness
+WEIGHTED = [
+    ((14, 0.3, 1), (19, 34, 4, 6, 14), 46, "5 6 7 11 13 14"),
+    ((22, 0.2, 2), (101, 166, 6, 7, 95), 49, "4 8 11 13 15 16 21"),
+    ((28, 0.15, 3), (189, 271, 9, 9, 181), 70, "2 3 4 5 8 10 11 21 22 24 27"),
+    ((45, 0.25, 4), (2012, 3272, 8, 4, 2009), 65, "5 8 10 11 14 16 21 26 34 38"),
+    ((60, 0.3, 5), (6333, 14111, 9, 16, 6318), 63, "3 8 12 14 19 22 33 38 44 48 59"),
+]
+
+# random_bipartite arguments, stats, alpha, witness
+BIPARTITE = [
+    ((6, 8, 0.3, 1), (7, 4, 3, 0, 8), 8, "7 8 9 10 11 12 13 14"),
+    ((10, 14, 0.2, 2), (21, 14, 3, 0, 22), 14, "11 12 13 14 15 16 17 18 19 20 21 22 23 24"),
+    ((15, 15, 0.2, 6), (120, 83, 6, 2, 119), 17,
+     "1 3 6 8 16 17 18 19 21 22 23 24 25 26 27 28 29"),
+    ((20, 30, 0.1, 3), (227, 177, 6, 0, 228), 31,
+     "6 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50"),
+]
+
+# graph, k, stats, the hit's vertices
+THRESHOLD_FIRST = [
+    ((14, 0.3, 1), 6, (7, 13, 4, 1, 4), "4 5 7 9 10 12 14"),
+    ((14, 0.3, 1), 7, (7, 11, 3, 0, 8), None),
+    ((22, 0.2, 2), 7, (11, 17, 7, 1, 5), "2 4 5 14 16 18 19 22"),
+    ((22, 0.2, 2), 8, (111, 179, 5, 0, 112), None),
+    ((28, 0.15, 3), 12, (11, 34, 7, 1, 6), "2 4 5 6 7 10 11 15 16 18 25 26 28"),
+    ((28, 0.15, 3), 13, (194, 230, 6, 0, 195), None),
+    ((45, 0.25, 4), 11, (435, 1248, 7, 1, 429), "4 5 18 19 24 25 27 32 33 39 42 45"),
+    ((45, 0.25, 4), 12, (1988, 2789, 7, 0, 1989), None),
+    ((60, 0.3, 5), 11, (942, 2265, 7, 1, 936), "3 4 6 10 14 16 17 19 45 50 52 57"),
+    ((60, 0.3, 5), 12, (6818, 14545, 8, 0, 6819), None),
+]
+
+# graph, k, stats, number of anticliques above k
+THRESHOLD_ALL = [
+    ((14, 0.3, 1), 6, (13, 26, 4, 1, 13), 1),
+    ((22, 0.2, 2), 7, (190, 392, 7, 25, 166), 25),
+    ((28, 0.15, 3), 12, (327, 510, 7, 10, 318), 10),
+    ((45, 0.25, 4), 11, (2962, 5734, 7, 11, 2952), 11),
+    ((60, 0.3, 5), 11, (9420, 23088, 9, 9, 9412), 9),
+]
+
+
+def _stats(stats):
+    return tuple(stats.as_dict().values())
+
+
+def _vertices(X):
+    return None if X is None else " ".join(map(str, sorted(X)))
+
+
+@pytest.mark.parametrize("spec, stats, f", STANDARD)
+def test_standard_run(spec, stats, f):
+    rows, got = run_standard(random_graph(*spec))
+    assert sum(row.member_count() for row in rows) == f
+    assert _stats(got) == stats
+
+
+@pytest.mark.parametrize("spec, stats, alpha, witness", CURRENTMAX)
+def test_currentmax(spec, stats, alpha, witness):
+    res = max_anticlique(random_graph(*spec))
+    assert (_stats(res.stats), res.alpha, _vertices(res.witness)) == (stats, alpha, witness)
+
+
+@pytest.mark.parametrize("spec, stats, alpha, witness", WEIGHTED)
+def test_weighted_currentmax(spec, stats, alpha, witness):
+    rng = random.Random(spec[2])
+    weights = {y: rng.randint(1, 9) for y in range(1, spec[0] + 1)}
+    res = max_weight_anticlique(random_graph(*spec), weights)
+    assert (_stats(res.stats), res.alpha, _vertices(res.witness)) == (stats, alpha, witness)
+
+
+@pytest.mark.parametrize("spec, stats, alpha, witness", BIPARTITE)
+def test_bipartite_currentmax(spec, stats, alpha, witness):
+    g = random_bipartite(*spec)
+    res = max_anticlique(g, bipartite_options(g))
+    assert (_stats(res.stats), res.alpha, _vertices(res.witness)) == (stats, alpha, witness)
+
+
+@pytest.mark.parametrize("spec, k, stats, hit", THRESHOLD_FIRST)
+def test_threshold_first(spec, k, stats, hit):
+    found, got = threshold_search(random_graph(*spec), k, "first")
+    assert (_stats(got), _vertices(found)) == (stats, hit)
+
+
+@pytest.mark.parametrize("spec, k, stats, above", THRESHOLD_ALL)
+def test_threshold_all(spec, k, stats, above):
+    rows, got = threshold_search(random_graph(*spec), k, "all")
+    assert _stats(got) == stats
+    assert sum(1 for row in rows for _X in row.expand(k + 1)) == above

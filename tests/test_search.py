@@ -5,6 +5,7 @@ import pytest
 from anticlique import (
     ConfigurationError,
     SearchOptions,
+    SearchStats,
     SearchTimeout,
     all_max_anticliques,
     bipartite_options,
@@ -14,13 +15,17 @@ from anticlique import (
     make_graph,
     max_anticlique,
     max_weight_anticlique,
+    maximum_sets,
     oracle_matching,
     oracle_report,
     random_graph,
+    run_standard,
+    threshold_alpha,
     threshold_search,
 )
 from anticlique.search import _weighted_bound, _weight_vector
 from conftest import (
+    all_anticliques,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -126,6 +131,35 @@ class TestAllMaxAnticliques:
         assert alpha == 2
         assert sets == [frozenset({1, 3}), frozenset({2, 4})]
 
+    def test_weighted_maximum_sets(self):
+        opts = SearchOptions(weights={2: 10})
+        assert all_max_anticliques(path_graph(3), opts) == (10, [frozenset({2})])
+        assert core(path_graph(3), opts) == {2}
+
+    def test_weighted_sweep_matches_bruteforce(self):
+        rng = random.Random(41)
+        for _ in range(25):
+            v = rng.randint(1, 12)
+            g = random_graph(v, rng.choice((0.2, 0.4, 0.6)), rng.randint(0, 10**6))
+            weights = {y: rng.randint(1, 4) for y in range(1, v + 1)}
+            value = {X: sum(weights[p] for p in X) for X in all_anticliques(g)}
+            best = max(value.values())
+            expected = sorted((X for X, w in value.items() if w == best), key=sorted)
+            assert all_max_anticliques(g, SearchOptions(weights=weights)) == (best, expected)
+
+    def test_bipartite_options_give_the_plain_sets(self):
+        for seed in range(6):
+            g = random_bipartite(5, 6, (seed % 3) * 0.3 + 0.1, seed)
+            assert all_max_anticliques(g, bipartite_options(g)) == all_max_anticliques(g)
+
+    def test_maximum_sets_counts_only_its_own_run(self):
+        g = random_graph(30, 0.2, 5)
+        res = max_anticlique(g)
+        sets, stats = maximum_sets(g, res)
+        _rows, threshold_stats = threshold_search(g, res.alpha - 1, "all")
+        assert stats == threshold_stats
+        assert res.witness in sets
+
 
 class TestCore:
     def test_unique_maximum_is_its_own_core(self, g5):
@@ -220,6 +254,60 @@ class TestBipartite:
         res = max_anticlique(empty_graph(5), bipartite_options(empty_graph(5)))
         assert res.alpha == 5
         assert res.witness == frozenset(range(1, 6))
+
+
+class TestThresholdAlpha:
+    def test_probes_find_alpha_and_sum_their_counters(self):
+        g = random_graph(20, 0.3, 4)
+        expected, k = SearchStats(), 0
+        while True:
+            found, stats = threshold_search(g, k, "first")
+            expected += stats
+            if found is None:
+                break
+            k = len(found)
+        assert threshold_alpha(g) == (k, expected)
+        assert k == max_anticlique(g).alpha
+
+    def test_one_deadline_for_all_probes(self):
+        with pytest.raises(SearchTimeout):
+            threshold_alpha(random_graph(40, 0.2, 7), timeout_s=0.0)
+
+
+class TestStats:
+    def test_sum_adds_counters_and_keeps_the_larger_peak(self):
+        a = SearchStats(rsp=1, trivial_changes=2, peak_stack=7, finalized=3, deleted=4)
+        b = SearchStats(rsp=10, trivial_changes=20, peak_stack=5, finalized=30, deleted=40)
+        assert (a + b).as_dict() == {
+            "rsp": 11, "trivial_changes": 22, "peak_stack": 7,
+            "finalized": 33, "deleted": 44,
+        }
+
+
+class TestTraceSchema:
+    """Every engine reports the same events with the same fields."""
+
+    def test_engines_share_one_schema(self, g5):
+        runs = {
+            "standard": lambda hook: list(run_standard(g5, trace=hook)[0]),
+            "threshold": lambda hook: threshold_search(g5, 1, "all", trace=hook),
+            "currentmax": lambda hook: max_anticlique(g5, trace=hook),
+        }
+        for name, run in runs.items():
+            events = []
+            run(lambda kind, info: events.append((kind, set(info))))
+            kinds = {kind for kind, _keys in events}
+            assert {"impose", "finalize", "done"} <= kinds, name
+            for kind, keys in events:
+                assert keys == {
+                    "impose": {"t", "outcome", "working", "output"},
+                    "finalize": {"row", "count"},
+                    "prune": {"row", "bound", "limit"},
+                    "improve": {"row", "currentmax"},
+                    "done": {"output"},
+                }[kind], (name, kind)
+        # the last run, currentmax, also prunes and improves
+        assert {"prune", "improve"} <= {kind for kind, _keys in events}
 
 
 class TestAgreementSweep:
