@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .rows import ANTI, ONE, PREM, TWO, ZERO, Group, Row
+from .rows import Row
 
 
 @dataclass(frozen=True)
@@ -59,33 +59,38 @@ def impose(row: Row, t: int, neighbors: Iterable[int]) -> ImpositionOutcome:
     anticonclusion emptied dissolve (their premise goes free), and the group
     owning t dissolves with its premise forced out.
     """
-    rho = row.sym[t]
-    if rho in (ONE, PREM):
-        raise AssertionError(
-            f"anti-implication imposed at position {t} holding symbol "
-            f"{'1' if rho == ONE else 'a'}; processing order violated"
-        )
-    if rho == ZERO:
+    bit = 1 << t
+    if row.one_mask & bit:
+        raise _order_violated(t, "1")
+    if row.zero_mask & bit:
         return UNCHANGED
-    live = [p for p in neighbors if row.sym[p] != ZERO]
+    owner = None   # id of the group whose anticonclusion holds t
+    for g, (prem, anti) in row.groups.items():
+        if prem == t:
+            raise _order_violated(t, "a")
+        if anti & bit:
+            owner = g
+            break
+    live = 0
+    for p in neighbors:
+        live |= 1 << p
+    live &= ~row.zero_mask
     if not live:
         return UNCHANGED
-    if rho == ANTI:
-        if any(row.sym[p] == ONE for p in live):
-            return Mutated(_drop_from_group(row, t))
-        return Split(_drop_from_group(row, t), _take(row, t, live))
-    # rho == TWO
-    if any(row.sym[p] == ONE for p in live):
+    if owner is not None:
+        if live & row.one_mask:
+            return Mutated(_drop_from_group(row, t, owner))
+        return Split(_drop_from_group(row, t, owner), _take(row, t, live, owner))
+    # rho == 2
+    if live & row.one_mask:
         son = row.clone()
-        son.sym[t] = ZERO
-        son.n_zeros += 1
+        son.zero_mask |= bit
         return Mutated(son)
-    if all(row.sym[p] == TWO for p in live):
+    if not any(live & (anti | 1 << prem) for prem, anti in row.groups.values()):
         return Mutated(_new_group(row, t, live))
     zero_son = row.clone()
-    zero_son.sym[t] = ZERO
-    zero_son.n_zeros += 1
-    return Split(zero_son, _take(row, t, live))
+    zero_son.zero_mask |= bit
+    return Split(zero_son, _take(row, t, live, None))
 
 
 def anti_implication_holds(row: Row, t: int, neighbors: Iterable[int]) -> bool:
@@ -98,93 +103,65 @@ def anti_implication_holds(row: Row, t: int, neighbors: Iterable[int]) -> bool:
     run this test once whenever a row is popped off the working stack; rows
     it clears keep their shape instead of going through a redundant split.
     """
-    rho = row.sym[t]
-    if rho == ZERO:
+    zeros = row.zero_mask
+    bit = 1 << t
+    if zeros & bit:
         return True
-    own_prem = row.groups[row.gid[t]].prem if rho == ANTI else 0
-    return all(row.sym[p] == ZERO or p == own_prem for p in neighbors)
+    own_prem = next((prem for prem, anti in row.groups.values() if anti & bit), 0)
+    return all(zeros >> p & 1 or p == own_prem for p in neighbors)
 
 
-def _drop_from_group(row: Row, t: int) -> Row:
-    """Force t out: zero it and detach it from its group.
+def _order_violated(t: int, symbol: str) -> AssertionError:
+    return AssertionError(
+        f"anti-implication imposed at position {t} holding symbol "
+        f"{symbol}; processing order violated"
+    )
 
-    If that empties the group's anticonclusion, the premise no longer
-    constrains anything and goes free.
+
+def _drop_from_group(row: Row, t: int, g: int) -> Row:
+    """Force t out: zero it and detach it from its group ``g``.
+
+    If that empties the group's anticonclusion, the group dissolves and its
+    premise goes free.
     """
     son = row.clone()
-    g = son.gid[t]
-    son.sym[t] = ZERO
-    son.gid[t] = 0
-    son.n_zeros += 1
-    grp = son.groups[g]
-    grp.anti.discard(t)
-    if not grp.anti:
-        son.sym[grp.prem] = TWO
-        son.gid[grp.prem] = 0
+    son.zero_mask |= 1 << t
+    prem, anti = son.groups[g]
+    anti &= ~(1 << t)
+    if anti:
+        son.groups[g] = (prem, anti)
+    else:
         del son.groups[g]
     return son
 
 
-def _new_group(row: Row, t: int, live: list[int]) -> Row:
-    """t becomes a fresh premise over its free neighbors."""
+def _new_group(row: Row, t: int, live: int) -> Row:
+    """t becomes a fresh premise over its free neighbors ``live``."""
     son = row.clone()
-    g = son.next_gid
+    son.groups[son.next_gid] = (t, live)
     son.next_gid += 1
-    son.sym[t] = PREM
-    son.gid[t] = g
-    for p in live:
-        son.sym[p] = ANTI
-        son.gid[p] = g
-    son.groups[g] = Group(t, set(live))
     return son
 
 
-def _take(row: Row, t: int, live: list[int]) -> Row:
-    """The t-in son: t := 1 and the whole neighborhood zeroed.
+def _take(row: Row, t: int, live: int, owner: int | None) -> Row:
+    """The t-in son: t := 1 and the whole neighborhood ``live`` zeroed.
 
     Callers guarantee no live neighbor holds a 1.  Group repercussions: the
-    group owning t (if any) dissolves with its premise zeroed and survivors
-    freed; groups losing their premise to the zeroing dissolve likewise;
-    groups whose anticonclusion empties free their premise.
+    group ``owner`` holding t (if any) dissolves with its premise zeroed;
+    groups losing their premise to the zeroing dissolve; groups whose
+    anticonclusion empties dissolve.  A dissolved group's remaining
+    positions go free.
     """
     son = row.clone()
-    if son.sym[t] == ANTI:
-        grp = son.groups.pop(son.gid[t])
-        grp.anti.discard(t)
-        son.sym[grp.prem] = ZERO
-        son.gid[grp.prem] = 0
-        son.n_zeros += 1
-        for q in grp.anti:
-            son.sym[q] = TWO
-            son.gid[q] = 0
-    son.sym[t] = ONE
-    son.gid[t] = 0
-    prem_zeroed: list[int] = []
-    touched: list[int] = []
-    for p in live:
-        s = son.sym[p]
-        if s == ZERO:
-            continue
-        if s == ONE:
-            raise AssertionError(f"live neighbor {p} holds 1 in a split branch")
-        g = son.gid[p]
-        son.sym[p] = ZERO
-        son.gid[p] = 0
-        son.n_zeros += 1
-        if s == PREM:
-            prem_zeroed.append(g)
-        elif s == ANTI:
-            son.groups[g].anti.discard(p)
-            touched.append(g)
-    for g in prem_zeroed:
-        grp = son.groups.pop(g)
-        for q in grp.anti:
-            son.sym[q] = TWO
-            son.gid[q] = 0
-    for g in touched:
-        grp = son.groups.get(g)
-        if grp is not None and not grp.anti:
-            son.sym[grp.prem] = TWO
-            son.gid[grp.prem] = 0
-            del son.groups[g]
+    son.one_mask |= 1 << t
+    if live & son.one_mask:
+        raise AssertionError(f"a live neighbor of {t} holds 1 in a split branch")
+    son.zero_mask |= live
+    groups = {}
+    for g, (prem, anti) in row.groups.items():
+        if g == owner:
+            son.zero_mask |= 1 << prem
+        elif not live >> prem & 1 and (rest := anti & ~live):
+            groups[g] = (prem, rest)
+    son.groups = groups
     return son

@@ -15,7 +15,7 @@ from typing import Iterable
 from .enumerator import ImpositionOrder, SearchStats, run_standard
 from .errors import GuardExceeded
 from .graph import Graph
-from .rows import ONE, TWO, Row
+from .rows import Row
 
 CHROMATIC_GUARD_ENV = "ANTICLIQUE_CHROMATIC_MAX_V"
 DEFAULT_CHROMATIC_MAX_V = 30
@@ -27,14 +27,10 @@ def row_maximal_members(row: Row) -> list[frozenset[int]]:
     Each takes all forced and free positions, plus per group either the
     premise or the whole anticonclusion.
     """
-    base = [p for p in range(1, row.v + 1) if row.sym[p] in (ONE, TWO)]
-    sets = [frozenset(base)]
-    for gr in sorted(row.groups.values(), key=lambda gr: gr.prem):
-        sets = [
-            prev | extra
-            for prev in sets
-            for extra in (frozenset((gr.prem,)), frozenset(gr.anti))
-        ]
+    base, groups = row.decompose()
+    sets = [base]
+    for prem, anti in groups:
+        sets = [prev | extra for prev in sets for extra in (frozenset((prem,)), anti)]
     return sets
 
 

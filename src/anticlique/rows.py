@@ -14,6 +14,12 @@ whole anticonclusion must stay out; otherwise all anticonclusion positions
 are free.  A single row can thus stand for exponentially many sets, and its
 member count, size spectrum and largest member are all available in closed
 form without expanding it.
+
+A ``Row`` stores only what the symbols say: a mask of the ``0`` positions, a
+mask of the ``1`` positions and its groups as ``(premise, anticonclusion
+mask)`` pairs.  Every other position is free.  Only this module and
+imposition.py read that format; other modules ask a row for its sets
+(``decompose``, ``max_member``, ``expand``, ...).
 """
 
 from __future__ import annotations
@@ -22,10 +28,6 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
-
-ZERO, ONE, TWO, PREM, ANTI = range(5)
-
-_SYMBOL_CHARS = {ZERO: "0", ONE: "1", TWO: "2"}
 
 
 @dataclass(frozen=True)
@@ -78,76 +80,93 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)})"
 
 
-@dataclass
-class Group:
-    """One premise position plus its non-empty anticonclusion position set."""
-
-    prem: int
-    anti: set[int]
-
-
 class Row:
     """One five-valued row over positions 1..v.
 
-    ``sym`` and ``gid`` carry a dummy entry at index 0 so positions read
-    1-based like every other interface here.  ``gid[p]`` names the group a
-    premise or anticonclusion position belongs to (0 elsewhere).  ``pa``
-    counts the anti-implications already imposed on this row, i.e. it indexes
-    the next pending one in the imposition order.  Rows are value-semantic:
-    engines clone before mutating, so rows never share group tables.
+    Position p is bit p of every mask (bit 0 is never set).  ``zero_mask``
+    and ``one_mask`` hold the ``0`` and ``1`` positions; ``groups`` maps a
+    group id to its ``(premise, anticonclusion mask)`` pair; every position
+    in none of them is free.  Group ids only label groups in ``debug()``;
+    ``next_gid`` is the label the next new group gets.  ``pa`` counts the
+    anti-implications already imposed on this row, i.e. it indexes the next
+    pending one in the imposition order.  Engines clone a row before
+    changing it, so rows never share a group table.
     """
 
-    __slots__ = ("v", "sym", "gid", "groups", "pa", "n_zeros", "next_gid")
+    __slots__ = ("v", "zero_mask", "one_mask", "groups", "pa", "next_gid")
 
-    def __init__(self, v: int, sym: list[int], gid: list[int],
-                 groups: dict[int, Group], pa: int, n_zeros: int, next_gid: int):
+    def __init__(self, v: int, zero_mask: int, one_mask: int,
+                 groups: dict[int, tuple[int, int]], pa: int, next_gid: int):
         self.v = v
-        self.sym = sym
-        self.gid = gid
+        self.zero_mask = zero_mask
+        self.one_mask = one_mask
         self.groups = groups
         self.pa = pa
-        self.n_zeros = n_zeros
         self.next_gid = next_gid
 
-    # -- construction -----------------------------------------------------
-
     def clone(self) -> "Row":
-        groups = {g: Group(gr.prem, set(gr.anti)) for g, gr in self.groups.items()}
-        return Row(self.v, self.sym.copy(), self.gid.copy(), groups,
-                   self.pa, self.n_zeros, self.next_gid)
+        return Row(self.v, self.zero_mask, self.one_mask, self.groups.copy(),
+                   self.pa, self.next_gid)
 
     # -- derived position sets --------------------------------------------
 
+    def _free_mask(self) -> int:
+        taken = self.zero_mask | self.one_mask
+        for prem, anti in self.groups.values():
+            taken |= anti | 1 << prem
+        return ((1 << (self.v + 1)) - 2) & ~taken
+
     def zeros(self) -> frozenset[int]:
-        return frozenset(p for p in range(1, self.v + 1) if self.sym[p] == ZERO)
+        return frozenset(_positions(self.zero_mask))
 
     def ones(self) -> frozenset[int]:
-        return frozenset(p for p in range(1, self.v + 1) if self.sym[p] == ONE)
+        return frozenset(_positions(self.one_mask))
 
     def twos(self) -> frozenset[int]:
-        return frozenset(p for p in range(1, self.v + 1) if self.sym[p] == TWO)
+        return frozenset(_positions(self._free_mask()))
 
     def premset(self) -> frozenset[int]:
-        return frozenset(gr.prem for gr in self.groups.values())
+        return frozenset(prem for prem, _anti in self.groups.values())
 
     def anticonc(self, k: int) -> frozenset[int]:
         """Anticonclusion positions of the group whose premise sits at k."""
-        if self.sym[k] != PREM:
-            raise ValueError(f"position {k} holds no premise")
-        return frozenset(self.groups[self.gid[k]].anti)
+        for prem, anti in self.groups.values():
+            if prem == k:
+                return frozenset(_positions(anti))
+        raise ValueError(f"position {k} holds no premise")
+
+    def decompose(self) -> tuple[frozenset[int], list[tuple[int, frozenset[int]]]]:
+        """The base set (the ``1`` and free positions) and every group as
+        (premise, anticonclusion set), in premise order.
+
+        The inclusion-maximal members are the base set plus, per group,
+        either the premise or the whole anticonclusion.
+        """
+        base = frozenset(_positions(self.one_mask | self._free_mask()))
+        groups = [(prem, frozenset(_positions(anti)))
+                  for prem, anti in sorted(self.groups.values())]
+        return base, groups
 
     # -- closed-form queries ----------------------------------------------
 
+    def _sizes(self) -> tuple[int, int, list[int]]:
+        """|ones|, |frees| and the anticonclusion sizes."""
+        betas = [anti.bit_count() for _prem, anti in self.groups.values()]
+        n_ones = self.one_mask.bit_count()
+        n_twos = (self.v - self.zero_mask.bit_count() - n_ones
+                  - len(betas) - sum(betas))
+        return n_ones, n_twos, betas
+
     def w_max(self) -> int:
         """Size of the largest member: v - |zeros| - |premises|."""
-        return self.v - self.n_zeros - len(self.groups)
+        return self.v - self.zero_mask.bit_count() - len(self.groups)
 
     def member_count(self) -> int:
         """Exact number of member sets: 2^|twos| * prod(1 + 2^|anti_g|)."""
-        n_twos = sum(1 for p in range(1, self.v + 1) if self.sym[p] == TWO)
+        _n_ones, n_twos, betas = self._sizes()
         count = 1 << n_twos
-        for gr in self.groups.values():
-            count *= (1 << len(gr.anti)) + 1
+        for beta in betas:
+            count *= (1 << beta) + 1
         return count
 
     def spectrum(self) -> Polynomial:
@@ -156,16 +175,10 @@ class Row:
         Coefficient k counts the k-element members.  Computed as
         x^|ones| * (1+x)^|twos| * prod over groups of (x + (1+x)^|anti_g|).
         """
-        n_ones = n_twos = 0
-        for p in range(1, self.v + 1):
-            if self.sym[p] == ONE:
-                n_ones += 1
-            elif self.sym[p] == TWO:
-                n_twos += 1
+        n_ones, n_twos, betas = self._sizes()
         poly = Polynomial(tuple([0] * n_ones + [1]))
         poly = poly * Polynomial(tuple(comb(n_twos, k) for k in range(n_twos + 1)))
-        for gr in self.groups.values():
-            beta = len(gr.anti)
+        for beta in betas:
             factor = [comb(beta, k) for k in range(beta + 1)]
             factor[1] += 1
             poly = poly * Polynomial(tuple(factor))
@@ -173,25 +186,22 @@ class Row:
 
     def max_member(self) -> frozenset[int]:
         """A largest member: everything except zeros and premise positions."""
-        return frozenset(
-            p for p in range(1, self.v + 1) if self.sym[p] not in (ZERO, PREM)
-        )
+        out = self.zero_mask
+        for prem, _anti in self.groups.values():
+            out |= 1 << prem
+        return frozenset(_positions(((1 << (self.v + 1)) - 2) & ~out))
 
     def contains(self, X: Iterable[int]) -> bool:
         """True iff X is one of the member sets this row encodes."""
-        xs = frozenset(X)
-        for p in xs:
+        xmask = 0
+        for p in X:
             if not 1 <= p <= self.v:
                 raise ValueError(f"vertex {p} out of range 1..{self.v}")
-            if self.sym[p] == ZERO:
-                return False
-        for p in range(1, self.v + 1):
-            if self.sym[p] == ONE and p not in xs:
-                return False
-        for gr in self.groups.values():
-            if gr.prem in xs and not xs.isdisjoint(gr.anti):
-                return False
-        return True
+            xmask |= 1 << p
+        if xmask & self.zero_mask or self.one_mask & ~xmask:
+            return False
+        return not any(xmask >> prem & 1 and xmask & anti
+                       for prem, anti in self.groups.values())
 
     def expand(self, min_size: int = 0) -> Iterator[frozenset[int]]:
         """Yield every member of size >= min_size exactly once.
@@ -200,12 +210,12 @@ class Row:
         ascending positions), then group choices nested premise-first, anti
         subsets lexicographic, groups taken in premise-position order.
         """
-        ones = [p for p in range(1, self.v + 1) if self.sym[p] == ONE]
-        twos = tuple(p for p in range(1, self.v + 1) if self.sym[p] == TWO)
+        ones = list(_positions(self.one_mask))
+        twos = tuple(_positions(self._free_mask()))
         choice_lists = []
-        for gr in sorted(self.groups.values(), key=lambda gr: gr.prem):
-            choices: list[tuple[int, ...]] = [(gr.prem,)]
-            choices.extend(_subsets_lex(tuple(sorted(gr.anti))))
+        for prem, anti in sorted(self.groups.values()):
+            choices: list[tuple[int, ...]] = [(prem,)]
+            choices.extend(_subsets_lex(tuple(_positions(anti))))
             choice_lists.append(choices)
         for free in _subsets_lex(twos):
             base = ones + list(free)
@@ -220,64 +230,41 @@ class Row:
 
     def debug(self) -> str:
         """Compact rendering like ``(a1,0,2,b1,b1)``."""
-        parts = []
-        for p in range(1, self.v + 1):
-            s = self.sym[p]
-            if s in _SYMBOL_CHARS:
-                parts.append(_SYMBOL_CHARS[s])
-            elif s == PREM:
-                parts.append(f"a{self.gid[p]}")
-            else:
-                parts.append(f"b{self.gid[p]}")
-        return "(" + ",".join(parts) + ")"
+        tokens = ["2"] * (self.v + 1)
+        for p in _positions(self.zero_mask):
+            tokens[p] = "0"
+        for p in _positions(self.one_mask):
+            tokens[p] = "1"
+        for g, (prem, anti) in self.groups.items():
+            tokens[prem] = f"a{g}"
+            for q in _positions(anti):
+                tokens[q] = f"b{g}"
+        return "(" + ",".join(tokens[1:]) + ")"
 
     def validate(self) -> None:
-        """Raise AssertionError if the symbol array and group table disagree."""
-        if len(self.sym) != self.v + 1 or len(self.gid) != self.v + 1:
-            raise AssertionError("symbol arrays have wrong length")
-        zeros = 0
-        for p in range(1, self.v + 1):
-            s = self.sym[p]
-            if s == ZERO:
-                zeros += 1
-            if s in (PREM, ANTI):
-                g = self.gid[p]
-                if g not in self.groups:
-                    raise AssertionError(f"position {p} names unknown group {g}")
-                gr = self.groups[g]
-                if s == PREM and gr.prem != p:
-                    raise AssertionError(f"premise mismatch at {p}")
-                if s == ANTI and p not in gr.anti:
-                    raise AssertionError(f"anticonclusion mismatch at {p}")
-            elif self.gid[p] != 0:
-                raise AssertionError(f"stale group id at {p}")
-        if zeros != self.n_zeros:
-            raise AssertionError("zero counter out of sync")
-        for g, gr in self.groups.items():
-            if not gr.anti:
-                raise AssertionError(f"group {g} has empty anticonclusion")
-            if gr.prem in gr.anti:
-                raise AssertionError(f"group {g} premise inside anticonclusion")
-            if self.sym[gr.prem] != PREM or self.gid[gr.prem] != g:
-                raise AssertionError(f"group {g} premise not marked")
-            for q in gr.anti:
-                if self.sym[q] != ANTI or self.gid[q] != g:
-                    raise AssertionError(f"group {g} anticonclusion not marked at {q}")
-
-    def _canonical(self):
-        out = []
-        for p in range(1, self.v + 1):
-            s = self.sym[p]
-            if s in (PREM, ANTI):
-                out.append((s, self.groups[self.gid[p]].prem))
-            else:
-                out.append(s)
-        return tuple(out)
+        """Raise AssertionError unless every position lies in 1..v, no
+        position has two roles, and no anticonclusion is empty."""
+        parts = [self.zero_mask, self.one_mask]
+        for g, (prem, anti) in self.groups.items():
+            if not anti:
+                raise AssertionError(f"group {g} has an empty anticonclusion")
+            if not 1 <= prem <= self.v:
+                raise AssertionError(f"group {g} premise {prem} out of range 1..{self.v}")
+            parts += [1 << prem, anti]
+        full = (1 << (self.v + 1)) - 2
+        seen = 0
+        for mask in parts:
+            if mask & ~full:
+                raise AssertionError(f"position out of range 1..{self.v}")
+            if mask & seen:
+                raise AssertionError("a position holds two symbols")
+            seen |= mask
 
     def __eq__(self, other):
         if not isinstance(other, Row):
             return NotImplemented
-        return self.v == other.v and self._canonical() == other._canonical()
+        return (self.v, self.zero_mask, self.one_mask, sorted(self.groups.values())) == (
+            other.v, other.zero_mask, other.one_mask, sorted(other.groups.values()))
 
     __hash__ = None
 
@@ -289,7 +276,7 @@ def full_row(v: int) -> Row:
     """The row (2, 2, ..., 2) encoding the whole powerset of 1..v."""
     if v < 1:
         raise ValueError(f"vertex count must be at least 1, got {v}")
-    return Row(v, [TWO] * (v + 1), [0] * (v + 1), {}, 0, 0, 1)
+    return Row(v, 0, 0, {}, 0, 1)
 
 
 def row_from_debug(text: str, pa: int = 0) -> Row:
@@ -298,34 +285,36 @@ def row_from_debug(text: str, pa: int = 0) -> Row:
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
     tokens = [tok.strip() for tok in body.split(",")]
-    v = len(tokens)
-    sym = [0] * (v + 1)
-    gid = [0] * (v + 1)
+    masks = {"0": 0, "1": 0, "2": 0}
     prems: dict[int, int] = {}
-    antis: dict[int, set[int]] = {}
+    antis: dict[int, int] = {}
     for p, tok in enumerate(tokens, start=1):
-        if tok in ("0", "1", "2"):
-            sym[p] = int(tok)
+        if tok in masks:
+            masks[tok] |= 1 << p
         elif tok.startswith("a") and tok[1:].isdigit():
-            sym[p] = PREM
-            gid[p] = int(tok[1:])
-            if gid[p] in prems:
-                raise ValueError(f"duplicate premise for group {gid[p]}")
-            prems[gid[p]] = p
+            g = int(tok[1:])
+            if g in prems:
+                raise ValueError(f"duplicate premise for group {g}")
+            prems[g] = p
         elif tok.startswith("b") and tok[1:].isdigit():
-            sym[p] = ANTI
-            gid[p] = int(tok[1:])
-            antis.setdefault(gid[p], set()).add(p)
+            g = int(tok[1:])
+            antis[g] = antis.get(g, 0) | 1 << p
         else:
             raise ValueError(f"bad row symbol {tok!r}")
     if set(prems) != set(antis):
         raise ValueError("every group needs one premise and a non-empty anticonclusion")
-    groups = {g: Group(prems[g], antis[g]) for g in prems}
-    n_zeros = sum(1 for p in range(1, v + 1) if sym[p] == ZERO)
-    next_gid = max(prems, default=0) + 1
-    row = Row(v, sym, gid, groups, pa, n_zeros, next_gid)
+    groups = {g: (prems[g], antis[g]) for g in prems}
+    row = Row(len(tokens), masks["0"], masks["1"], groups, pa, max(prems, default=0) + 1)
     row.validate()
     return row
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _positions(mask: int) -> Iterator[int]:
+    """The set bits of a mask, ascending (one C-level pass over its digits)."""
+    return itertools.compress(itertools.count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
 
 def _subsets_lex(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -25,7 +25,7 @@ from .enumerator import (
 from .errors import ConfigurationError
 from .graph import Graph, bipartition
 from .imposition import anti_implication_holds, impose  # noqa: F401  wrapped by perfbench/tracer.py
-from .rows import ONE, TWO, Row
+from .rows import Row
 
 
 @dataclass(frozen=True)
@@ -240,23 +240,22 @@ def _weight_vector(g: Graph, weights: Mapping[int, int]) -> list[int]:
 def _weighted_bound(row: Row, wt: list[int]) -> int:
     """Largest member weight: free and forced-in weight plus, per group, the
     better of keeping the premise or the whole anticonclusion."""
-    total = 0
-    for p in range(1, row.v + 1):
-        if row.sym[p] in (ONE, TWO):
-            total += wt[p]
-    for gr in row.groups.values():
-        total += max(wt[gr.prem], sum(wt[q] for q in gr.anti))
+    base, groups = row.decompose()
+    total = sum(map(wt.__getitem__, base))
+    for prem, anti in groups:
+        total += max(wt[prem], sum(map(wt.__getitem__, anti)))
     return total
 
 
 def _weighted_member(row: Row, wt: list[int]) -> frozenset[int]:
     """A member achieving the weighted bound; prefers the anticonclusion on ties."""
-    member = [p for p in range(1, row.v + 1) if row.sym[p] in (ONE, TWO)]
-    for gr in row.groups.values():
-        if wt[gr.prem] > sum(wt[q] for q in gr.anti):
-            member.append(gr.prem)
+    base, groups = row.decompose()
+    member = set(base)
+    for prem, anti in groups:
+        if wt[prem] > sum(map(wt.__getitem__, anti)):
+            member.add(prem)
         else:
-            member.extend(gr.anti)
+            member |= anti
     return frozenset(member)
 
 

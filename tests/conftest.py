@@ -11,8 +11,8 @@ import random
 
 import pytest
 
-from anticlique import Graph, make_graph
-from anticlique.rows import ANTI, ONE, PREM, TWO, ZERO, Group, Row
+from anticlique import Graph, make_graph, row_from_debug
+from anticlique.rows import Row
 
 G5_DIMACS = """c five-vertex worked example
 p edge 5 6
@@ -78,18 +78,10 @@ def induced_subgraph(g: Graph, keep: set[int]) -> Graph:
 
 
 def row_masks(row: Row):
-    """Bitmask view of the row's declared structure (bit p-1 = vertex p)."""
-    zero_mask = one_mask = 0
-    for p in range(1, row.v + 1):
-        if row.sym[p] == ZERO:
-            zero_mask |= 1 << (p - 1)
-        elif row.sym[p] == ONE:
-            one_mask |= 1 << (p - 1)
-    groups = [
-        (gr.prem - 1, sum(1 << (q - 1) for q in gr.anti))
-        for gr in row.groups.values()
-    ]
-    return zero_mask, one_mask, groups
+    """Bitmask view of the row's declared structure (bit p-1 = vertex p;
+    the row's own masks use bit p)."""
+    groups = [(prem - 1, anti >> 1) for prem, anti in row.groups.values()]
+    return row.zero_mask >> 1, row.one_mask >> 1, groups
 
 
 def member_masks_bruteforce(row: Row) -> list[int]:
@@ -112,12 +104,10 @@ def mask_to_set(mask: int) -> frozenset[int]:
 
 
 def random_row(rng: random.Random, v: int) -> Row:
-    """A random structurally valid row (symbols plus consistent group table)."""
-    sym = [TWO] * (v + 1)
-    gid = [0] * (v + 1)
-    positions = list(range(1, v + 1))
+    """A random structurally valid row, built from its debug string."""
+    tokens = ["2"] * v
+    positions = list(range(v))
     rng.shuffle(positions)
-    groups: dict[int, Group] = {}
     next_gid = 1
     idx = 0
     while idx < len(positions):
@@ -125,23 +115,15 @@ def random_row(rng: random.Random, v: int) -> Row:
         roll = rng.random()
         if roll < 0.35 and remaining >= 2 and next_gid <= 3:
             beta = rng.randint(1, min(3, remaining - 1))
-            prem, anti = positions[idx], positions[idx + 1 : idx + 1 + beta]
-            sym[prem] = PREM
-            gid[prem] = next_gid
-            for q in anti:
-                sym[q] = ANTI
-                gid[q] = next_gid
-            groups[next_gid] = Group(prem, set(anti))
+            tokens[positions[idx]] = f"a{next_gid}"
+            for q in positions[idx + 1 : idx + 1 + beta]:
+                tokens[q] = f"b{next_gid}"
             next_gid += 1
             idx += 1 + beta
         else:
-            p = positions[idx]
-            sym[p] = rng.choice((ZERO, ONE, TWO))
+            tokens[positions[idx]] = rng.choice(("0", "1", "2"))
             idx += 1
-    n_zeros = sum(1 for p in range(1, v + 1) if sym[p] == ZERO)
-    row = Row(v, sym, gid, groups, 0, n_zeros, next_gid)
-    row.validate()
-    return row
+    return row_from_debug("(" + ",".join(tokens) + ")")
 
 
 def is_anticlique(g: Graph, X) -> bool:

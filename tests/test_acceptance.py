@@ -27,7 +27,6 @@ from anticlique import (
     threshold_search,
 )
 from anticlique.imposition import Mutated, Unchanged
-from anticlique.rows import ONE, PREM
 from conftest import (
     EXAMPLE_ROW_13,
     member_masks_bruteforce,
@@ -115,7 +114,7 @@ def test_criterion_5_imposition_soundness():
     while calls < 1000:
         v = rng.randint(2, 12)
         row = random_row(rng, v)
-        candidates = [p for p in range(1, v + 1) if row.sym[p] not in (ONE, PREM)]
+        candidates = [p for p in range(1, v + 1) if p not in row.ones() | row.premset()]
         if not candidates:
             continue
         t = rng.choice(candidates)

@@ -13,7 +13,7 @@ from anticlique import (
     run_standard,
 )
 from anticlique.imposition import anti_implication_holds
-from anticlique.rows import ONE, PREM, Row
+from anticlique.rows import Row
 from conftest import member_masks_bruteforce, random_row
 
 
@@ -108,7 +108,7 @@ class TestAntiImplicationHolds:
         for _ in range(300):
             v = rng.randint(2, 10)
             row = random_row(rng, v)
-            candidates = [p for p in range(1, v + 1) if row.sym[p] not in (ONE, PREM)]
+            candidates = [p for p in range(1, v + 1) if p not in row.ones() | row.premset()]
             if not candidates:
                 continue
             t = rng.choice(candidates)
@@ -126,7 +126,7 @@ class TestSoundnessSweep:
         for _ in range(1000):
             v = rng.randint(2, 12)
             row = random_row(rng, v)
-            candidates = [p for p in range(1, v + 1) if row.sym[p] not in (ONE, PREM)]
+            candidates = [p for p in range(1, v + 1) if p not in row.ones() | row.premset()]
             if not candidates:
                 continue
             t = rng.choice(candidates)
@@ -169,7 +169,7 @@ class TestSoundnessSweep:
             for r in produced:
                 r.validate()
                 for p in range(t + 1, r.v + 1):
-                    assert r.sym[p] not in (ONE, PREM)
+                    assert p not in r.ones() | r.premset()
             return out
 
         monkeypatch.setattr(enum_mod, "impose", checked)
@@ -191,7 +191,7 @@ class TestSoundnessSweep:
         for _ in range(200):
             v = rng.randint(2, 10)
             row = random_row(rng, v)
-            candidates = [p for p in range(1, v + 1) if row.sym[p] not in (ONE, PREM)]
+            candidates = [p for p in range(1, v + 1) if p not in row.ones() | row.premset()]
             if not candidates:
                 continue
             t = rng.choice(candidates)
@@ -205,11 +205,11 @@ class TestSoundnessSweep:
         for _ in range(200):
             v = rng.randint(2, 10)
             row = random_row(rng, v)
-            before = (row.debug(), row.pa, row.n_zeros)
-            candidates = [p for p in range(1, v + 1) if row.sym[p] not in (ONE, PREM)]
+            before = (row.debug(), row.pa, row.zero_mask)
+            candidates = [p for p in range(1, v + 1) if p not in row.ones() | row.premset()]
             if not candidates:
                 continue
             t = rng.choice(candidates)
             B = {p for p in range(1, v + 1) if p != t and rng.random() < 0.3}
             impose(row, t, B)
-            assert (row.debug(), row.pa, row.n_zeros) == before
+            assert (row.debug(), row.pa, row.zero_mask) == before

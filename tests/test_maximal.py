@@ -24,6 +24,7 @@ from conftest import (
     empty_graph,
     is_anticlique,
     path_graph,
+    random_row,
 )
 
 
@@ -52,6 +53,14 @@ class TestRowMaximalMembers:
     def test_single_group(self):
         sets = row_maximal_members(row_from_debug("(a1,0,0,0,b1)"))
         assert set(sets) == {frozenset({1}), frozenset({5})}
+
+    def test_random_rows_match_maximal_members_of_expand(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            row = random_row(rng, rng.randint(1, 10))
+            members = set(row.expand())
+            maximal = [X for X in members if not any(X < Y for Y in members)]
+            assert _as_sorted(row_maximal_members(row)) == _as_sorted(maximal)
 
 
 class TestSieve:

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from anticlique import Polynomial, Row, full_row, row_from_debug
+from anticlique import Mutated, Polynomial, Row, Split, full_row, impose, row_from_debug
 from conftest import (
     EXAMPLE_ROW_13,
     mask_to_set,
@@ -146,6 +146,25 @@ class TestRowEquality:
         assert row_from_debug("(a1,b1,2)") != row_from_debug("(a1,2,b1)")
 
 
+class TestValidate:
+    # position p is bit p of a mask
+    @pytest.mark.parametrize("row", [
+        Row(4, 0, 0, {1: (1, 1 << 3), 2: (2, 1 << 3 | 1 << 4)}, 0, 3),
+        Row(3, 1 << 2, 0, {1: (1, 1 << 2)}, 0, 2),
+        Row(3, 0, 1 << 1, {1: (1, 1 << 2)}, 0, 2),
+        Row(3, 0, 0, {1: (1, 0)}, 0, 2),
+        Row(3, 1 << 4, 0, {}, 0, 1),
+        Row(3, 1, 0, {}, 0, 1),
+        Row(3, 0, 0, {1: (4, 1 << 1)}, 0, 2),
+        Row(3, 0, 0, {1: (1, 1 << 5)}, 0, 2),
+    ], ids=["two-groups", "zero-and-group", "one-and-premise", "empty-anti",
+            "zero-out-of-range", "position-0", "premise-out-of-range",
+            "anti-out-of-range"])
+    def test_rejects(self, row):
+        with pytest.raises(AssertionError):
+            row.validate()
+
+
 class TestRandomRowSweep:
     """Brute-force cross-check of every closed-form row query."""
 
@@ -193,3 +212,23 @@ class TestRandomRowSweep:
             spec = row.spectrum()
             assert spec.evaluate(1) == row.member_count()
             assert spec.degree == row.w_max()
+
+    def test_debug_round_trip(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            v = rng.randint(1, 12)
+            row = random_row(rng, v)
+            rows = [row]
+            candidates = [p for p in range(1, v + 1) if p not in row.ones() | row.premset()]
+            if candidates:
+                t = rng.choice(candidates)
+                B = {p for p in range(1, v + 1) if p != t and rng.random() < 0.4}
+                out = impose(row, t, B)
+                if isinstance(out, Mutated):
+                    rows.append(out.row)
+                elif isinstance(out, Split):
+                    rows += [out.zero_son, out.one_son]
+            for r in rows:
+                back = row_from_debug(r.debug())
+                assert back == r
+                assert back.debug() == r.debug()

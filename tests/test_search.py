@@ -23,7 +23,7 @@ from anticlique import (
     threshold_alpha,
     threshold_search,
 )
-from anticlique.search import _weighted_bound, _weight_vector
+from anticlique.search import _weighted_bound, _weighted_member, _weight_vector
 from conftest import (
     all_anticliques,
     complete_graph,
@@ -221,8 +221,14 @@ class TestWeighted:
         for _ in range(100):
             row = random_row(rng, 8)
             bound = _weighted_bound(row, wt)
-            for X in row.expand(0):
-                assert bound >= sum(wt[p] for p in X)
+            weights = [sum(wt[p] for p in X) for X in row.expand(0)]
+            assert all(bound >= w for w in weights)
+            # and tight: the bound is the heaviest member's weight, which
+            # _weighted_member achieves
+            assert bound == max(weights)
+            best = _weighted_member(row, wt)
+            assert row.contains(best)
+            assert sum(wt[p] for p in best) == bound
 
 
 class TestBipartite:
