@@ -13,6 +13,7 @@ from .enumerator import (
     fibonacci_number,
     full_order,
     independence_polynomial,
+    rows_polynomial,
     run_standard,
 )
 from .errors import (
@@ -42,7 +43,7 @@ from .maximal import (
     sieve_maximal,
 )
 from .oracle import OracleReport, oracle_matching, oracle_report
-from .rows import Polynomial, Row, full_row, row_from_debug
+from .rows import Polynomial, Row, full_row, row_from_debug, spectrum_of_shapes
 from .search import (
     MaxResult,
     SearchOptions,
@@ -102,9 +103,11 @@ __all__ = [
     "random_graph",
     "row_from_debug",
     "row_maximal_members",
+    "rows_polynomial",
     "run_standard",
     "serialize_graph",
     "sieve_maximal",
+    "spectrum_of_shapes",
     "threshold_alpha",
     "threshold_search",
     "to_complement",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .enumerator import SearchStats, run_standard
+from .enumerator import SearchStats, rows_polynomial, run_standard
 from .errors import ConfigurationError, GraphFormatError, GuardExceeded, SearchTimeout
 from .graph import FORMATS, Graph, parse_graph, random_graph, serialize_graph
 from .maximal import chromatic_with_stats, maximal_family
@@ -237,9 +237,7 @@ def _cmd_poly(args) -> int:
     g, desc = _load_graph(args)
     t0 = time.perf_counter()
     rows, stats = run_standard(g, trace=_trace_printer(args))
-    poly = None
-    for row in rows:
-        poly = row.spectrum() if poly is None else poly + row.spectrum()
+    poly = rows_polynomial(rows)
     wall = (time.perf_counter() - t0) * 1000
     coeffs = list(poly.coeffs)
     payload = {"coefficients": coeffs, "degree": poly.degree, "f": poly.evaluate(1)}

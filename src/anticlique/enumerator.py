@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections import Counter
 from dataclasses import asdict, astuple, dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import ConfigurationError, SearchTimeout, StackBoundWarning
 from .graph import Graph
 from .imposition import Mutated, Unchanged, anti_implication_holds, impose
-from .rows import Polynomial, Row, full_row
+from .rows import Polynomial, Row, full_row, spectrum_of_shapes
 
 TraceHook = Callable[[str, dict], None]
 
@@ -239,10 +240,13 @@ def fibonacci_number(g: Graph, order: ImpositionOrder | None = None) -> int:
 def independence_polynomial(g: Graph, order: ImpositionOrder | None = None) -> Polynomial:
     """Coefficient k counts the k-element anticliques; degree is alpha(g)."""
     rows, _stats = run_standard(g, order)
-    total = Polynomial((0,))
-    for row in rows:
-        total = total + row.spectrum()
-    return total
+    return rows_polynomial(rows)
+
+
+def rows_polynomial(rows: Iterable[Row]) -> Polynomial:
+    """The summed spectra of ``rows``, counted by row shape and summed once
+    per shape."""
+    return spectrum_of_shapes(Counter(row.shape() for row in rows))
 
 
 def enumerate_anticliques(

@@ -27,7 +27,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
+
+# (|ones|, |frees|, ascending anticonclusion sizes); see Row.shape
+Shape = tuple[int, int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -68,13 +71,7 @@ class Polynomial:
         )
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(tuple(out))
+        return Polynomial(tuple(_convolve(self.coeffs, other.coeffs)))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
@@ -157,9 +154,31 @@ class Row:
                   - len(betas) - sum(betas))
         return n_ones, n_twos, betas
 
+    def shape(self) -> Shape:
+        """(|ones|, |frees|, ascending anticonclusion sizes).
+
+        The member count and the spectrum depend on nothing else, so rows
+        of equal shape have equal counts and spectra; ``spectrum_of_shapes``
+        sums the spectra of many rows from a count of their shapes.
+        """
+        n_ones, n_twos, betas = self._sizes()
+        betas.sort()
+        return n_ones, n_twos, tuple(betas)
+
     def w_max(self) -> int:
         """Size of the largest member: v - |zeros| - |premises|."""
         return self.v - self.zero_mask.bit_count() - len(self.groups)
+
+    def max_weight(self, wt: Sequence[int]) -> int:
+        """Weight of the heaviest member, position p weighing ``wt[p]``: the
+        ``1`` and free positions plus, per group, the heavier of the premise
+        and the whole anticonclusion."""
+        base = ((1 << (self.v + 1)) - 2) & ~self.zero_mask
+        total = 0
+        for prem, anti in self.groups.values():
+            base &= ~(anti | 1 << prem)
+            total += max(wt[prem], sum(map(wt.__getitem__, _positions(anti))))
+        return total + sum(map(wt.__getitem__, _positions(base)))
 
     def member_count(self) -> int:
         """Exact number of member sets: 2^|twos| * prod(1 + 2^|anti_g|)."""
@@ -175,14 +194,7 @@ class Row:
         Coefficient k counts the k-element members.  Computed as
         x^|ones| * (1+x)^|twos| * prod over groups of (x + (1+x)^|anti_g|).
         """
-        n_ones, n_twos, betas = self._sizes()
-        poly = Polynomial(tuple([0] * n_ones + [1]))
-        poly = poly * Polynomial(tuple(comb(n_twos, k) for k in range(n_twos + 1)))
-        for beta in betas:
-            factor = [comb(beta, k) for k in range(beta + 1)]
-            factor[1] += 1
-            poly = poly * Polynomial(tuple(factor))
-        return poly
+        return Polynomial(tuple(_shape_coefficients(*self._sizes())))
 
     def max_member(self) -> frozenset[int]:
         """A largest member: everything except zeros and premise positions."""
@@ -208,23 +220,36 @@ class Row:
 
         Deterministic order: free-position subsets first (lexicographic over
         ascending positions), then group choices nested premise-first, anti
-        subsets lexicographic, groups taken in premise-position order.
+        subsets lexicographic, groups taken in premise-position order.  The
+        order is that of ``expand(0)`` with the small members left out, but
+        they are not visited: every branch of the free-subset recursion and
+        of the group choices whose largest reachable member is below
+        ``min_size`` is cut.
         """
-        ones = list(_positions(self.one_mask))
+        # w_max() < min_size, spelled out: perfbench/tracer.py counts
+        # Row.w_max calls as the searches' bound checks
+        if self.v - self.zero_mask.bit_count() - len(self.groups) < min_size:
+            return
+        ones = tuple(_positions(self.one_mask))
         twos = tuple(_positions(self._free_mask()))
-        choice_lists = []
-        for prem, anti in sorted(self.groups.values()):
-            choices: list[tuple[int, ...]] = [(prem,)]
-            choices.extend(_subsets_lex(tuple(_positions(anti))))
-            choice_lists.append(choices)
-        for free in _subsets_lex(twos):
-            base = ones + list(free)
-            for combo in itertools.product(*choice_lists):
-                member = set(base)
-                for part in combo:
-                    member.update(part)
-                if len(member) >= min_size:
-                    yield frozenset(member)
+        groups = sorted(self.groups.values())
+        choice_lists = [[(prem,), *_subsets_lex(tuple(_positions(anti)))]
+                        for prem, anti in groups]
+        # reach[j]: the most positions groups j.. can add to a member, each
+        # its whole (non-empty) anticonclusion
+        reach = [0] * (len(groups) + 1)
+        for j in range(len(groups) - 1, -1, -1):
+            reach[j] = reach[j + 1] + groups[j][1].bit_count()
+        need = min_size - len(ones)
+        for free in _subsets_lex(twos, need - reach[0]):
+            if len(free) >= need:
+                # every group choice qualifies; _group_members' first case, inline
+                base = frozenset(ones + free)
+                for combo in itertools.product(*choice_lists):
+                    yield base.union(*combo)
+            else:
+                yield from _group_members(ones + free, choice_lists, reach, 0,
+                                          need - len(free))
 
     # -- diagnostics -------------------------------------------------------
 
@@ -317,14 +342,72 @@ def _positions(mask: int) -> Iterator[int]:
     return itertools.compress(itertools.count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
 
-def _subsets_lex(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All subsets of an ascending tuple, lexicographic as sorted tuples."""
-    yield ()
+def _subsets_lex(items: tuple[int, ...], at_least: int = 0) -> Iterator[tuple[int, ...]]:
+    """The subsets of an ascending tuple with at least ``at_least`` elements,
+    lexicographic as sorted tuples; branches that cannot grow that large are
+    not entered."""
+    n = len(items)
+    if at_least <= 0:
+        yield ()
 
     def rec(prefix: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
-        for i in range(start, len(items)):
+        # the largest subset below items[i] is prefix + items[i:]
+        for i in range(start, min(n, n + len(prefix) + 1 - at_least)):
             cur = prefix + (items[i],)
-            yield cur
+            if len(cur) >= at_least:
+                yield cur
             yield from rec(cur, i + 1)
 
     yield from rec((), 0)
+
+
+def _group_members(base: tuple[int, ...], choice_lists: list[list[tuple[int, ...]]],
+                   reach: list[int], j: int, need: int) -> Iterator[frozenset[int]]:
+    """``base`` plus one choice from each of ``choice_lists[j:]``, in product
+    order, keeping only the combinations that add at least ``need``
+    positions (``need <= reach[j]``)."""
+    if need <= 0:
+        members = frozenset(base)
+        for combo in itertools.product(*choice_lists[j:]):
+            yield members.union(*combo)
+        return
+    rest = reach[j + 1]
+    for choice in choice_lists[j]:
+        if len(choice) + rest >= need:
+            yield from _group_members(base + choice, choice_lists, reach, j + 1,
+                                      need - len(choice))
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two non-empty coefficient sequences."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _shape_coefficients(n_ones: int, n_twos: int, betas: Iterable[int]) -> list[int]:
+    """x^n_ones * (1+x)^n_twos * prod over betas of (x + (1+x)^beta)."""
+    coeffs = [0] * n_ones + [comb(n_twos, k) for k in range(n_twos + 1)]
+    for beta in betas:
+        factor = [comb(beta, k) for k in range(beta + 1)]
+        factor[1] += 1
+        coeffs = _convolve(coeffs, factor)
+    return coeffs
+
+
+def spectrum_of_shapes(shapes: Mapping[Shape, int]) -> Polynomial:
+    """The summed spectra of rows given as {shape: number of rows}.
+
+    Each shape's coefficients are convolved once, scaled by its count and
+    added into one coefficient list, so no per-row objects are built.
+    """
+    total: list[int] = []
+    for (n_ones, n_twos, betas), count in shapes.items():
+        coeffs = _shape_coefficients(n_ones, n_twos, betas)
+        total.extend([0] * (len(coeffs) - len(total)))
+        for k, c in enumerate(coeffs):
+            total[k] += count * c
+    return Polynomial(tuple(total))

@@ -238,13 +238,8 @@ def _weight_vector(g: Graph, weights: Mapping[int, int]) -> list[int]:
 
 
 def _weighted_bound(row: Row, wt: list[int]) -> int:
-    """Largest member weight: free and forced-in weight plus, per group, the
-    better of keeping the premise or the whole anticonclusion."""
-    base, groups = row.decompose()
-    total = sum(map(wt.__getitem__, base))
-    for prem, anti in groups:
-        total += max(wt[prem], sum(map(wt.__getitem__, anti)))
-    return total
+    # a module function only because perfbench/tracer.py wraps it by name
+    return row.max_weight(wt)
 
 
 def _weighted_member(row: Row, wt: list[int]) -> frozenset[int]:

@@ -139,3 +139,18 @@ def all_anticliques(g: Graph) -> set[frozenset[int]]:
         if is_anticlique(g, X):
             out.add(X)
     return out
+
+
+def anticlique_masks(g: Graph) -> list[int]:
+    """Every independent set as a mask (bit p-1 = vertex p), ascending, by
+    one subset sweep that extends each set by its lowest vertex."""
+    nb = [0] * (g.v + 1)
+    for i, j in g.edges:
+        nb[i] |= 1 << (j - 1)
+        nb[j] |= 1 << (i - 1)
+    indep = bytearray(1 << g.v)
+    indep[0] = 1
+    for mask in range(1, 1 << g.v):
+        low = (mask & -mask).bit_length()
+        indep[mask] = indep[mask & (mask - 1)] and not nb[low] & mask
+    return [mask for mask in range(1 << g.v) if indep[mask]]

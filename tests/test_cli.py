@@ -3,7 +3,14 @@ import re
 
 import pytest
 
-from anticlique import max_anticlique, random_graph, threshold_search
+from anticlique import (
+    independence_polynomial,
+    max_anticlique,
+    random_graph,
+    rows_polynomial,
+    run_standard,
+    threshold_search,
+)
 from anticlique.cli import main
 from conftest import G5_DIMACS
 
@@ -56,6 +63,17 @@ class TestPoly:
     def test_text(self, capsys, g5_file):
         _, out, _ = run_cli(capsys, "poly", "--graph", str(g5_file))
         assert out.strip() == "1 5 4 1"
+
+    def test_matches_the_library(self, capsys):
+        code, out, _ = run_cli(capsys, "poly", "--gen", "40,0.25,3", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        g = random_graph(40, 0.25, 3)
+        rows, stats = run_standard(g)
+        poly = rows_polynomial(rows)
+        assert payload["coefficients"] == list(poly.coeffs)
+        assert payload["stats"] == stats.as_dict()
+        assert poly == independence_polynomial(g)
 
 
 class TestEnum:

@@ -13,16 +13,20 @@ from anticlique import (
     full_order,
     independence_polynomial,
     make_graph,
+    oracle_report,
     random_graph,
     row_from_debug,
+    rows_polynomial,
     run_standard,
     Polynomial,
 )
 from conftest import (
     all_anticliques,
+    anticlique_masks,
     complete_graph,
     empty_graph,
     induced_subgraph,
+    mask_to_set,
     path_graph,
 )
 
@@ -184,3 +188,37 @@ class TestCoverOrders:
         g = empty_graph(4)
         order = cover_order(g, set())
         assert fibonacci_number(g, order) == 16
+
+
+# The seeded oracle sweep at v <= 16 (a subset of acceptance criterion 4's).
+SWEEP = [(v, d, seed * 1000 + v)
+         for seed in range(4) for v in (8, 12, 16) for d in (0.1, 0.3, 0.5, 0.7, 0.9)]
+
+
+@pytest.mark.filterwarnings("ignore::anticlique.errors.StackBoundWarning")
+class TestShapeAggregation:
+    @pytest.mark.parametrize("v,d,seed", SWEEP)
+    def test_equals_summed_spectra_and_oracle(self, v, d, seed):
+        g = random_graph(v, d, seed)
+        rows = list(run_standard(g)[0])
+        summed = Polynomial((0,))
+        for row in rows:
+            summed = summed + row.spectrum()
+        by_shape = rows_polynomial(rows)
+        assert by_shape == summed == oracle_report(g).spectrum
+        assert independence_polynomial(g) == by_shape
+
+
+@pytest.mark.filterwarnings("ignore::anticlique.errors.StackBoundWarning")
+class TestEnumerateMinSize:
+    @pytest.mark.parametrize("v,d,seed", SWEEP)
+    def test_equals_brute_force_at_every_size(self, v, d, seed):
+        g = random_graph(v, d, seed)
+        truth = [mask_to_set(m) for m in anticlique_masks(g)]
+        full = list(enumerate_anticliques(g, 0))
+        assert set(full) == set(truth) and len(full) == len(truth)
+        alpha = max(map(len, truth))
+        for m in range(1, alpha + 2):
+            sets = list(enumerate_anticliques(g, m))
+            assert sets == [X for X in full if len(X) >= m]
+            assert set(sets) == {X for X in truth if len(X) >= m}

@@ -3,7 +3,16 @@ from collections import Counter
 
 import pytest
 
-from anticlique import Mutated, Polynomial, Row, Split, full_row, impose, row_from_debug
+from anticlique import (
+    Mutated,
+    Polynomial,
+    Row,
+    Split,
+    full_row,
+    impose,
+    row_from_debug,
+    spectrum_of_shapes,
+)
 from conftest import (
     EXAMPLE_ROW_13,
     mask_to_set,
@@ -232,3 +241,65 @@ class TestRandomRowSweep:
                 back = row_from_debug(r.debug())
                 assert back == r
                 assert back.debug() == r.debug()
+
+
+class TestPrunedExpand:
+    """expand(m) cuts branches below m but keeps the order of expand(0)."""
+
+    def test_same_order_as_filtered_full_expansion(self):
+        rng = random.Random(606)
+        for _ in range(300):
+            row = random_row(rng, rng.randint(1, 12))
+            full = list(row.expand(0))
+            for m in range(0, row.w_max() + 2):
+                assert list(row.expand(m)) == [X for X in full if len(X) >= m]
+
+    def test_nothing_above_w_max(self, example_row):
+        assert list(example_row.expand(example_row.w_max() + 1)) == []
+        top = list(example_row.expand(example_row.w_max()))
+        assert top and all(len(X) == example_row.w_max() for X in top)
+
+
+class TestShape:
+    def test_example_row(self, example_row):
+        # (2,0,1,2,a1,b1,b1,b1,a2,b2,a3,b3,b3): one 1, two frees, betas 3, 1, 2
+        assert example_row.shape() == (1, 2, (1, 2, 3))
+
+    def test_equal_shapes_have_equal_spectra_and_counts(self):
+        rng = random.Random(607)
+        by_shape: dict = {}
+        for _ in range(600):
+            row = random_row(rng, rng.randint(1, 9))
+            by_shape.setdefault(row.shape(), []).append(row)
+        shared = [rows for rows in by_shape.values() if len(rows) > 1]
+        assert len(shared) > 20
+        for rows in shared:
+            assert len({row.spectrum() for row in rows}) == 1
+            assert len({row.member_count() for row in rows}) == 1
+
+    def test_spectrum_of_shapes_sums_the_spectra(self):
+        rng = random.Random(608)
+        rows = [random_row(rng, rng.randint(1, 12)) for _ in range(200)]
+        total = Polynomial((0,))
+        for row in rows:
+            total = total + row.spectrum()
+        assert spectrum_of_shapes(Counter(row.shape() for row in rows)) == total
+        assert spectrum_of_shapes(Counter()) == Polynomial((0,))
+
+
+class TestMaxWeight:
+    def test_heaviest_member_by_brute_force(self):
+        rng = random.Random(609)
+        for _ in range(300):
+            v = rng.randint(1, 12)
+            row = random_row(rng, v)
+            wt = [0] + [rng.randint(1, 9) for _ in range(v)]
+            heaviest = max(sum(wt[p] for p in mask_to_set(m))
+                           for m in member_masks_bruteforce(row))
+            assert row.max_weight(wt) == heaviest
+
+    def test_unit_weights_give_w_max(self):
+        rng = random.Random(610)
+        for _ in range(100):
+            row = random_row(rng, rng.randint(1, 14))
+            assert row.max_weight([1] * (row.v + 1)) == row.w_max()
