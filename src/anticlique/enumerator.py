@@ -62,21 +62,20 @@ class Prune:
 class ImpositionOrder:
     """The vertices whose anti-implications get imposed, in increasing order.
 
-    ``covers`` asserts the sequence is a vertex cover; a partial order is
-    only sound when it covers every edge, which run_standard verifies.
+    A partial order is only sound when it is a vertex cover, which
+    run_standard verifies.
     """
 
     order: tuple[int, ...]
-    covers: bool = False
 
 
 def full_order(v: int) -> ImpositionOrder:
-    return ImpositionOrder(tuple(range(1, v + 1)), covers=True)
+    return ImpositionOrder(tuple(range(1, v + 1)))
 
 
 def cover_order(g: Graph, vertices: Iterable[int]) -> ImpositionOrder:
     """Validated cover order over a subset of vertices (sorted increasing)."""
-    order = ImpositionOrder(tuple(sorted(set(vertices))), covers=True)
+    order = ImpositionOrder(tuple(sorted(set(vertices))))
     _check_order(g, order)
     return order
 
@@ -87,12 +86,6 @@ def _check_order(g: Graph, order: ImpositionOrder) -> None:
         raise ConfigurationError("imposition order must be strictly increasing")
     if seq and (seq[0] < 1 or seq[-1] > g.v):
         raise ConfigurationError(f"imposition order out of range 1..{g.v}")
-    if seq == tuple(range(1, g.v + 1)):
-        return
-    if not order.covers:
-        raise ConfigurationError(
-            "a partial imposition order must be flagged as a vertex cover"
-        )
     members = set(seq)
     for i, j in g.edges:
         if i not in members and j not in members:

@@ -113,24 +113,11 @@ class Row:
             taken |= anti | 1 << prem
         return ((1 << (self.v + 1)) - 2) & ~taken
 
-    def zeros(self) -> frozenset[int]:
-        return frozenset(_positions(self.zero_mask))
-
     def ones(self) -> frozenset[int]:
         return frozenset(_positions(self.one_mask))
 
-    def twos(self) -> frozenset[int]:
-        return frozenset(_positions(self._free_mask()))
-
     def premset(self) -> frozenset[int]:
         return frozenset(prem for prem, _anti in self.groups.values())
-
-    def anticonc(self, k: int) -> frozenset[int]:
-        """Anticonclusion positions of the group whose premise sits at k."""
-        for prem, anti in self.groups.values():
-            if prem == k:
-                return frozenset(_positions(anti))
-        raise ValueError(f"position {k} holds no premise")
 
     def decompose(self) -> tuple[frozenset[int], list[tuple[int, frozenset[int]]]]:
         """The base set (the ``1`` and free positions) and every group as

@@ -32,15 +32,12 @@ from .rows import Row
 class SearchOptions:
     """Knobs for the currentmax search.
 
-    ``initial_bound`` must be realizable; whenever it is positive an
-    ``initial_witness`` anticlique achieving it has to accompany it so the
-    returned witness is always concrete.  ``weights`` switches the search to
-    maximum weight (strictly positive integer weights, missing vertices
-    weigh 1).
+    ``initial_witness`` is an anticlique that seeds currentmax with its own
+    size (or weight).  ``weights`` switches the search to maximum weight
+    (strictly positive integer weights, missing vertices weigh 1).
     """
 
     order: ImpositionOrder | None = None
-    initial_bound: int = 0
     weights: Mapping[int, int] | None = None
     initial_witness: frozenset[int] | None = None
 
@@ -216,7 +213,6 @@ def bipartite_options(g: Graph) -> SearchOptions:
     small, big = parts
     return SearchOptions(
         order=cover_order(g, small),
-        initial_bound=len(big),
         initial_witness=frozenset(big),
     )
 
@@ -272,20 +268,10 @@ def _initial_state(
     g: Graph, opts: SearchOptions, wt: list[int] | None
 ) -> tuple[int, frozenset[int] | None]:
     witness = opts.initial_witness
-    if witness is not None:
-        if not all(1 <= p <= g.v for p in witness):
-            raise ConfigurationError("initial witness out of range")
-        if not _is_anticlique(g, witness):
-            raise ConfigurationError("initial witness is not an anticlique")
-        value = sum(wt[p] for p in witness) if wt is not None else len(witness)
-        if value < opts.initial_bound:
-            raise ConfigurationError(
-                f"initial witness achieves {value}, below the claimed bound "
-                f"{opts.initial_bound}"
-            )
-        return value, witness
-    if opts.initial_bound > 0:
-        raise ConfigurationError(
-            "a positive initial bound needs an initial witness achieving it"
-        )
-    return 0, None
+    if witness is None:
+        return 0, None
+    if not all(1 <= p <= g.v for p in witness):
+        raise ConfigurationError("initial witness out of range")
+    if not _is_anticlique(g, witness):
+        raise ConfigurationError("initial witness is not an anticlique")
+    return sum(wt[p] for p in witness) if wt is not None else len(witness), witness

@@ -156,7 +156,6 @@ def test_criterion_6_bipartite_identity():
         plain = max_anticlique(g)
         assert plain.alpha == g.v - oracle_matching(g)
         opts = bipartite_options(g)
-        assert opts.initial_bound == max(len(opts.initial_witness), 0)
         fast = max_anticlique(g, opts)
         assert fast.alpha == plain.alpha
         checked += 1

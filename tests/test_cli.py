@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -176,6 +177,16 @@ class TestMaximalChromaticOracle:
         payload = json.loads(out)
         assert payload["maximal"] == [[1, 3], [2, 3, 5], [4]]
         assert payload["sieve"]["candidates"] == 6
+
+    def test_maximal_pinned_payload(self, capsys):
+        # values of the contain-index sieve that maximal_family used to run
+        _, out, _ = run_cli(capsys, "maximal", "--gen", "40,0.3,3", "--json")
+        payload = json.loads(out)
+        assert payload["count"] == len(payload["maximal"]) == 1661
+        assert payload["sieve"] == {"candidates": 11111, "dominated": 9450, "removed": 0}
+        digest = hashlib.sha256(json.dumps(payload["maximal"]).encode()).hexdigest()
+        assert digest == "9c50c3941bf1f1a256018e479cb3662884dbd52f19a58ae6102e2135c1e0a3c4"
+        assert payload["maximal"][0] == [1, 3, 5, 6, 9, 22]
 
     def test_chromatic(self, capsys, g5_file):
         _, out, _ = run_cli(capsys, "chromatic", "--graph", str(g5_file), "--json")

@@ -170,11 +170,11 @@ class TestCoverOrders:
 
     def test_partial_order_must_actually_cover(self, g5):
         with pytest.raises(ConfigurationError, match="misses edge"):
-            run_standard(g5, ImpositionOrder((1, 2), covers=True))
+            run_standard(g5, ImpositionOrder((1, 2)))
 
     def test_order_must_increase(self, g5):
         with pytest.raises(ConfigurationError, match="increasing"):
-            run_standard(g5, ImpositionOrder((2, 1, 3, 4, 5), covers=True))
+            run_standard(g5, ImpositionOrder((2, 1, 3, 4, 5)))
 
     def test_full_order_helper(self, g5):
         assert full_order(5).order == (1, 2, 3, 4, 5)

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anticlique import (
+    ContainIndex,
     GuardExceeded,
     chromatic_number,
+    cover_order,
+    full_order,
     max_anticlique,
     maximal_anticliques,
     maximal_family,
@@ -15,6 +18,7 @@ from anticlique import (
     random_graph,
     row_from_debug,
     row_maximal_members,
+    run_standard,
     sieve_maximal,
 )
 from conftest import (
@@ -124,7 +128,38 @@ class TestMaximalAnticliques:
         fam = maximal_family(g5)
         assert fam.candidates == 6  # five rows, one carrying a group
         assert len(fam.sets) == 3
-        assert fam.dominated + fam.removed == fam.candidates - len(fam.sets)
+        assert fam.dominated == fam.candidates - len(fam.sets)
+        assert fam.removed == 0
+
+    def test_closed_neighbourhood_matches_sieve_and_oracle(self):
+        """The neighbourhood test keeps exactly what the contain-index sieve
+        keeps, in the same counts, under the full and a greedy cover order.
+        No row-wise maximal member repeats, which chromatic_with_stats relies
+        on instead of deduplicating."""
+        checked = 0
+        for v in range(4, 19, 2):
+            for d in (0.15, 0.3, 0.5, 0.8):
+                g = random_graph(v, d, 1000 * v + int(100 * d))
+                cover = set()
+                for i, j in g.edges:
+                    if i not in cover and j not in cover:
+                        cover.add(i if len(g.adjacency[i]) >= len(g.adjacency[j]) else j)
+                expected = _as_sorted(oracle_report(g).maximal_sets)
+                for order in (full_order(v), cover_order(g, cover)):
+                    rows, _stats = run_standard(g, order)
+                    members = [X for row in rows for X in row_maximal_members(row)]
+                    assert len(set(members)) == len(members)
+                    index = ContainIndex(v)
+                    for X in members:
+                        index.add(X)
+                    fam = maximal_family(g, order)
+                    assert _as_sorted(fam.sets) == _as_sorted(index.sets()) == expected
+                    assert fam.sets == sorted(fam.sets, key=sorted)
+                    assert fam.candidates == len(members)
+                    assert fam.dominated == index.dominated == fam.candidates - len(fam.sets)
+                    assert fam.removed == index.removed == 0
+                    checked += 1
+        assert checked == 64
 
     def test_against_oracle(self):
         rng = random.Random(55)

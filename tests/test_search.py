@@ -100,16 +100,9 @@ class TestMaxAnticlique:
         assert values == sorted(values)
         assert values[-1] == 3
 
-    def test_positive_bound_requires_witness(self, g5):
-        with pytest.raises(ConfigurationError, match="witness"):
-            max_anticlique(g5, SearchOptions(initial_bound=2))
-
     def test_witness_must_be_anticlique(self, g5):
         with pytest.raises(ConfigurationError, match="anticlique"):
-            max_anticlique(
-                g5,
-                SearchOptions(initial_bound=2, initial_witness=frozenset({1, 2})),
-            )
+            max_anticlique(g5, SearchOptions(initial_witness=frozenset({1, 2})))
 
     def test_timeout_raises(self):
         g = random_graph(40, 0.2, 7)
@@ -235,14 +228,14 @@ class TestBipartite:
     def test_path_options(self):
         opts = bipartite_options(path_graph(3))
         assert opts.order.order == (2,)
-        assert opts.initial_bound == 2
+        assert len(opts.initial_witness) == 2
         assert opts.initial_witness == {1, 3}
 
     def test_complete_bipartite_options(self):
         g = make_graph(5, [(i, j) for i in (1, 2) for j in (3, 4, 5)])
         opts = bipartite_options(g)
         assert opts.order.order == (1, 2)
-        assert opts.initial_bound == 3
+        assert len(opts.initial_witness) == 3
 
     def test_triangle_rejected(self):
         with pytest.raises(ConfigurationError, match="bipartite"):
