@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -276,12 +277,9 @@ def _cmd_alpha(args) -> int:
     g, desc = _load_graph(args)
     trace = _trace_printer(args)
     t0 = time.perf_counter()
+    opts = bipartite_options(g) if args.bipartite else SearchOptions()
     if args.weights:
-        opts = SearchOptions(weights=_read_weights(args.weights))
-    elif args.bipartite:
-        opts = bipartite_options(g)
-    else:
-        opts = None
+        opts = dataclasses.replace(opts, weights=_read_weights(args.weights))
     res = max_anticlique(g, opts, trace=trace)
     stats = res.stats
     payload: dict[str, Any] = {"alpha": res.alpha, "witness": sorted(res.witness)}

@@ -2,10 +2,10 @@
 
 Every finalized row contributes its row-wise maximal members (one choice per
 group: premise or full anticonclusion).  Each is an anticlique, so it is
-inclusion-maximal exactly when every vertex lies in it or next to it, and
-``maximal_family`` keeps the members that pass that test.  ``ContainIndex``
-and ``sieve_maximal`` sieve an arbitrary family of sets down to its maximal
-ones.
+inclusion-maximal exactly when every vertex lies in it or next to it;
+``maximal_family`` keeps the members that pass that test, and the chromatic
+cover search branches over them alone.  ``ContainIndex`` and
+``sieve_maximal`` sieve an arbitrary family of sets down to its maximal ones.
 """
 
 from __future__ import annotations
@@ -122,16 +122,20 @@ def maximal_family(g: Graph, order: ImpositionOrder | None = None) -> MaximalFam
     9,450 of 11,111 on ``random_graph(40, 0.3, 3)``.
     """
     rows, stats = run_standard(g, order)
-    adjacency = g.adjacency
     candidates = 0
     sets = []
     for row in rows:
         for X in row_maximal_members(row):
             candidates += 1
-            if len(X.union(*map(adjacency.__getitem__, X))) == g.v:
+            if _dominates(g, X):
                 sets.append(X)
     sets.sort(key=sorted)
     return MaximalFamily(sets, candidates, candidates - len(sets), 0, stats)
+
+
+def _dominates(g: Graph, X: frozenset[int]) -> bool:
+    """True iff every vertex lies in X or next to it (X | N(X) = V)."""
+    return len(X.union(*map(g.adjacency.__getitem__, X))) == g.v
 
 
 def maximal_anticliques(g: Graph, order: ImpositionOrder | None = None) -> list[frozenset[int]]:
@@ -144,8 +148,9 @@ def chromatic_number(
 ) -> tuple[int, list[frozenset[int]]]:
     """Exact chromatic number as a minimum cover of V by anticliques.
 
-    Candidates are the row-wise maximal sets of a standard run, not sieved:
-    superfluous non-maximal sets cannot hurt a minimum cover.
+    Candidates are the maximal anticliques (the row-wise maximal members of
+    a standard run that pass ``maximal_family``'s test): every set of a
+    minimum cover can be grown to a maximal one, so no other set is needed.
     Branch and bound: branch on the covering sets of the most constrained
     uncovered vertex, largest uncovered-coverage first with lexicographic
     tie-break, pruned by ceil(uncovered / largest set size).  Desk scale only:
@@ -169,7 +174,8 @@ def chromatic_with_stats(
         )
     rows, stats = run_standard(g)
     # finalized rows are disjoint, so no member is listed twice
-    candidates = sorted((X for row in rows for X in row_maximal_members(row)), key=sorted)
+    candidates = sorted((X for row in rows for X in row_maximal_members(row)
+                         if _dominates(g, X)), key=sorted)
     covering: dict[int, list[int]] = {y: [] for y in range(1, g.v + 1)}
     for i, X in enumerate(candidates):
         for y in X:
@@ -198,5 +204,5 @@ def chromatic_with_stats(
             chosen.pop()
 
     descend(universe, [])
-    assert best is not None, "every vertex lies in some row-wise maximal set"
+    assert best is not None, "every vertex lies in some maximal anticlique"
     return len(best), [candidates[i] for i in best], stats

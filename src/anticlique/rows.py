@@ -167,6 +167,41 @@ class Row:
             total += max(wt[prem], sum(map(wt.__getitem__, _positions(anti))))
         return total + sum(map(wt.__getitem__, _positions(base)))
 
+    def clique_bound(self, nbr: Sequence[int], wt: Sequence[int] | None = None) -> int:
+        """An upper bound on the size (with ``wt``, the weight) of the
+        members that are anticliques, ``nbr[p]`` being the neighbour mask of
+        position p.
+
+        The positions that are neither ``0`` nor ``1`` are split greedily
+        into cliques: take the lowest remaining position, then keep adding
+        the lowest remaining common neighbour.  An anticlique holds at most
+        one vertex of each clique, so it has at most |ones| + (number of
+        cliques) vertices and weighs at most wt(ones) + the heaviest vertex
+        of each clique.  The bound is capped by ``w_max()`` (``max_weight``),
+        and equals it on a finalized row, whose members are all anticliques.
+        """
+        if wt is None:
+            cap, total = self.w_max(), self.one_mask.bit_count()
+        else:
+            cap = self.max_weight(wt)
+            total = sum(map(wt.__getitem__, _positions(self.one_mask)))
+        rest = ((1 << (self.v + 1)) - 2) & ~(self.zero_mask | self.one_mask)
+        while rest and total < cap:
+            low = rest & -rest
+            p = low.bit_length() - 1
+            rest ^= low
+            heaviest = 1 if wt is None else wt[p]
+            common = rest & nbr[p]
+            while common:
+                low = common & -common
+                q = low.bit_length() - 1
+                rest ^= low
+                common &= nbr[q]
+                if wt is not None and wt[q] > heaviest:
+                    heaviest = wt[q]
+            total += heaviest
+        return min(total, cap)
+
     def member_count(self) -> int:
         """Exact number of member sets: 2^|twos| * prod(1 + 2^|anti_g|)."""
         _n_ones, n_twos, betas = self._sizes()

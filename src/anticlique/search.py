@@ -1,8 +1,14 @@
 """Search variants: threshold runs, currentmax branch and bound, bipartite setup.
 
 All of them consume the exclusion run of enumerator.py with a prune policy:
-rows are deleted by the cheap bound w_max (or its weighted generalization)
-instead of all being finalized.
+rows are deleted by an upper bound on their anticliques instead of all being
+finalized.  ``bound="clique"`` (the default) is ``Row.clique_bound``, a greedy
+clique-cover bound (the colouring bound of Carraghan & Pardalos, 1990, and
+Tomita & Seki's MCQ, 2003, applied to anticliques) capped by w_max;
+``bound="w_max"`` is the paper's w_max = v - |zeros| - |premises|.  With
+weights, each takes its weighted form.  Both equal w_max (the heaviest
+member's weight) on a finalized row, so answers and witnesses do not depend
+on the choice; the rows visited and the counters do.
 """
 
 from __future__ import annotations
@@ -35,11 +41,14 @@ class SearchOptions:
     ``initial_witness`` is an anticlique that seeds currentmax with its own
     size (or weight).  ``weights`` switches the search to maximum weight
     (strictly positive integer weights, missing vertices weigh 1).
+    ``bound`` is the row bound that prunes: ``"clique"`` or the paper's
+    ``"w_max"`` (see the module docstring).
     """
 
     order: ImpositionOrder | None = None
     weights: Mapping[int, int] | None = None
     initial_witness: frozenset[int] | None = None
+    bound: str = "clique"
 
 
 @dataclass(frozen=True)
@@ -57,10 +66,13 @@ def threshold_search(
     mode: str = "all",
     *,
     order: ImpositionOrder | None = None,
+    bound: str = "clique",
     trace: TraceHook | None = None,
     timeout_s: float | None = None,
 ):
-    """Standard run that throws away every row whose w_max drops to <= k.
+    """Standard run that throws away every row whose bound drops to <= k.
+
+    ``bound`` is ``"clique"`` or the paper's ``"w_max"``.
 
     mode="all": returns (finalized rows, stats); the members of size > k of
     those rows are exactly the anticliques of size > k.  mode="first": stops
@@ -72,8 +84,9 @@ def threshold_search(
     if mode not in ("all", "first"):
         raise ConfigurationError(f"unknown threshold mode {mode!r}")
     seq = _resolve_order(g, order).order
+    row_bound, _extract = _objective(g, bound, None)
     stats = SearchStats()
-    rows = _exclusion_run(g, seq, stats, Prune(Row.w_max, k), trace, _deadline(timeout_s))
+    rows = _exclusion_run(g, seq, stats, Prune(row_bound, k), trace, _deadline(timeout_s))
     if mode == "all":
         return list(rows), stats
     row = next(rows, None)
@@ -81,7 +94,7 @@ def threshold_search(
 
 
 def threshold_alpha(
-    g: Graph, *, timeout_s: float | None = None
+    g: Graph, *, bound: str = "clique", timeout_s: float | None = None
 ) -> tuple[int, SearchStats]:
     """Alpha by iterated threshold probes, with the counters of all of them.
 
@@ -89,12 +102,13 @@ def threshold_alpha(
     probe at k = alpha certifies maximality.  One deadline bounds them all.
     """
     seq = full_order(g.v).order
+    row_bound, _extract = _objective(g, bound, None)
     deadline = _deadline(timeout_s)
     total = SearchStats()
     k = 0
     while True:
         stats = SearchStats()
-        hit = next(_exclusion_run(g, seq, stats, Prune(Row.w_max, k), None, deadline), None)
+        hit = next(_exclusion_run(g, seq, stats, Prune(row_bound, k), None, deadline), None)
         total += stats
         if hit is None:
             return k, total
@@ -110,16 +124,17 @@ def max_anticlique(
 ) -> MaxResult:
     """Exact maximum anticlique via the currentmax branch and bound.
 
-    Every row carries its w_max bound; rows are deleted the moment the bound
-    falls to currentmax or below (ties pruned), and currentmax rises whenever
-    a finalized row beats it.  With weights set, the weighted bound is used
+    Rows are deleted the moment their bound (``opts.bound``: the clique
+    bound by default, the paper's w_max with ``"w_max"``) falls to
+    currentmax or below (ties pruned), and currentmax rises whenever a
+    finalized row beats it.  With weights set, the weighted bound is used
     and the result is the maximum total weight.
     """
     opts = opts or SearchOptions()
     wt = _weight_vector(g, opts.weights) if opts.weights is not None else None
     best, best_set = _initial_state(g, opts, wt)
     seq = _resolve_order(g, opts.order).order
-    bound, extract = _objective(wt)
+    bound, extract = _objective(g, opts.bound, wt)
     stats = SearchStats()
     prune = Prune(bound, best)
     for row in _exclusion_run(g, seq, stats, prune, trace, _deadline(timeout_s)):
@@ -165,7 +180,7 @@ def maximum_sets(
     opts = opts or SearchOptions()
     wt = _weight_vector(g, opts.weights) if opts.weights is not None else None
     seq = _resolve_order(g, opts.order).order
-    bound, _extract = _objective(wt)
+    bound, _extract = _objective(g, opts.bound, wt)
     stats = SearchStats()
     rows = _exclusion_run(
         g, seq, stats, Prune(bound, res.alpha - 1), trace, _deadline(timeout_s)
@@ -233,9 +248,9 @@ def _weight_vector(g: Graph, weights: Mapping[int, int]) -> list[int]:
     return wt
 
 
-def _weighted_bound(row: Row, wt: list[int]) -> int:
+def _weighted_bound(row: Row, wt: list[int], nbr: list[int] | None = None) -> int:
     # a module function only because perfbench/tracer.py wraps it by name
-    return row.max_weight(wt)
+    return row.max_weight(wt) if nbr is None else row.clique_bound(nbr, wt)
 
 
 def _weighted_member(row: Row, wt: list[int]) -> frozenset[int]:
@@ -251,13 +266,19 @@ def _weighted_member(row: Row, wt: list[int]) -> frozenset[int]:
 
 
 def _objective(
-    wt: list[int] | None,
+    g: Graph, bound: str, wt: list[int] | None,
 ) -> tuple[Callable[[Row], int], Callable[[Row], frozenset[int]]]:
-    """The row bound to prune by and a member achieving it: cardinality
-    without weights, total weight with them."""
-    if wt is None:
+    """The row bound to prune by and a member of a finalized row achieving
+    it: cardinality without weights, total weight with them."""
+    if bound not in ("clique", "w_max"):
+        raise ConfigurationError(f"unknown bound {bound!r}; use 'clique' or 'w_max'")
+    # nbr[p]: the neighbour mask of p, bit q for each neighbour q
+    nbr = [sum(1 << q for q in adj) for adj in g.adjacency] if bound == "clique" else None
+    if wt is not None:
+        return partial(_weighted_bound, wt=wt, nbr=nbr), partial(_weighted_member, wt=wt)
+    if nbr is None:
         return Row.w_max, Row.max_member
-    return partial(_weighted_bound, wt=wt), partial(_weighted_member, wt=wt)
+    return partial(Row.clique_bound, nbr=nbr), Row.max_member
 
 
 def _is_anticlique(g: Graph, X: frozenset[int]) -> bool:

@@ -1,19 +1,24 @@
+import dataclasses
 import hashlib
 import json
+import random
 import re
 
 import pytest
 
 from anticlique import (
+    bipartite_options,
     independence_polynomial,
     max_anticlique,
+    maximum_sets,
     random_graph,
     rows_polynomial,
     run_standard,
+    serialize_graph,
     threshold_search,
 )
 from anticlique.cli import main
-from conftest import G5_DIMACS
+from conftest import G5_DIMACS, all_anticliques, random_bipartite
 
 
 @pytest.fixture
@@ -127,6 +132,29 @@ class TestAlpha:
         assert payload["alpha"] == 10
         assert payload["maximum_sets"] == [[2]]
         assert payload["core"] == [2]
+
+    def test_weights_with_bipartite(self, capsys, tmp_path):
+        # both flags hold: the result is the brute-force weighted optimum, and
+        # the counters are those of the cover order seeded with the larger class
+        rng = random.Random(8)
+        for seed in range(6):
+            g = random_bipartite(4, 7, 0.4, seed)
+            weights = {y: rng.randint(1, 9) for y in range(1, g.v + 1)}
+            path, wfile = tmp_path / "bip.col", tmp_path / "bip.w"
+            path.write_text(serialize_graph(g, "dimacs"))
+            wfile.write_text("".join(f"{y} {w}\n" for y, w in weights.items()))
+            _, out, _ = run_cli(capsys, "alpha", "--graph", str(path), "--weights", str(wfile),
+                                "--bipartite", "--all", "--core", "--json")
+            payload = json.loads(out)
+            value = {X: sum(weights[p] for p in X) for X in all_anticliques(g)}
+            best = max(value.values())
+            assert payload["alpha"] == best
+            assert value[frozenset(payload["witness"])] == best
+            assert payload["maximum_sets"] == sorted(
+                sorted(X) for X, w in value.items() if w == best)
+            opts = dataclasses.replace(bipartite_options(g), weights=weights)
+            res = max_anticlique(g, opts)
+            assert payload["stats"] == (res.stats + maximum_sets(g, res, opts)[1]).as_dict()
 
     def test_all_and_core_count_both_runs(self, capsys):
         _, out, _ = run_cli(capsys, "alpha", "--gen", "30,0.2,5", "--all", "--core", "--json")

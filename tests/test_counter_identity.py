@@ -5,13 +5,20 @@ that preceded the shared exclusion run (``_exclusion_run`` in
 enumerator.py).  Any change to the loop that alters a counter (``rsp``,
 ``trivial_changes``, ``peak_stack``, ``finalized``, ``deleted``), an answer or
 a witness fails here.  Stats are tuples in ``SearchStats.as_dict()`` order.
+
+The searches prune by the paper's w_max here, asked for with
+``bound="w_max"``.  The ``*_CLIQUE`` tables pin the same runs under the
+default clique bound, recorded when it became the default: the answers and
+witnesses are the same, only the counters differ.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from anticlique import (
+    SearchOptions,
     bipartite_options,
     max_anticlique,
     max_weight_anticlique,
@@ -81,12 +88,38 @@ THRESHOLD_ALL = [
 ]
 
 
+# Stats of the same runs under the default clique bound, row for row.
+CURRENTMAX_CLIQUE = [
+    (8, 18, 5, 2, 7), (26, 51, 6, 3, 24), (21, 53, 9, 3, 19),
+    (197, 256, 8, 3, 195), (323, 450, 9, 5, 319),
+]
+WEIGHTED_CLIQUE = [
+    (19, 34, 4, 6, 14), (57, 84, 5, 7, 51), (97, 160, 9, 9, 89),
+    (462, 578, 8, 4, 459), (1384, 2682, 9, 16, 1369),
+]
+BIPARTITE_CLIQUE = [(4, 1, 1, 0, 5), (0, 0, 1, 0, 1), (18, 13, 4, 2, 17), (2, 3, 1, 0, 3)]
+THRESHOLD_FIRST_CLIQUE = [
+    (6, 8, 2, 1, 5), (0, 0, 1, 0, 1), (9, 13, 6, 1, 4), (19, 12, 3, 0, 20),
+    (11, 34, 7, 1, 6), (14, 17, 3, 0, 15), (60, 121, 5, 1, 56), (154, 106, 5, 0, 155),
+    (63, 88, 5, 1, 59), (251, 149, 5, 0, 252),
+]
+THRESHOLD_ALL_CLIQUE = [
+    (8, 11, 2, 1, 8), (93, 135, 6, 25, 69), (107, 239, 7, 10, 98),
+    (430, 572, 7, 11, 420), (732, 1010, 6, 9, 724),
+]
+
+
 def _stats(stats):
     return tuple(stats.as_dict().values())
 
 
 def _vertices(X):
     return None if X is None else " ".join(map(str, sorted(X)))
+
+
+def _weights(spec):
+    rng = random.Random(spec[2])
+    return {y: rng.randint(1, 9) for y in range(1, spec[0] + 1)}
 
 
 @pytest.mark.parametrize("spec, stats, f", STANDARD)
@@ -98,33 +131,68 @@ def test_standard_run(spec, stats, f):
 
 @pytest.mark.parametrize("spec, stats, alpha, witness", CURRENTMAX)
 def test_currentmax(spec, stats, alpha, witness):
-    res = max_anticlique(random_graph(*spec))
+    res = max_anticlique(random_graph(*spec), SearchOptions(bound="w_max"))
     assert (_stats(res.stats), res.alpha, _vertices(res.witness)) == (stats, alpha, witness)
 
 
 @pytest.mark.parametrize("spec, stats, alpha, witness", WEIGHTED)
 def test_weighted_currentmax(spec, stats, alpha, witness):
-    rng = random.Random(spec[2])
-    weights = {y: rng.randint(1, 9) for y in range(1, spec[0] + 1)}
-    res = max_weight_anticlique(random_graph(*spec), weights)
+    res = max_anticlique(random_graph(*spec), SearchOptions(weights=_weights(spec), bound="w_max"))
     assert (_stats(res.stats), res.alpha, _vertices(res.witness)) == (stats, alpha, witness)
 
 
 @pytest.mark.parametrize("spec, stats, alpha, witness", BIPARTITE)
 def test_bipartite_currentmax(spec, stats, alpha, witness):
     g = random_bipartite(*spec)
-    res = max_anticlique(g, bipartite_options(g))
+    res = max_anticlique(g, dataclasses.replace(bipartite_options(g), bound="w_max"))
     assert (_stats(res.stats), res.alpha, _vertices(res.witness)) == (stats, alpha, witness)
 
 
 @pytest.mark.parametrize("spec, k, stats, hit", THRESHOLD_FIRST)
 def test_threshold_first(spec, k, stats, hit):
-    found, got = threshold_search(random_graph(*spec), k, "first")
+    found, got = threshold_search(random_graph(*spec), k, "first", bound="w_max")
     assert (_stats(got), _vertices(found)) == (stats, hit)
 
 
 @pytest.mark.parametrize("spec, k, stats, above", THRESHOLD_ALL)
 def test_threshold_all(spec, k, stats, above):
+    rows, got = threshold_search(random_graph(*spec), k, "all", bound="w_max")
+    assert _stats(got) == stats
+    assert sum(1 for row in rows for _X in row.expand(k + 1)) == above
+
+
+@pytest.mark.parametrize("case, stats", zip(CURRENTMAX, CURRENTMAX_CLIQUE))
+def test_currentmax_clique(case, stats):
+    spec, _paper_stats, alpha, witness = case
+    res = max_anticlique(random_graph(*spec))
+    assert (_stats(res.stats), res.alpha, _vertices(res.witness)) == (stats, alpha, witness)
+
+
+@pytest.mark.parametrize("case, stats", zip(WEIGHTED, WEIGHTED_CLIQUE))
+def test_weighted_currentmax_clique(case, stats):
+    spec, _paper_stats, alpha, witness = case
+    res = max_weight_anticlique(random_graph(*spec), _weights(spec))
+    assert (_stats(res.stats), res.alpha, _vertices(res.witness)) == (stats, alpha, witness)
+
+
+@pytest.mark.parametrize("case, stats", zip(BIPARTITE, BIPARTITE_CLIQUE))
+def test_bipartite_currentmax_clique(case, stats):
+    spec, _paper_stats, alpha, witness = case
+    g = random_bipartite(*spec)
+    res = max_anticlique(g, bipartite_options(g))
+    assert (_stats(res.stats), res.alpha, _vertices(res.witness)) == (stats, alpha, witness)
+
+
+@pytest.mark.parametrize("case, stats", zip(THRESHOLD_FIRST, THRESHOLD_FIRST_CLIQUE))
+def test_threshold_first_clique(case, stats):
+    spec, k, _paper_stats, hit = case
+    found, got = threshold_search(random_graph(*spec), k, "first")
+    assert (_stats(got), _vertices(found)) == (stats, hit)
+
+
+@pytest.mark.parametrize("case, stats", zip(THRESHOLD_ALL, THRESHOLD_ALL_CLIQUE))
+def test_threshold_all_clique(case, stats):
+    spec, k, _paper_stats, above = case
     rows, got = threshold_search(random_graph(*spec), k, "all")
     assert _stats(got) == stats
     assert sum(1 for row in rows for _X in row.expand(k + 1)) == above

@@ -223,6 +223,25 @@ class TestChromaticNumber:
             alpha = max_anticlique(g).alpha
             assert chi >= math.ceil(g.v / alpha)
 
+    def test_cover_of_maximal_anticliques_pinned(self):
+        # recorded when the search began to branch over maximal anticliques
+        # only (it returned another cover of the same size before)
+        g = random_graph(20, 0.5, 0)
+        chi, cover = chromatic_number(g)
+        assert chi == 6
+        assert [sorted(X) for X in cover] == [
+            [3, 5, 14, 16], [1, 2, 6, 11, 13, 18], [4, 6, 8, 10, 13],
+            [4, 17, 19], [2, 7, 15, 20], [3, 5, 9, 12, 16],
+        ]
+        self._check_cover(g, cover, chi)
+
+    def test_cover_sets_are_maximal(self):
+        for seed in range(6):
+            g = random_graph(12, (0.2, 0.5)[seed % 2], seed)
+            chi, cover = chromatic_number(g)
+            assert chi == oracle_report(g).chi
+            assert set(cover) <= set(maximal_anticliques(g))
+
     @staticmethod
     def _check_cover(g, cover, chi):
         assert len(cover) == chi

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -222,6 +223,79 @@ class TestWeighted:
             best = _weighted_member(row, wt)
             assert row.contains(best)
             assert sum(wt[p] for p in best) == bound
+
+
+class TestCliqueBound:
+    """Row.clique_bound and its weighted twin bound a row's anticliques."""
+
+    @staticmethod
+    def _case(rng, v):
+        g = random_graph(v, rng.choice((0.2, 0.5, 0.8)), rng.randint(0, 10**6))
+        wt = _weight_vector(g, {y: rng.randint(1, 6) for y in range(1, v + 1)})
+        return g, wt, [sum(1 << q for q in adj) for adj in g.adjacency]
+
+    def test_between_largest_anticlique_member_and_w_max(self):
+        rng = random.Random(57)
+        for _ in range(300):
+            v = rng.randint(1, 10)
+            g, wt, nbr = self._case(rng, v)
+            row = random_row(rng, v)
+            members = [X for X in row.expand() if is_anticlique(g, X)]
+            size = max(map(len, members), default=0)
+            weight = max((sum(wt[p] for p in X) for X in members), default=0)
+            assert size <= row.clique_bound(nbr) <= row.w_max()
+            assert weight <= _weighted_bound(row, wt, nbr) <= row.max_weight(wt)
+            assert _weighted_bound(row, wt) == row.max_weight(wt)
+
+    def test_edgeless_and_complete_graphs(self):
+        rng = random.Random(59)
+        for _ in range(100):
+            v = rng.randint(1, 10)
+            row = random_row(rng, v)
+            wt = [0] + [rng.randint(1, 6) for _ in range(v)]
+            ones = row.ones()
+            # the positions that are neither 0 nor 1
+            live = [p for p in range(1, v + 1) if not (row.zero_mask | row.one_mask) >> p & 1]
+            edgeless = [0] * (v + 1)
+            assert row.clique_bound(edgeless) == row.w_max()
+            assert row.clique_bound(edgeless, wt) == row.max_weight(wt)
+            complete = [((1 << (v + 1)) - 2) & ~(1 << p) for p in range(v + 1)]
+            assert row.clique_bound(complete) == min(row.w_max(), len(ones) + bool(live))
+            heaviest = max((wt[p] for p in live), default=0)
+            assert row.clique_bound(complete, wt) == min(
+                row.max_weight(wt), sum(wt[p] for p in ones) + heaviest)
+
+    @pytest.mark.filterwarnings("ignore::anticlique.errors.StackBoundWarning")
+    def test_equals_w_max_on_finalized_rows(self):
+        rng = random.Random(58)
+        for _ in range(60):
+            g, wt, nbr = self._case(rng, rng.randint(1, 16))
+            rows, _stats = run_standard(g)
+            for row in rows:
+                assert row.clique_bound(nbr) == row.w_max()
+                assert _weighted_bound(row, wt, nbr) == row.max_weight(wt)
+
+    def test_unknown_bound_rejected(self, g5):
+        for call in (lambda: max_anticlique(g5, SearchOptions(bound="greedy")),
+                     lambda: maximum_sets(g5, max_anticlique(g5), SearchOptions(bound="")),
+                     lambda: threshold_search(g5, 1, bound="W_MAX"),
+                     lambda: threshold_alpha(g5, bound="colour")):
+            with pytest.raises(ConfigurationError, match="unknown bound"):
+                call()
+
+    def test_bounds_agree_on_answers(self):
+        rng = random.Random(60)
+        for _ in range(20):
+            v = rng.randint(2, 24)
+            g = random_graph(v, rng.choice((0.1, 0.3, 0.6)), rng.randint(0, 10**6))
+            weights = {y: rng.randint(1, 5) for y in range(1, v + 1)}
+            for opts in (SearchOptions(), SearchOptions(weights=weights)):
+                paper = dataclasses.replace(opts, bound="w_max")
+                res, res_paper = max_anticlique(g, opts), max_anticlique(g, paper)
+                assert (res.alpha, res.witness) == (res_paper.alpha, res_paper.witness)
+                assert maximum_sets(g, res, opts)[0] == maximum_sets(g, res, paper)[0]
+            alpha = max_anticlique(g).alpha
+            assert threshold_alpha(g)[0] == threshold_alpha(g, bound="w_max")[0] == alpha
 
 
 class TestBipartite:
