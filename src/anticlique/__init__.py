@@ -9,6 +9,7 @@ from .enumerator import (
     ImpositionOrder,
     SearchStats,
     cover_order,
+    degree_ordered_run,
     enumerate_anticliques,
     fibonacci_number,
     full_order,
@@ -28,6 +29,7 @@ from .graph import (
     make_graph,
     parse_graph,
     random_graph,
+    relabel_by_degree,
     serialize_graph,
     to_complement,
 )
@@ -85,6 +87,7 @@ __all__ = [
     "chromatic_with_stats",
     "core",
     "cover_order",
+    "degree_ordered_run",
     "enumerate_anticliques",
     "fibonacci_number",
     "full_order",
@@ -101,6 +104,7 @@ __all__ = [
     "oracle_report",
     "parse_graph",
     "random_graph",
+    "relabel_by_degree",
     "row_from_debug",
     "row_maximal_members",
     "rows_polynomial",

@@ -2,7 +2,11 @@
 
 Machine-readable output with --json emits one JSON object per run, carrying
 the result payload, a graph descriptor, the solver counters and the wall
-time.  Exit codes: 0 success, 2 usage or input error, 3 size-guard refusal.
+time.  ``count`` and ``poly`` run the own-premise rule on the graph
+relabelled by descending degree unless given ``--rule paper``.
+
+Exit codes: 0 success, 2 usage or input error, 3 size-guard refusal,
+4 time budget (--timeout) exceeded.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .enumerator import SearchStats, rows_polynomial, run_standard
+from .enumerator import SearchStats, degree_ordered_run, rows_polynomial, run_standard
 from .errors import ConfigurationError, GraphFormatError, GuardExceeded, SearchTimeout
 from .graph import FORMATS, Graph, parse_graph, random_graph, serialize_graph
 from .maximal import chromatic_with_stats, maximal_family
@@ -77,6 +81,9 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    except SearchTimeout as exc:
+        print(f"timeout: {exc}", file=sys.stderr)
+        return 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,10 +105,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print working/output stacks after each imposition")
         return p
 
+    def standard(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--rule", choices=("own-premise", "paper"), default="own-premise",
+                       help="own-premise (default): the own-premise rule on the graph "
+                            "relabelled by descending degree; paper: the paper's run "
+                            "in vertex order")
+        p.add_argument("--timeout", type=_seconds, metavar="SECONDS",
+                       help="give up after this many seconds (exit code 4)")
+
     p = solver("count", "number of anticliques f(G)")
+    standard(p)
     p.set_defaults(handler=_cmd_count)
 
     p = solver("poly", "independence polynomial coefficients")
+    standard(p)
     p.set_defaults(handler=_cmd_poly)
 
     p = solver("enum", "list anticliques")
@@ -148,6 +165,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bench)
 
     return parser
+
+
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not value > 0:   # also refuses nan
+        raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {text!r}")
+    return value
 
 
 # -- graph input -------------------------------------------------------------
@@ -224,10 +251,22 @@ def _emit(args, descriptor: dict, payload: dict, stats: SearchStats | None,
 # -- solver commands ----------------------------------------------------------
 
 
+def _standard_rows(args, g: Graph):
+    """count's and poly's run under ``--rule``, with ``--timeout`` and
+    ``--trace``; the own-premise trace first prints the relabelling."""
+    trace = _trace_printer(args)
+    if args.rule == "paper":
+        return run_standard(g, trace=trace, timeout_s=args.timeout)
+    rows, stats, old = degree_ordered_run(g, trace=trace, timeout_s=args.timeout)
+    if trace:
+        print("relabel " + " ".join(f"{k}={y}" for k, y in enumerate(old) if k))
+    return rows, stats
+
+
 def _cmd_count(args) -> int:
     g, desc = _load_graph(args)
     t0 = time.perf_counter()
-    rows, stats = run_standard(g, trace=_trace_printer(args))
+    rows, stats = _standard_rows(args, g)
     f = sum(row.member_count() for row in rows)
     wall = (time.perf_counter() - t0) * 1000
     _emit(args, desc, {"f": f}, stats, wall, [str(f)])
@@ -237,7 +276,7 @@ def _cmd_count(args) -> int:
 def _cmd_poly(args) -> int:
     g, desc = _load_graph(args)
     t0 = time.perf_counter()
-    rows, stats = run_standard(g, trace=_trace_printer(args))
+    rows, stats = _standard_rows(args, g)
     poly = rows_polynomial(rows)
     wall = (time.perf_counter() - t0) * 1000
     coeffs = list(poly.coeffs)

@@ -1,13 +1,25 @@
 """The exclusion run: a LIFO stack of rows, finalized rows streamed out.
 
 Starting from the all-free row, every vertex's anti-implication is imposed in
-increasing order on the top row of a working stack.  Splits push the t-out
-son below the t-in son; rows whose pending anti-implications are exhausted
-are finalized and streamed to the caller.  In the standard run the finalized
-rows are pairwise disjoint families whose union is exactly the set of
-anticliques (independent sets) of the graph.  The searches in search.py run
-the same loop with a prune policy that deletes rows whose bound cannot beat
-a limit.
+increasing order of its label on the top row of a working stack.  Splits push
+the t-out son below the t-in son; rows whose pending anti-implications are
+exhausted are finalized and streamed to the caller.  In the standard run the
+finalized rows are pairwise disjoint families whose union is exactly the set
+of anticliques (independent sets) of the graph.  The searches in search.py
+run the same loop with a prune policy that deletes rows whose bound cannot
+beat a limit.
+
+Two imposition rules exist.  ``"paper"`` is the paper's literal run: the
+test ``anti_implication_holds`` runs once per popped row, and every other
+anti-implication goes through ``impose``.  ``"own-premise"`` runs that test
+before every imposition, so a vertex whose only live neighbour is its own
+group's premise is passed over instead of split on (the group's
+contrapositive already excludes the pair).  ``fibonacci_number`` and
+``independence_polynomial`` do not depend on vertex labels, so they run the
+own-premise rule on the graph relabelled by descending degree, which is
+imposed first (``degree_ordered_run``): on ``random_graph(45, 0.08, 11)`` that
+finalizes 2,858 rows where the paper's run finalizes 180,154.  Every other
+entry point keeps the paper's rule in vertex order.
 """
 
 from __future__ import annotations
@@ -19,11 +31,13 @@ from dataclasses import asdict, astuple, dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import ConfigurationError, SearchTimeout, StackBoundWarning
-from .graph import Graph
-from .imposition import Mutated, Unchanged, anti_implication_holds, impose
+from .graph import Graph, relabel_by_degree
+from .imposition import UNCHANGED, Mutated, Unchanged, anti_implication_holds, impose
 from .rows import Polynomial, Row, full_row, spectrum_of_shapes
 
 TraceHook = Callable[[str, dict], None]
+
+RULES = ("paper", "own-premise")
 
 
 @dataclass
@@ -105,18 +119,48 @@ def run_standard(
     g: Graph,
     order: ImpositionOrder | None = None,
     *,
+    rule: str = "paper",
     trace: TraceHook | None = None,
+    timeout_s: float | None = None,
 ) -> tuple[Iterator[Row], SearchStats]:
     """Run the standard exclusion algorithm; rows stream, nothing is pruned.
 
     Returns (row iterator, stats); the stats object fills in as the iterator
-    is consumed and is complete once it is exhausted.  With ``trace`` set,
-    the hook receives an event per imposition plus a final "done" event (and
-    the output stack is then kept in memory for the snapshots).
+    is consumed and is complete once it is exhausted.  ``rule`` is
+    ``"paper"`` or ``"own-premise"`` (see the module docstring).  With
+    ``trace`` set, the hook receives an event per imposition plus a final
+    "done" event (and the output stack is then kept in memory for the
+    snapshots).  The iterator raises SearchTimeout once ``timeout_s``
+    seconds have passed since this call.
     """
+    if rule not in RULES:
+        raise ConfigurationError(f"unknown imposition rule {rule!r}; expected one of {RULES}")
     ord_ = _resolve_order(g, order)
     stats = SearchStats()
-    return _exclusion_run(g, ord_.order, stats, None, trace, None), stats
+    rows = _exclusion_run(g, ord_.order, stats, None, trace, _deadline(timeout_s), rule)
+    return rows, stats
+
+
+def degree_ordered_run(
+    g: Graph,
+    order: ImpositionOrder | None = None,
+    *,
+    trace: TraceHook | None = None,
+    timeout_s: float | None = None,
+) -> tuple[Iterator[Row], SearchStats, tuple[int, ...]]:
+    """The own-premise run on g relabelled by descending degree.
+
+    Returns (row iterator, stats, old): the rows are over the new labels, and
+    ``old[k]`` is the input label of new vertex k (``old[0]`` is 0).  A cover
+    ``order`` is given in input labels and imposed in the new labels' order.
+    """
+    h, old = relabel_by_degree(g)
+    if order is not None:
+        _check_order(g, order)
+        new = {y: k for k, y in enumerate(old)}
+        order = ImpositionOrder(tuple(sorted(new[y] for y in order.order)))
+    rows, stats = run_standard(h, order, rule="own-premise", trace=trace, timeout_s=timeout_s)
+    return rows, stats, old
 
 
 def _deadline(timeout_s: float | None) -> float | None:
@@ -130,6 +174,7 @@ def _exclusion_run(
     prune: Prune | None,
     trace: TraceHook | None,
     deadline: float | None,
+    rule: str = "paper",
 ) -> Iterator[Row]:
     """The row-stack loop behind every engine; yields the finalized rows.
 
@@ -138,7 +183,11 @@ def _exclusion_run(
     deleted once its bound is at most the limit: when it is popped (the
     limit may have risen since it was pushed), after a Mutated outcome, and
     for each son of a split.  ``deadline`` is absolute, on time.monotonic().
+    Under ``rule="own-premise"`` every imposition is preceded by
+    ``anti_implication_holds`` (an Unchanged outcome when it holds), which
+    makes the paper's pop-time test redundant, so it is skipped.
     """
+    own_premise = rule == "own-premise"
     stack = [full_row(g.v)]
     output: list[Row] = []   # kept only for the trace's snapshots
     stats.peak_stack = 1
@@ -148,14 +197,20 @@ def _exclusion_run(
         row = stack.pop()
         if prune is not None and _kept(row, prune, stats, trace) is None:
             continue
-        # a popped row's pending anti-implication may hold already; test it
-        # once, then run the mechanical case analysis until split or finalize
-        if row.pa < len(seq) and anti_implication_holds(row, seq[row.pa], g.adjacency[seq[row.pa]]):
+        # paper rule: a popped row's pending anti-implication may hold
+        # already; test it once, then run the mechanical case analysis until
+        # split or finalize
+        if (not own_premise and row.pa < len(seq)
+                and anti_implication_holds(row, seq[row.pa], g.adjacency[seq[row.pa]])):
             stats.trivial_changes += 1
             row.pa += 1
         while row is not None and row.pa < len(seq):
             t = seq[row.pa]
-            outcome = impose(row, t, g.adjacency[t])
+            nbrs = g.adjacency[t]
+            if own_premise and anti_implication_holds(row, t, nbrs):
+                outcome = UNCHANGED
+            else:
+                outcome = impose(row, t, nbrs)
             if isinstance(outcome, Unchanged):
                 stats.trivial_changes += 1
                 row.pa += 1
@@ -224,15 +279,25 @@ def _snapshot(t, outcome, current, stack, output, seq) -> dict:
     }
 
 
-def fibonacci_number(g: Graph, order: ImpositionOrder | None = None) -> int:
-    """Total number of anticliques of g (streaming, rows never stored)."""
-    rows, _stats = run_standard(g, order)
+def fibonacci_number(
+    g: Graph, order: ImpositionOrder | None = None, *, timeout_s: float | None = None
+) -> int:
+    """Total number of anticliques of g (streaming, rows never stored).
+
+    Runs ``degree_ordered_run``; raises SearchTimeout after ``timeout_s``.
+    """
+    rows, _stats, _old = degree_ordered_run(g, order, timeout_s=timeout_s)
     return sum(row.member_count() for row in rows)
 
 
-def independence_polynomial(g: Graph, order: ImpositionOrder | None = None) -> Polynomial:
-    """Coefficient k counts the k-element anticliques; degree is alpha(g)."""
-    rows, _stats = run_standard(g, order)
+def independence_polynomial(
+    g: Graph, order: ImpositionOrder | None = None, *, timeout_s: float | None = None
+) -> Polynomial:
+    """Coefficient k counts the k-element anticliques; degree is alpha(g).
+
+    Runs ``degree_ordered_run``; raises SearchTimeout after ``timeout_s``.
+    """
+    rows, _stats, _old = degree_ordered_run(g, order, timeout_s=timeout_s)
     return rows_polynomial(rows)
 
 

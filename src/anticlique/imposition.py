@@ -99,16 +99,28 @@ def anti_implication_holds(row: Row, t: int, neighbors: Iterable[int]) -> bool:
     That is the case when t is forced out, when every neighbor is forced out,
     and also when t is an anticonclusion position whose only non-zero
     neighbor is the own group's premise: t in a member already forces that
-    premise out (contrapositive), so nothing is left to impose.  The engines
-    run this test once whenever a row is popped off the working stack; rows
-    it clears keep their shape instead of going through a redundant split.
+    premise out (contrapositive), so nothing is left to impose.  Under the
+    paper's rule the engines run this test once whenever a row is popped off
+    the working stack, under the own-premise rule before every imposition;
+    rows it clears keep their shape instead of going through a redundant
+    split.
     """
     zeros = row.zero_mask
-    bit = 1 << t
-    if zeros & bit:
+    if zeros >> t & 1:
         return True
-    own_prem = next((prem for prem, anti in row.groups.values() if anti & bit), 0)
-    return all(zeros >> p & 1 or p == own_prem for p in neighbors)
+    live = 0   # the one non-zero neighbor so far
+    for p in neighbors:
+        if not zeros >> p & 1:
+            if live:
+                return False
+            live = p
+    if not live:
+        return True
+    # a position is the premise of at most one group
+    for prem, anti in row.groups.values():
+        if prem == live:
+            return bool(anti >> t & 1)
+    return False
 
 
 def _order_violated(t: int, symbol: str) -> AssertionError:

@@ -3,11 +3,13 @@ import hashlib
 import json
 import random
 import re
+import time
 
 import pytest
 
 from anticlique import (
     bipartite_options,
+    degree_ordered_run,
     independence_polynomial,
     max_anticlique,
     maximum_sets,
@@ -71,7 +73,8 @@ class TestPoly:
         assert out.strip() == "1 5 4 1"
 
     def test_matches_the_library(self, capsys):
-        code, out, _ = run_cli(capsys, "poly", "--gen", "40,0.25,3", "--json")
+        code, out, _ = run_cli(capsys, "poly", "--gen", "40,0.25,3", "--json",
+                               "--rule", "paper")
         assert code == 0
         payload = json.loads(out)
         g = random_graph(40, 0.25, 3)
@@ -80,6 +83,62 @@ class TestPoly:
         assert payload["coefficients"] == list(poly.coeffs)
         assert payload["stats"] == stats.as_dict()
         assert poly == independence_polynomial(g)
+
+    def test_default_rule_matches_the_library(self, capsys):
+        code, out, _ = run_cli(capsys, "poly", "--gen", "40,0.25,3", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        g = random_graph(40, 0.25, 3)
+        rows, stats, _old = degree_ordered_run(g)
+        poly = rows_polynomial(rows)
+        assert payload["coefficients"] == list(poly.coeffs)
+        assert payload["stats"] == stats.as_dict()
+        assert poly == independence_polynomial(g)
+        paper_rows, paper_stats = run_standard(g)
+        assert rows_polynomial(paper_rows) == poly
+        assert stats.finalized < paper_stats.finalized
+
+
+class TestRuleAndTimeout:
+    @pytest.mark.parametrize("command", ["count", "poly"])
+    def test_rules_agree(self, capsys, command):
+        outs = []
+        for rule in ("paper", "own-premise"):
+            code, out, _ = run_cli(capsys, command, "--gen", "30,0.2,5", "--json",
+                                   "--rule", rule)
+            assert code == 0
+            payload = json.loads(out)
+            outs.append((payload.pop("stats"), payload.pop("wall_ms"), payload))
+        (paper_stats, _, paper), (own_stats, _, own) = outs
+        assert paper == own
+        assert own_stats["finalized"] < paper_stats["finalized"]
+
+    def test_timeout_exits_4_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "count", "--rule", "paper",
+                                 "--gen", "60,0.1,3", "--timeout", "0.05")
+        assert code == 4
+        assert time.perf_counter() - start < 1.0
+        assert out == ""
+        assert err.startswith("timeout: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("rule", ["paper", "own-premise"])
+    def test_poly_timeout(self, capsys, rule):
+        code, _, err = run_cli(capsys, "poly", "--rule", rule,
+                               "--gen", "70,0.08,1", "--timeout", "0.02")
+        assert code == 4
+        assert err.startswith("timeout: ")
+
+    def test_generous_timeout_changes_nothing(self, capsys, g5_file):
+        code, out, _ = run_cli(capsys, "count", "--graph", str(g5_file), "--timeout", "60")
+        assert (code, out.strip()) == (0, "11")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "soon", "nan"])
+    def test_bad_timeout_is_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--gen", "5,0.5,1", "--timeout", value])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 class TestEnum:
@@ -291,11 +350,32 @@ class TestJsonRoundTrip:
 
 class TestTrace:
     def test_g5_final_output_stack(self, capsys, g5_file):
-        code, out, _ = run_cli(capsys, "count", "--graph", str(g5_file), "--trace")
+        code, out, _ = run_cli(capsys, "count", "--graph", str(g5_file), "--trace",
+                               "--rule", "paper")
         assert code == 0
         tail = out[out.index("final output stack"):]
         counts = sorted(int(m) for m in re.findall(r"N=(\d+)", tail))
         assert counts == [1, 1, 2, 3, 4]
+
+    def test_g5_default_rule_prints_the_relabelling_first(self, capsys, g5_file):
+        code, out, _ = run_cli(capsys, "count", "--graph", str(g5_file), "--trace")
+        assert code == 0
+        lines = out.splitlines()
+        # new label = input label, by descending degree (4 has degree 4, 1 has 3)
+        assert lines[0] == "relabel 1=4 2=1 3=2 4=5 5=3"
+        tail = out[out.index("final output stack"):]
+        assert tail.splitlines()[1:] == [
+            "  (a1,0,b1,b1,b1) N=9",
+            "  (0,1,0,0,2) N=2",
+            "11",
+        ]
+
+    def test_paper_rule_prints_no_relabelling(self, capsys, g5_file):
+        code, out, _ = run_cli(capsys, "poly", "--graph", str(g5_file), "--trace",
+                               "--rule", "paper")
+        assert code == 0
+        assert "relabel" not in out
+        assert out.startswith("impose 1: ")
 
     def test_alpha_shows_stacks_and_improvements(self, capsys, g5_file):
         code, out, _ = run_cli(capsys, "alpha", "--graph", str(g5_file), "--trace")

@@ -10,6 +10,11 @@ The searches prune by the paper's w_max here, asked for with
 ``bound="w_max"``.  The ``*_CLIQUE`` tables pin the same runs under the
 default clique bound, recorded when it became the default: the answers and
 witnesses are the same, only the counters differ.
+
+``STANDARD_OWN_PREMISE`` pins the standard run under the own-premise rule,
+in vertex order and on the graph relabelled by descending degree (the run
+behind ``count`` and ``poly``), recorded when that rule was added; f is the
+paper rule's.
 """
 
 import dataclasses
@@ -20,6 +25,7 @@ import pytest
 from anticlique import (
     SearchOptions,
     bipartite_options,
+    degree_ordered_run,
     max_anticlique,
     max_weight_anticlique,
     random_graph,
@@ -35,6 +41,18 @@ STANDARD = [
     ((28, 0.15, 3), (3124, 9156, 9, 3125, 0), 184876),
     ((32, 0.3, 4), (2283, 11365, 8, 2284, 0), 19532),
 ]
+
+# graph, stats in vertex order, stats in degree order, f
+STANDARD_OWN_PREMISE = [
+    ((14, 0.3, 1), (11, 69, 3, 12, 0), (10, 88, 3, 11, 0), 480),
+    ((22, 0.2, 2), (309, 1643, 6, 310, 0), (127, 896, 6, 128, 0), 5021),
+    ((28, 0.15, 3), (968, 6716, 8, 969, 0), (257, 3220, 6, 258, 0), 184876),
+    ((32, 0.3, 4), (1180, 9076, 8, 1181, 0), (716, 5931, 7, 717, 0), 19532),
+]
+
+# graph at paper scale, rows finalized by count's default run (paper rule:
+# 180,154 and 217,860)
+DEGREE_ORDER_FINALIZED = [((45, 0.08, 11), 2858), ((45, 0.1, 13), 6628)]
 
 # graph, stats, alpha, witness
 CURRENTMAX = [
@@ -127,6 +145,23 @@ def test_standard_run(spec, stats, f):
     rows, got = run_standard(random_graph(*spec))
     assert sum(row.member_count() for row in rows) == f
     assert _stats(got) == stats
+
+
+@pytest.mark.parametrize("spec, vertex_stats, degree_stats, f", STANDARD_OWN_PREMISE)
+def test_standard_run_own_premise(spec, vertex_stats, degree_stats, f):
+    g = random_graph(*spec)
+    rows, got = run_standard(g, rule="own-premise")
+    assert sum(row.member_count() for row in rows) == f
+    assert _stats(got) == vertex_stats
+    rows, got, _old = degree_ordered_run(g)
+    assert sum(row.member_count() for row in rows) == f
+    assert _stats(got) == degree_stats
+
+
+@pytest.mark.parametrize("spec, finalized", DEGREE_ORDER_FINALIZED)
+def test_degree_order_finalized_at_paper_scale(spec, finalized):
+    rows, got, _old = degree_ordered_run(random_graph(*spec))
+    assert sum(1 for _row in rows) == got.finalized == finalized
 
 
 @pytest.mark.parametrize("spec, stats, alpha, witness", CURRENTMAX)

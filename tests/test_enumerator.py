@@ -8,6 +8,7 @@ from anticlique import (
     ConfigurationError,
     ImpositionOrder,
     cover_order,
+    degree_ordered_run,
     enumerate_anticliques,
     fibonacci_number,
     full_order,
@@ -15,16 +16,20 @@ from anticlique import (
     make_graph,
     oracle_report,
     random_graph,
+    relabel_by_degree,
     row_from_debug,
     rows_polynomial,
     run_standard,
     Polynomial,
 )
+from anticlique.errors import SearchTimeout, StackBoundWarning
 from conftest import (
     all_anticliques,
     anticlique_masks,
     complete_graph,
+    cycle_graph,
     empty_graph,
+    independence_poly_bitmask,
     induced_subgraph,
     mask_to_set,
     path_graph,
@@ -222,3 +227,107 @@ class TestEnumerateMinSize:
             sets = list(enumerate_anticliques(g, m))
             assert sets == [X for X in full if len(X) >= m]
             assert set(sets) == {X for X in truth if len(X) >= m}
+
+
+def _own_premise_rows(g, relabel):
+    """The own-premise run's rows, and the map from their labels to g's."""
+    if relabel:
+        rows, _stats, old = degree_ordered_run(g)
+        return rows, old
+    rows, _stats = run_standard(g, rule="own-premise")
+    return rows, range(g.v + 1)
+
+
+class TestRelabelByDegree:
+    def test_descending_degree_ties_by_lower_label(self, g5):
+        h, old = relabel_by_degree(g5)
+        # degrees of g5: 1:3, 2:2, 3:1, 4:4, 5:2
+        assert old == (0, 4, 1, 2, 5, 3)
+        assert h.edges == tuple(sorted(
+            tuple(sorted((old.index(i), old.index(j)))) for i, j in g5.edges))
+        assert [len(h.adjacency[k]) for k in range(1, 6)] == [4, 3, 2, 2, 1]
+
+    def test_regular_graph_keeps_its_labels(self):
+        h, old = relabel_by_degree(cycle_graph(6))
+        assert old == tuple(range(7)) and h == cycle_graph(6)
+
+    def test_cover_order_is_mapped(self):
+        # the cover {4, 5} becomes {1, 2} after relabelling; unmapped, (4, 5)
+        # would not cover the relabelled graph
+        g = make_graph(5, [(i, j) for i in (4, 5) for j in (1, 2, 3)])
+        rows, stats, old = degree_ordered_run(g, cover_order(g, {4, 5}))
+        assert old == (0, 4, 5, 1, 2, 3)
+        assert sum(row.member_count() for row in rows) == fibonacci_number(g) == 11
+        assert fibonacci_number(g, cover_order(g, {4, 5})) == 11
+        with pytest.raises(ConfigurationError, match="vertex cover"):
+            degree_ordered_run(g, ImpositionOrder((4,)))
+
+
+class TestTimeout:
+    def test_every_entry_point_honours_its_budget(self):
+        g = random_graph(60, 0.1, 3)
+        runs = (
+            lambda: sum(1 for _ in run_standard(g, timeout_s=0.01)[0]),
+            lambda: sum(1 for _ in run_standard(g, rule="own-premise", timeout_s=0.01)[0]),
+            lambda: fibonacci_number(g, timeout_s=0.01),
+            lambda: independence_polynomial(g, timeout_s=0.01),
+        )
+        for run in runs:
+            with pytest.raises(SearchTimeout):
+                run()
+
+    def test_ample_budget_changes_nothing(self, g5):
+        assert fibonacci_number(g5, timeout_s=60) == 11
+        assert independence_polynomial(g5, timeout_s=60) == Polynomial((1, 5, 4, 1))
+
+
+class TestOwnPremiseRule:
+    def test_unknown_rule_is_rejected(self, g5):
+        with pytest.raises(ConfigurationError, match="rule"):
+            run_standard(g5, rule="greedy")
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["vertex-order", "degree-order"])
+    @pytest.mark.parametrize("v,d,seed", SWEEP)
+    def test_exact_on_the_sweep(self, v, d, seed, relabel):
+        g = random_graph(v, d, seed)
+        rows, old = _own_premise_rows(g, relabel)
+        rows = list(rows)
+        listed = [frozenset(old[y] for y in X) for row in rows for X in row.expand(0)]
+        truth = {mask_to_set(m) for m in anticlique_masks(g)}
+        assert len(listed) == len(truth) and set(listed) == truth
+        rep = oracle_report(g)
+        assert sum(row.member_count() for row in rows) == rep.f
+        assert rows_polynomial(rows) == rep.spectrum
+        if relabel:
+            assert fibonacci_number(g) == rep.f
+            assert independence_polynomial(g) == rep.spectrum
+
+    def test_no_stack_bound_warning_on_the_sweep(self):
+        # the paper's open bound peak_stack <= w, observed (not proved) to
+        # hold under this rule; the paper's rule exceeds it on this sweep
+        paper_over = 0
+        for v, d, seed in SWEEP:
+            g = random_graph(v, d, seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StackBoundWarning)
+                rows, stats = run_standard(g)
+                list(rows)
+            paper_over += stats.peak_stack > max(g.w, 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", StackBoundWarning)
+                for relabel in (False, True):
+                    rows, _old = _own_premise_rows(g, relabel)
+                    for _row in rows:
+                        pass
+        assert paper_over > 0
+
+    @pytest.mark.parametrize("spec", [
+        (30, 0.15, 1), (34, 0.2, 2), (38, 0.25, 3), (42, 0.3, 4), (45, 0.35, 5),
+    ])
+    def test_above_oracle_range(self, spec):
+        g = random_graph(*spec)
+        paper = list(run_standard(g)[0])
+        poly = independence_polynomial(g)
+        assert list(poly.coeffs) == independence_poly_bitmask(g)
+        assert poly == rows_polynomial(paper)
+        assert fibonacci_number(g) == sum(row.member_count() for row in paper) == poly.evaluate(1)
