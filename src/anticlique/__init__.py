@@ -9,7 +9,7 @@ from .enumerator import (
     ImpositionOrder,
     SearchStats,
     cover_order,
-    degree_ordered_run,
+    degree_order,
     enumerate_anticliques,
     fibonacci_number,
     full_order,
@@ -29,7 +29,6 @@ from .graph import (
     make_graph,
     parse_graph,
     random_graph,
-    relabel_by_degree,
     serialize_graph,
     to_complement,
 )
@@ -87,7 +86,7 @@ __all__ = [
     "chromatic_with_stats",
     "core",
     "cover_order",
-    "degree_ordered_run",
+    "degree_order",
     "enumerate_anticliques",
     "fibonacci_number",
     "full_order",
@@ -104,7 +103,6 @@ __all__ = [
     "oracle_report",
     "parse_graph",
     "random_graph",
-    "relabel_by_degree",
     "row_from_debug",
     "row_maximal_members",
     "rows_polynomial",

@@ -2,8 +2,8 @@
 
 Machine-readable output with --json emits one JSON object per run, carrying
 the result payload, a graph descriptor, the solver counters and the wall
-time.  ``count`` and ``poly`` run the own-premise rule on the graph
-relabelled by descending degree unless given ``--rule paper``.
+time.  ``count`` and ``poly`` run the own-premise rule, imposing the
+vertices by descending degree, unless given ``--rule paper``.
 
 Exit codes: 0 success, 2 usage or input error, 3 size-guard refusal,
 4 time budget (--timeout) exceeded.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .enumerator import SearchStats, degree_ordered_run, rows_polynomial, run_standard
+from .enumerator import SearchStats, degree_order, rows_polynomial, run_standard
 from .errors import ConfigurationError, GraphFormatError, GuardExceeded, SearchTimeout
 from .graph import FORMATS, Graph, parse_graph, random_graph, serialize_graph
 from .maximal import chromatic_with_stats, maximal_family
@@ -107,8 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def standard(p: argparse.ArgumentParser) -> None:
         p.add_argument("--rule", choices=("own-premise", "paper"), default="own-premise",
-                       help="own-premise (default): the own-premise rule on the graph "
-                            "relabelled by descending degree; paper: the paper's run "
+                       help="own-premise (default): the own-premise rule, vertices "
+                            "imposed by descending degree; paper: the paper's run "
                             "in vertex order")
         p.add_argument("--timeout", type=_seconds, metavar="SECONDS",
                        help="give up after this many seconds (exit code 4)")
@@ -253,14 +253,10 @@ def _emit(args, descriptor: dict, payload: dict, stats: SearchStats | None,
 
 def _standard_rows(args, g: Graph):
     """count's and poly's run under ``--rule``, with ``--timeout`` and
-    ``--trace``; the own-premise trace first prints the relabelling."""
-    trace = _trace_printer(args)
-    if args.rule == "paper":
-        return run_standard(g, trace=trace, timeout_s=args.timeout)
-    rows, stats, old = degree_ordered_run(g, trace=trace, timeout_s=args.timeout)
-    if trace:
-        print("relabel " + " ".join(f"{k}={y}" for k, y in enumerate(old) if k))
-    return rows, stats
+    ``--trace``."""
+    order = None if args.rule == "paper" else degree_order(g)
+    return run_standard(g, order, rule=args.rule, trace=_trace_printer(args),
+                        timeout_s=args.timeout)
 
 
 def _cmd_count(args) -> int:

@@ -1,8 +1,11 @@
 """The exclusion run: a LIFO stack of rows, finalized rows streamed out.
 
-Starting from the all-free row, every vertex's anti-implication is imposed in
-increasing order of its label on the top row of a working stack.  Splits push
-the t-out son below the t-in son; rows whose pending anti-implications are
+Starting from the all-free row, every vertex's anti-implication is imposed,
+one vertex at a time in the order given (vertex order by default), on the top
+row of a working stack.  The order may be any sequence of distinct vertices
+that covers every edge: a vertex not yet imposed never holds ``1`` or ``a``,
+because both are only created at the vertex being imposed.  Splits push the
+t-out son below the t-in son; rows whose pending anti-implications are
 exhausted are finalized and streamed to the caller.  In the standard run the
 finalized rows are pairwise disjoint families whose union is exactly the set
 of anticliques (independent sets) of the graph.  The searches in search.py
@@ -15,11 +18,10 @@ anti-implication goes through ``impose``.  ``"own-premise"`` runs that test
 before every imposition, so a vertex whose only live neighbour is its own
 group's premise is passed over instead of split on (the group's
 contrapositive already excludes the pair).  ``fibonacci_number`` and
-``independence_polynomial`` do not depend on vertex labels, so they run the
-own-premise rule on the graph relabelled by descending degree, which is
-imposed first (``degree_ordered_run``): on ``random_graph(45, 0.08, 11)`` that
-finalizes 2,858 rows where the paper's run finalizes 180,154.  Every other
-entry point keeps the paper's rule in vertex order.
+``independence_polynomial`` run the own-premise rule in ``degree_order``,
+highest degree first: on ``random_graph(45, 0.08, 11)`` that finalizes 2,858
+rows where the paper's run finalizes 180,154.  Every other entry point keeps
+the paper's rule in vertex order.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import asdict, astuple, dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import ConfigurationError, SearchTimeout, StackBoundWarning
-from .graph import Graph, relabel_by_degree
+from .graph import Graph
 from .imposition import UNCHANGED, Mutated, Unchanged, anti_implication_holds, impose
 from .rows import Polynomial, Row, full_row, spectrum_of_shapes
 
@@ -74,10 +76,10 @@ class Prune:
 
 @dataclass(frozen=True)
 class ImpositionOrder:
-    """The vertices whose anti-implications get imposed, in increasing order.
+    """The vertices whose anti-implications get imposed, in this order.
 
-    A partial order is only sound when it is a vertex cover, which
-    run_standard verifies.
+    Any sequence of distinct vertices is sound as long as it is a vertex
+    cover, which run_standard verifies.
     """
 
     order: tuple[int, ...]
@@ -94,13 +96,20 @@ def cover_order(g: Graph, vertices: Iterable[int]) -> ImpositionOrder:
     return order
 
 
+def degree_order(g: Graph, order: ImpositionOrder | None = None) -> ImpositionOrder:
+    """The vertices of ``order`` (all of g's by default) by descending degree,
+    ties broken by the lower label."""
+    seq = _resolve_order(g, order).order
+    return ImpositionOrder(tuple(sorted(seq, key=lambda y: (-len(g.adjacency[y]), y))))
+
+
 def _check_order(g: Graph, order: ImpositionOrder) -> None:
     seq = order.order
-    if any(seq[i] >= seq[i + 1] for i in range(len(seq) - 1)):
-        raise ConfigurationError("imposition order must be strictly increasing")
-    if seq and (seq[0] < 1 or seq[-1] > g.v):
-        raise ConfigurationError(f"imposition order out of range 1..{g.v}")
     members = set(seq)
+    if len(members) < len(seq):
+        raise ConfigurationError("imposition order names a vertex twice")
+    if seq and (min(seq) < 1 or max(seq) > g.v):
+        raise ConfigurationError(f"imposition order out of range 1..{g.v}")
     for i, j in g.edges:
         if i not in members and j not in members:
             raise ConfigurationError(
@@ -139,28 +148,6 @@ def run_standard(
     stats = SearchStats()
     rows = _exclusion_run(g, ord_.order, stats, None, trace, _deadline(timeout_s), rule)
     return rows, stats
-
-
-def degree_ordered_run(
-    g: Graph,
-    order: ImpositionOrder | None = None,
-    *,
-    trace: TraceHook | None = None,
-    timeout_s: float | None = None,
-) -> tuple[Iterator[Row], SearchStats, tuple[int, ...]]:
-    """The own-premise run on g relabelled by descending degree.
-
-    Returns (row iterator, stats, old): the rows are over the new labels, and
-    ``old[k]`` is the input label of new vertex k (``old[0]`` is 0).  A cover
-    ``order`` is given in input labels and imposed in the new labels' order.
-    """
-    h, old = relabel_by_degree(g)
-    if order is not None:
-        _check_order(g, order)
-        new = {y: k for k, y in enumerate(old)}
-        order = ImpositionOrder(tuple(sorted(new[y] for y in order.order)))
-    rows, stats = run_standard(h, order, rule="own-premise", trace=trace, timeout_s=timeout_s)
-    return rows, stats, old
 
 
 def _deadline(timeout_s: float | None) -> float | None:
@@ -284,9 +271,11 @@ def fibonacci_number(
 ) -> int:
     """Total number of anticliques of g (streaming, rows never stored).
 
-    Runs ``degree_ordered_run``; raises SearchTimeout after ``timeout_s``.
+    Runs the own-premise rule in ``degree_order(g, order)``; raises
+    SearchTimeout after ``timeout_s``.
     """
-    rows, _stats, _old = degree_ordered_run(g, order, timeout_s=timeout_s)
+    rows, _stats = run_standard(g, degree_order(g, order), rule="own-premise",
+                                timeout_s=timeout_s)
     return sum(row.member_count() for row in rows)
 
 
@@ -295,9 +284,11 @@ def independence_polynomial(
 ) -> Polynomial:
     """Coefficient k counts the k-element anticliques; degree is alpha(g).
 
-    Runs ``degree_ordered_run``; raises SearchTimeout after ``timeout_s``.
+    Runs the own-premise rule in ``degree_order(g, order)``; raises
+    SearchTimeout after ``timeout_s``.
     """
-    rows, _stats, _old = degree_ordered_run(g, order, timeout_s=timeout_s)
+    rows, _stats = run_standard(g, degree_order(g, order), rule="own-premise",
+                                timeout_s=timeout_s)
     return rows_polynomial(rows)
 
 

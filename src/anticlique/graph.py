@@ -189,17 +189,6 @@ def to_complement(g: Graph) -> Graph:
     return make_graph(g.v, edges)
 
 
-def relabel_by_degree(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """g renumbered by descending degree, ties broken by the lower label.
-
-    Returns (h, old): ``old[k]`` is the input label of h's vertex k, and
-    ``old[0]`` is 0 so that it reads 1-based like ``adjacency``.
-    """
-    old = (0, *sorted(range(1, g.v + 1), key=lambda y: (-len(g.adjacency[y]), y)))
-    new = {y: k for k, y in enumerate(old)}
-    return make_graph(g.v, [(new[i], new[j]) for i, j in g.edges]), old
-
-
 def random_graph(v: int, d: float, seed: int) -> Graph:
     """Seeded Gilbert model: each of the C(v,2) pairs kept with probability d."""
     if not 0.0 <= d <= 1.0:

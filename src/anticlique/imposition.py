@@ -4,8 +4,9 @@
 member sets X with: t in X implies neighbors(t) and X are disjoint.  The
 result is either the same family unchanged, a single rewritten row, or a
 split into two disjoint rows (t forced out vs t forced in).  The input row is
-never mutated; engines run impositions in increasing vertex order, so the
-symbol at t is always 0, 2 or b when this is called.
+never mutated.  Engines impose each vertex at most once, and only the vertex
+being imposed becomes 1 or a premise, so the symbol at t is always 0, 2 or b
+when this is called.
 """
 
 from __future__ import annotations

@@ -172,10 +172,8 @@ def chromatic_with_stats(
             f"chromatic_number refuses v={g.v} above its size guard {guard}; "
             f"raise {CHROMATIC_GUARD_ENV} to override"
         )
-    rows, stats = run_standard(g)
-    # finalized rows are disjoint, so no member is listed twice
-    candidates = sorted((X for row in rows for X in row_maximal_members(row)
-                         if _dominates(g, X)), key=sorted)
+    family = maximal_family(g)
+    candidates = family.sets
     covering: dict[int, list[int]] = {y: [] for y in range(1, g.v + 1)}
     for i, X in enumerate(candidates):
         for y in X:
@@ -205,4 +203,4 @@ def chromatic_with_stats(
 
     descend(universe, [])
     assert best is not None, "every vertex lies in some maximal anticlique"
-    return len(best), [candidates[i] for i in best], stats
+    return len(best), [candidates[i] for i in best], family.stats

@@ -9,7 +9,7 @@ import pytest
 
 from anticlique import (
     bipartite_options,
-    degree_ordered_run,
+    degree_order,
     independence_polynomial,
     max_anticlique,
     maximum_sets,
@@ -89,7 +89,7 @@ class TestPoly:
         assert code == 0
         payload = json.loads(out)
         g = random_graph(40, 0.25, 3)
-        rows, stats, _old = degree_ordered_run(g)
+        rows, stats = run_standard(g, degree_order(g), rule="own-premise")
         poly = rows_polynomial(rows)
         assert payload["coefficients"] == list(poly.coeffs)
         assert payload["stats"] == stats.as_dict()
@@ -275,11 +275,15 @@ class TestMaximalChromaticOracle:
         assert digest == "9c50c3941bf1f1a256018e479cb3662884dbd52f19a58ae6102e2135c1e0a3c4"
         assert payload["maximal"][0] == [1, 3, 5, 6, 9, 22]
 
-    def test_chromatic(self, capsys, g5_file):
+    def test_chromatic(self, capsys, g5, g5_file):
         _, out, _ = run_cli(capsys, "chromatic", "--graph", str(g5_file), "--json")
         payload = json.loads(out)
         assert payload["chi"] == 3
         assert len(payload["cover"]) == 3
+        # the stats are those of the standard run that lists the candidates
+        rows, stats = run_standard(g5)
+        list(rows)
+        assert payload["stats"] == stats.as_dict()
 
     def test_oracle(self, capsys, g5_file):
         _, out, _ = run_cli(capsys, "oracle", "--graph", str(g5_file), "--json")
@@ -357,16 +361,15 @@ class TestTrace:
         counts = sorted(int(m) for m in re.findall(r"N=(\d+)", tail))
         assert counts == [1, 1, 2, 3, 4]
 
-    def test_g5_default_rule_prints_the_relabelling_first(self, capsys, g5_file):
+    def test_g5_default_rule_imposes_by_descending_degree(self, capsys, g5_file):
         code, out, _ = run_cli(capsys, "count", "--graph", str(g5_file), "--trace")
         assert code == 0
-        lines = out.splitlines()
-        # new label = input label, by descending degree (4 has degree 4, 1 has 3)
-        assert lines[0] == "relabel 1=4 2=1 3=2 4=5 5=3"
+        # vertex 4 has the highest degree (4), so it is imposed first
+        assert out.splitlines()[0] == "impose 4: mutated"
         tail = out[out.index("final output stack"):]
         assert tail.splitlines()[1:] == [
-            "  (a1,0,b1,b1,b1) N=9",
-            "  (0,1,0,0,2) N=2",
+            "  (0,b1,b1,a1,b1) N=9",
+            "  (1,0,2,0,0) N=2",
             "11",
         ]
 

@@ -12,9 +12,8 @@ default clique bound, recorded when it became the default: the answers and
 witnesses are the same, only the counters differ.
 
 ``STANDARD_OWN_PREMISE`` pins the standard run under the own-premise rule,
-in vertex order and on the graph relabelled by descending degree (the run
-behind ``count`` and ``poly``), recorded when that rule was added; f is the
-paper rule's.
+in vertex order and in ``degree_order`` (the run behind ``count`` and
+``poly``), recorded when that rule was added; f is the paper rule's.
 """
 
 import dataclasses
@@ -25,7 +24,7 @@ import pytest
 from anticlique import (
     SearchOptions,
     bipartite_options,
-    degree_ordered_run,
+    degree_order,
     max_anticlique,
     max_weight_anticlique,
     random_graph,
@@ -153,14 +152,15 @@ def test_standard_run_own_premise(spec, vertex_stats, degree_stats, f):
     rows, got = run_standard(g, rule="own-premise")
     assert sum(row.member_count() for row in rows) == f
     assert _stats(got) == vertex_stats
-    rows, got, _old = degree_ordered_run(g)
+    rows, got = run_standard(g, degree_order(g), rule="own-premise")
     assert sum(row.member_count() for row in rows) == f
     assert _stats(got) == degree_stats
 
 
 @pytest.mark.parametrize("spec, finalized", DEGREE_ORDER_FINALIZED)
 def test_degree_order_finalized_at_paper_scale(spec, finalized):
-    rows, got, _old = degree_ordered_run(random_graph(*spec))
+    g = random_graph(*spec)
+    rows, got = run_standard(g, degree_order(g), rule="own-premise")
     assert sum(1 for _row in rows) == got.finalized == finalized
 
 

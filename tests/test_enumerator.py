@@ -8,7 +8,7 @@ from anticlique import (
     ConfigurationError,
     ImpositionOrder,
     cover_order,
-    degree_ordered_run,
+    degree_order,
     enumerate_anticliques,
     fibonacci_number,
     full_order,
@@ -16,7 +16,6 @@ from anticlique import (
     make_graph,
     oracle_report,
     random_graph,
-    relabel_by_degree,
     row_from_debug,
     rows_polynomial,
     run_standard,
@@ -169,17 +168,13 @@ class TestCoverOrders:
             restricted = set(enumerate_anticliques(g, order=order))
             assert restricted == full
 
-    def test_partial_order_requires_cover_flag(self, g5):
-        with pytest.raises(ConfigurationError, match="vertex cover"):
-            run_standard(g5, ImpositionOrder((1, 2)))
-
     def test_partial_order_must_actually_cover(self, g5):
         with pytest.raises(ConfigurationError, match="misses edge"):
             run_standard(g5, ImpositionOrder((1, 2)))
 
-    def test_order_must_increase(self, g5):
-        with pytest.raises(ConfigurationError, match="increasing"):
-            run_standard(g5, ImpositionOrder((2, 1, 3, 4, 5)))
+    def test_order_must_not_repeat_a_vertex(self, g5):
+        with pytest.raises(ConfigurationError, match="twice"):
+            run_standard(g5, ImpositionOrder((2, 1, 3, 4, 5, 2)))
 
     def test_full_order_helper(self, g5):
         assert full_order(5).order == (1, 2, 3, 4, 5)
@@ -229,38 +224,62 @@ class TestEnumerateMinSize:
             assert set(sets) == {X for X in truth if len(X) >= m}
 
 
-def _own_premise_rows(g, relabel):
-    """The own-premise run's rows, and the map from their labels to g's."""
-    if relabel:
-        rows, _stats, old = degree_ordered_run(g)
-        return rows, old
-    rows, _stats = run_standard(g, rule="own-premise")
-    return rows, range(g.v + 1)
+def _own_premise_rows(g, by_degree):
+    """The own-premise run's rows, in degree order or in vertex order."""
+    order = degree_order(g) if by_degree else None
+    return run_standard(g, order, rule="own-premise")[0]
 
 
-class TestRelabelByDegree:
+class TestDegreeOrder:
     def test_descending_degree_ties_by_lower_label(self, g5):
-        h, old = relabel_by_degree(g5)
         # degrees of g5: 1:3, 2:2, 3:1, 4:4, 5:2
-        assert old == (0, 4, 1, 2, 5, 3)
-        assert h.edges == tuple(sorted(
-            tuple(sorted((old.index(i), old.index(j)))) for i, j in g5.edges))
-        assert [len(h.adjacency[k]) for k in range(1, 6)] == [4, 3, 2, 2, 1]
+        assert degree_order(g5).order == (4, 1, 2, 5, 3)
 
-    def test_regular_graph_keeps_its_labels(self):
-        h, old = relabel_by_degree(cycle_graph(6))
-        assert old == tuple(range(7)) and h == cycle_graph(6)
+    def test_regular_graph_keeps_vertex_order(self):
+        assert degree_order(cycle_graph(6)) == full_order(6)
 
-    def test_cover_order_is_mapped(self):
-        # the cover {4, 5} becomes {1, 2} after relabelling; unmapped, (4, 5)
-        # would not cover the relabelled graph
+    def test_cover_keeps_its_vertices(self):
         g = make_graph(5, [(i, j) for i in (4, 5) for j in (1, 2, 3)])
-        rows, stats, old = degree_ordered_run(g, cover_order(g, {4, 5}))
-        assert old == (0, 4, 5, 1, 2, 3)
-        assert sum(row.member_count() for row in rows) == fibonacci_number(g) == 11
-        assert fibonacci_number(g, cover_order(g, {4, 5})) == 11
+        assert degree_order(g, cover_order(g, {4, 5})).order == (4, 5)
+        assert fibonacci_number(g) == fibonacci_number(g, cover_order(g, {4, 5})) == 11
         with pytest.raises(ConfigurationError, match="vertex cover"):
-            degree_ordered_run(g, ImpositionOrder((4,)))
+            degree_order(g, ImpositionOrder((4,)))
+
+
+def _shuffled_order(g, rng, partial):
+    """All of g's vertices, or a random vertex cover of g, in random order."""
+    seq = list(range(1, g.v + 1))
+    rng.shuffle(seq)
+    if partial:
+        cover = set(seq)
+        for y in seq:
+            if g.adjacency[y] <= cover:
+                cover.discard(y)
+        seq = [y for y in seq if y in cover]
+        rng.shuffle(seq)
+    return ImpositionOrder(tuple(seq))
+
+
+@pytest.mark.filterwarnings("ignore::anticlique.errors.StackBoundWarning")
+class TestPermutedOrders:
+    """Any cover, imposed in any order, lists every anticlique exactly once."""
+
+    @pytest.mark.parametrize("partial", [False, True], ids=["full", "cover"])
+    @pytest.mark.parametrize("rule", ["paper", "own-premise"])
+    def test_exact_against_the_oracle(self, rule, partial):
+        rng = random.Random(2009)
+        for _ in range(40):
+            g = random_graph(rng.randint(2, 14), rng.choice((0.1, 0.3, 0.5, 0.7)),
+                             rng.randrange(10**6))
+            order = _shuffled_order(g, rng, partial)
+            rows = list(run_standard(g, order, rule=rule)[0])
+            listed = [X for row in rows for X in row.expand(0)]
+            assert len(set(listed)) == len(listed)
+            for X in listed:
+                assert not any(g.adjacency[y] & X for y in X)
+            rep = oracle_report(g)
+            assert len(listed) == sum(row.member_count() for row in rows) == rep.f
+            assert rows_polynomial(rows) == rep.spectrum
 
 
 class TestTimeout:
@@ -286,19 +305,18 @@ class TestOwnPremiseRule:
         with pytest.raises(ConfigurationError, match="rule"):
             run_standard(g5, rule="greedy")
 
-    @pytest.mark.parametrize("relabel", [False, True], ids=["vertex-order", "degree-order"])
+    @pytest.mark.parametrize("by_degree", [False, True], ids=["vertex-order", "degree-order"])
     @pytest.mark.parametrize("v,d,seed", SWEEP)
-    def test_exact_on_the_sweep(self, v, d, seed, relabel):
+    def test_exact_on_the_sweep(self, v, d, seed, by_degree):
         g = random_graph(v, d, seed)
-        rows, old = _own_premise_rows(g, relabel)
-        rows = list(rows)
-        listed = [frozenset(old[y] for y in X) for row in rows for X in row.expand(0)]
+        rows = list(_own_premise_rows(g, by_degree))
+        listed = [X for row in rows for X in row.expand(0)]
         truth = {mask_to_set(m) for m in anticlique_masks(g)}
         assert len(listed) == len(truth) and set(listed) == truth
         rep = oracle_report(g)
         assert sum(row.member_count() for row in rows) == rep.f
         assert rows_polynomial(rows) == rep.spectrum
-        if relabel:
+        if by_degree:
             assert fibonacci_number(g) == rep.f
             assert independence_polynomial(g) == rep.spectrum
 
@@ -315,9 +333,8 @@ class TestOwnPremiseRule:
             paper_over += stats.peak_stack > max(g.w, 1)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", StackBoundWarning)
-                for relabel in (False, True):
-                    rows, _old = _own_premise_rows(g, relabel)
-                    for _row in rows:
+                for by_degree in (False, True):
+                    for _row in _own_premise_rows(g, by_degree):
                         pass
         assert paper_over > 0
 

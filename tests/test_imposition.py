@@ -3,6 +3,7 @@ import random
 import pytest
 
 from anticlique import (
+    ImpositionOrder,
     Mutated,
     Split,
     Unchanged,
@@ -153,13 +154,16 @@ class TestSoundnessSweep:
             assert got == expected
 
     def test_symbol_discipline_along_real_runs(self, monkeypatch):
-        """After imposing at t, no position right of t holds a premise or a 1
-        (except t itself); checked on every imposition of real runs, where
-        the increasing processing order makes the precondition hold."""
+        """After imposing at t, no position whose anti-implication is still
+        pending holds a 1 or a premise; checked on every imposition of real
+        runs, in vertex order and in a shuffled order, under both rules."""
         import anticlique.enumerator as enum_mod
         from anticlique.imposition import impose as raw_impose
 
+        seq = ()   # the order of the run in progress
+
         def checked(row, t, nbrs):
+            assert seq[row.pa] == t
             out = raw_impose(row, t, nbrs)
             produced = (
                 [] if isinstance(out, Unchanged)
@@ -168,15 +172,20 @@ class TestSoundnessSweep:
             )
             for r in produced:
                 r.validate()
-                for p in range(t + 1, r.v + 1):
+                for p in seq[row.pa + 1:]:
                     assert p not in r.ones() | r.premset()
             return out
 
         monkeypatch.setattr(enum_mod, "impose", checked)
+        rng = random.Random(5)
         for seed in range(8):
             g = random_graph(10, (seed % 4) * 0.25 + 0.2, seed)
-            rows, _stats = run_standard(g)
-            list(rows)
+            shuffled = list(range(1, g.v + 1))
+            rng.shuffle(shuffled)
+            for seq in (tuple(range(1, g.v + 1)), tuple(shuffled)):
+                for rule in ("paper", "own-premise"):
+                    rows, _stats = run_standard(g, ImpositionOrder(seq), rule=rule)
+                    list(rows)
 
     def test_constant_clone_count_per_imposition(self, monkeypatch):
         clones = {"n": 0}
