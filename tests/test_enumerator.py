@@ -168,6 +168,10 @@ class TestCoverOrders:
             restricted = set(enumerate_anticliques(g, order=order))
             assert restricted == full
 
+    def test_partial_order_requires_cover_flag(self, g5):
+        with pytest.raises(ConfigurationError, match="vertex cover"):
+            run_standard(g5, ImpositionOrder((1, 2)))
+
     def test_partial_order_must_actually_cover(self, g5):
         with pytest.raises(ConfigurationError, match="misses edge"):
             run_standard(g5, ImpositionOrder((1, 2)))
