@@ -2,8 +2,10 @@
 
 Machine-readable output with --json emits one JSON object per run, carrying
 the result payload, a graph descriptor, the solver counters and the wall
-time.  ``count`` and ``poly`` run the own-premise rule, imposing the
-vertices by descending degree, unless given ``--rule paper``.
+time.  ``count``, ``poly``, ``enum``, ``threshold``, ``maximal`` and
+``chromatic`` run the own-premise rule, imposing the vertices by descending
+degree, unless given ``--rule paper``; ``alpha`` runs the paper's rule in
+vertex order.
 
 Exit codes: 0 success, 2 usage or input error, 3 size-guard refusal,
 4 time budget (--timeout) exceeded.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .enumerator import SearchStats, degree_order, rows_polynomial, run_standard
+from .enumerator import SearchStats, rows_polynomial, rule_order, run_standard
 from .errors import ConfigurationError, GraphFormatError, GuardExceeded, SearchTimeout
 from .graph import FORMATS, Graph, parse_graph, random_graph, serialize_graph
 from .maximal import chromatic_with_stats, maximal_family
@@ -70,6 +72,8 @@ class RunRecord:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):   # absent before Python 3.10.7
+        sys.set_int_max_str_digits(0)   # print answers of any length
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -105,13 +109,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print working/output stacks after each imposition")
         return p
 
+    def timeout(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--timeout", type=_seconds, metavar="SECONDS",
+                       help="give up after this many seconds (exit code 4)")
+
     def standard(p: argparse.ArgumentParser) -> None:
         p.add_argument("--rule", choices=("own-premise", "paper"), default="own-premise",
                        help="own-premise (default): the own-premise rule, vertices "
                             "imposed by descending degree; paper: the paper's run "
                             "in vertex order")
-        p.add_argument("--timeout", type=_seconds, metavar="SECONDS",
-                       help="give up after this many seconds (exit code 4)")
+        timeout(p)
 
     p = solver("count", "number of anticliques f(G)")
     standard(p)
@@ -123,6 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = solver("enum", "list anticliques")
     p.add_argument("--min-size", type=int, default=0)
+    standard(p)
     p.set_defaults(handler=_cmd_enum)
 
     p = solver("alpha", "maximum anticlique via currentmax branch and bound")
@@ -133,17 +141,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="list all maximum anticliques")
     p.add_argument("--core", action="store_true",
                    help="intersection of all maximum anticliques")
+    timeout(p)
     p.set_defaults(handler=_cmd_alpha)
 
     p = solver("threshold", "anticliques of size above a threshold")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--first", action="store_true", help="stop at the first hit")
+    standard(p)
     p.set_defaults(handler=_cmd_threshold)
 
     p = solver("maximal", "inclusion-maximal anticliques")
+    standard(p)
     p.set_defaults(handler=_cmd_maximal)
 
     p = solver("chromatic", "chromatic number via minimum anticlique cover")
+    standard(p)
     p.set_defaults(handler=_cmd_chromatic)
 
     p = solver("oracle", "brute-force report (small graphs only)")
@@ -252,11 +264,10 @@ def _emit(args, descriptor: dict, payload: dict, stats: SearchStats | None,
 
 
 def _standard_rows(args, g: Graph):
-    """count's and poly's run under ``--rule``, with ``--timeout`` and
-    ``--trace``."""
-    order = None if args.rule == "paper" else degree_order(g)
-    return run_standard(g, order, rule=args.rule, trace=_trace_printer(args),
-                        timeout_s=args.timeout)
+    """count's, poly's and enum's run under ``--rule``, with ``--timeout``
+    and ``--trace``."""
+    return run_standard(g, rule_order(g, args.rule), rule=args.rule,
+                        trace=_trace_printer(args), timeout_s=args.timeout)
 
 
 def _cmd_count(args) -> int:
@@ -284,7 +295,7 @@ def _cmd_poly(args) -> int:
 def _cmd_enum(args) -> int:
     g, desc = _load_graph(args)
     t0 = time.perf_counter()
-    rows, stats = run_standard(g, trace=_trace_printer(args))
+    rows, stats = _standard_rows(args, g)
     sets = sorted((X for row in rows for X in row.expand(args.min_size)), key=sorted)
     wall = (time.perf_counter() - t0) * 1000
     payload = {"anticliques": [sorted(X) for X in sets], "count": len(sets)}
@@ -315,12 +326,14 @@ def _cmd_alpha(args) -> int:
     opts = bipartite_options(g) if args.bipartite else SearchOptions()
     if args.weights:
         opts = dataclasses.replace(opts, weights=_read_weights(args.weights))
-    res = max_anticlique(g, opts, trace=trace)
+    res = max_anticlique(g, opts, trace=trace, timeout_s=args.timeout)
     stats = res.stats
     payload: dict[str, Any] = {"alpha": res.alpha, "witness": sorted(res.witness)}
     lines = [f"alpha = {res.alpha}", f"witness = {_fmt_set(res.witness)}"]
     if args.all or args.core:
-        sets, phase2 = maximum_sets(g, res, opts, trace=trace)
+        # the second phase gets what is left of the one budget
+        left = None if args.timeout is None else args.timeout - (time.perf_counter() - t0)
+        sets, phase2 = maximum_sets(g, res, opts, trace=trace, timeout_s=left)
         stats = stats + phase2
     if args.all:
         payload["maximum_sets"] = [sorted(X) for X in sets]
@@ -338,14 +351,16 @@ def _cmd_threshold(args) -> int:
     g, desc = _load_graph(args)
     trace = _trace_printer(args)
     t0 = time.perf_counter()
+    run = dict(order=rule_order(g, args.rule), rule=args.rule, trace=trace,
+               timeout_s=args.timeout)
     if args.first:
-        found, stats = threshold_search(g, args.k, "first", trace=trace)
+        found, stats = threshold_search(g, args.k, "first", **run)
         wall = (time.perf_counter() - t0) * 1000
         payload = {"k": args.k, "found": sorted(found) if found is not None else None}
         lines = [f"found {_fmt_set(found)}" if found is not None else "none"]
         _emit(args, desc, payload, stats, wall, lines)
         return 0
-    rows, stats = threshold_search(g, args.k, "all", trace=trace)
+    rows, stats = threshold_search(g, args.k, "all", **run)
     sets = sorted((X for row in rows for X in row.expand(args.k + 1)), key=sorted)
     wall = (time.perf_counter() - t0) * 1000
     payload = {"k": args.k, "anticliques": [sorted(X) for X in sets], "count": len(sets)}
@@ -356,7 +371,7 @@ def _cmd_threshold(args) -> int:
 def _cmd_maximal(args) -> int:
     g, desc = _load_graph(args)
     t0 = time.perf_counter()
-    fam = maximal_family(g)
+    fam = maximal_family(g, rule=args.rule, timeout_s=args.timeout)
     wall = (time.perf_counter() - t0) * 1000
     payload = {
         "maximal": [sorted(X) for X in fam.sets],
@@ -380,7 +395,7 @@ def _cmd_maximal(args) -> int:
 def _cmd_chromatic(args) -> int:
     g, desc = _load_graph(args)
     t0 = time.perf_counter()
-    chi, cover, stats = chromatic_with_stats(g)
+    chi, cover, stats = chromatic_with_stats(g, rule=args.rule, timeout_s=args.timeout)
     wall = (time.perf_counter() - t0) * 1000
     payload = {"chi": chi, "cover": [sorted(X) for X in cover]}
     lines = [f"chi = {chi}"] + [f"  {_fmt_set(X)}" for X in cover]

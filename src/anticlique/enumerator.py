@@ -17,11 +17,12 @@ test ``anti_implication_holds`` runs once per popped row, and every other
 anti-implication goes through ``impose``.  ``"own-premise"`` runs that test
 before every imposition, so a vertex whose only live neighbour is its own
 group's premise is passed over instead of split on (the group's
-contrapositive already excludes the pair).  ``fibonacci_number`` and
-``independence_polynomial`` run the own-premise rule in ``degree_order``,
-highest degree first: on ``random_graph(45, 0.08, 11)`` that finalizes 2,858
-rows where the paper's run finalizes 180,154.  Every other entry point keeps
-the paper's rule in vertex order.
+contrapositive already excludes the pair).  ``fibonacci_number``,
+``independence_polynomial``, ``enumerate_anticliques`` and maximal.py's
+engines run the own-premise rule in ``degree_order``, highest degree first:
+on ``random_graph(45, 0.08, 11)`` that finalizes 2,858 rows where the paper's
+run finalizes 180,154.  ``run_standard`` and the searches default to the
+paper's rule in vertex order.
 """
 
 from __future__ import annotations
@@ -103,6 +104,15 @@ def degree_order(g: Graph, order: ImpositionOrder | None = None) -> ImpositionOr
     return ImpositionOrder(tuple(sorted(seq, key=lambda y: (-len(g.adjacency[y]), y))))
 
 
+def rule_order(
+    g: Graph, rule: str, order: ImpositionOrder | None = None
+) -> ImpositionOrder | None:
+    """The order a row-expanding run imposes under ``rule``:
+    ``degree_order(g, order)`` for the own-premise rule, ``order`` as given
+    (vertex order by default) for the paper's."""
+    return order if rule == "paper" else degree_order(g, order)
+
+
 def _check_order(g: Graph, order: ImpositionOrder) -> None:
     seq = order.order
     members = set(seq)
@@ -142,12 +152,16 @@ def run_standard(
     snapshots).  The iterator raises SearchTimeout once ``timeout_s``
     seconds have passed since this call.
     """
-    if rule not in RULES:
-        raise ConfigurationError(f"unknown imposition rule {rule!r}; expected one of {RULES}")
+    _check_rule(rule)
     ord_ = _resolve_order(g, order)
     stats = SearchStats()
     rows = _exclusion_run(g, ord_.order, stats, None, trace, _deadline(timeout_s), rule)
     return rows, stats
+
+
+def _check_rule(rule: str) -> None:
+    if rule not in RULES:
+        raise ConfigurationError(f"unknown imposition rule {rule!r}; expected one of {RULES}")
 
 
 def _deadline(timeout_s: float | None) -> float | None:
@@ -299,13 +313,21 @@ def rows_polynomial(rows: Iterable[Row]) -> Polynomial:
 
 
 def enumerate_anticliques(
-    g: Graph, min_size: int = 0, order: ImpositionOrder | None = None
+    g: Graph,
+    min_size: int = 0,
+    order: ImpositionOrder | None = None,
+    *,
+    rule: str = "own-premise",
+    timeout_s: float | None = None,
 ) -> Iterator[frozenset[int]]:
     """Yield every anticlique of size >= min_size exactly once.
 
-    Finalized rows are disjoint, so no deduplication is needed; the order is
-    deterministic given the imposition order and the row expansion order.
+    Runs ``rule`` in ``rule_order(g, rule, order)``; raises SearchTimeout
+    after ``timeout_s``.  Finalized rows are disjoint, so no deduplication is
+    needed; the order is deterministic given the imposition order and the
+    row expansion order.
     """
-    rows, _stats = run_standard(g, order)
+    rows, _stats = run_standard(g, rule_order(g, rule, order), rule=rule,
+                                timeout_s=timeout_s)
     for row in rows:
         yield from row.expand(min_size)

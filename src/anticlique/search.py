@@ -22,6 +22,7 @@ from .enumerator import (
     Prune,
     SearchStats,
     TraceHook,
+    _check_rule,
     _deadline,
     _exclusion_run,
     _resolve_order,
@@ -67,12 +68,15 @@ def threshold_search(
     *,
     order: ImpositionOrder | None = None,
     bound: str = "clique",
+    rule: str = "paper",
     trace: TraceHook | None = None,
     timeout_s: float | None = None,
 ):
     """Standard run that throws away every row whose bound drops to <= k.
 
-    ``bound`` is ``"clique"`` or the paper's ``"w_max"``.
+    ``bound`` is ``"clique"`` or the paper's ``"w_max"``; ``rule`` is the
+    imposition rule (see enumerator.py), and ``order`` is imposed as given.
+    The CLI runs ``rule="own-premise"`` in ``degree_order(g)``.
 
     mode="all": returns (finalized rows, stats); the members of size > k of
     those rows are exactly the anticliques of size > k.  mode="first": stops
@@ -83,10 +87,12 @@ def threshold_search(
         raise ConfigurationError(f"threshold must be non-negative, got {k}")
     if mode not in ("all", "first"):
         raise ConfigurationError(f"unknown threshold mode {mode!r}")
+    _check_rule(rule)
     seq = _resolve_order(g, order).order
     row_bound, _extract = _objective(g, bound, None)
     stats = SearchStats()
-    rows = _exclusion_run(g, seq, stats, Prune(row_bound, k), trace, _deadline(timeout_s))
+    rows = _exclusion_run(g, seq, stats, Prune(row_bound, k), trace, _deadline(timeout_s),
+                          rule)
     if mode == "all":
         return list(rows), stats
     row = next(rows, None)

@@ -141,6 +141,121 @@ class TestRuleAndTimeout:
         capsys.readouterr()
 
 
+# sha256 of each command's --json record without wall_ms (keys sorted), as
+# the paper's run in vertex order printed it before these commands moved to
+# the own-premise rule in degree order
+PAPER_PAYLOADS = {
+    "enum --gen 20,0.2,1 --min-size 3":
+        "c27307c92d527b7e3566380c3debd937f67106ee4419dbb0e8eaf8c007b52b1c",
+    "threshold --gen 30,0.25,1 --k 6":
+        "5770ded5ae63ef4770cbae8a19b204c16e90b392195f3c6551c35e7933b88e96",
+    "threshold --gen 30,0.25,1 --k 7 --first":
+        "ec2de819e8d5e1f3d5de8f42a4c0fd19565f0c0b9f41f5e50f17ca9cd309fadd",
+    "maximal --gen 24,0.3,1":
+        "e53547f6ebab8e0a7537aaa3e3dbaba77d1f65ee34876877a84fe1bb42b33292",
+    "chromatic --gen 14,0.5,1":
+        "7773014d5b81d9983e6743d36fb3f6e97e89203df5d189498747a43c952efcf2",
+}
+
+
+def _record(capsys, argv: str) -> dict:
+    code, out, _ = run_cli(capsys, *argv.split(), "--json")
+    assert code == 0
+    record = json.loads(out)
+    del record["wall_ms"]
+    return record
+
+
+class TestListingRules:
+    @pytest.mark.parametrize("argv", sorted(PAPER_PAYLOADS))
+    def test_paper_rule_keeps_the_paper_payload(self, capsys, argv):
+        record = _record(capsys, argv + " --rule paper")
+        digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+        assert digest == PAPER_PAYLOADS[argv]
+
+    @pytest.mark.parametrize("argv", [a for a in sorted(PAPER_PAYLOADS) if "--first" not in a])
+    def test_default_rule_gives_the_same_answer(self, capsys, argv):
+        paper, own = _record(capsys, argv + " --rule paper"), _record(capsys, argv)
+        paper_stats, own_stats = paper.pop("stats"), own.pop("stats")
+        paper.pop("sieve", None)
+        own.pop("sieve", None)
+        assert own == paper
+        assert own_stats["finalized"] < paper_stats["finalized"]
+
+    @pytest.mark.parametrize("argv, stats", [
+        ("enum --gen 20,0.2,1 --min-size 3", (24, 275, 4, 25, 0)),
+        ("threshold --gen 30,0.25,1 --k 6", (313, 2795, 5, 276, 38)),
+        ("maximal --gen 24,0.3,1", (101, 832, 5, 102, 0)),
+        ("chromatic --gen 14,0.5,1", (17, 107, 3, 18, 0)),
+    ])
+    def test_default_rule_counters(self, capsys, argv, stats):
+        fields = ("rsp", "trivial_changes", "peak_stack", "finalized", "deleted")
+        assert _record(capsys, argv)["stats"] == dict(zip(fields, stats))
+
+    @pytest.mark.parametrize("rule", ["paper", "own-premise"])
+    def test_first_hit_exceeds_k(self, capsys, rule):
+        g = random_graph(30, 0.25, 1)
+        found = set(_record(capsys, f"threshold --gen 30,0.25,1 --k 7 --first --rule {rule}")
+                    ["found"])
+        assert len(found) > 7
+        assert not any(g.adjacency[y] & found for y in found)
+
+
+class TestListingTimeout:
+    """Each command gives up on its budget with exit code 4."""
+
+    @pytest.mark.parametrize("argv", [
+        "enum --gen 60,0.1,3 --min-size 40",          # 5 s run, nothing listed
+        "threshold --gen 100,0.05,1 --k 43",          # about 3 s
+        "threshold --gen 100,0.05,1 --k 44 --first",  # about 0.7 s
+        "maximal --gen 60,0.1,3",
+        "alpha --gen 100,0.05,1",                     # about 2.4 s
+        # its candidates take 0.02 s; the cover search runs past 60 s
+        "chromatic --gen 30,0.3,1",
+    ])
+    def test_exits_4_quickly(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv.split(), "--timeout", "0.2")
+        assert code == 4
+        assert time.perf_counter() - start < 2.0
+        assert out == ""
+        assert err.startswith("timeout: ") and err.count("\n") == 1
+
+    def test_alpha_all_shares_the_budget(self, capsys, tmp_path):
+        # a perfect matching on 40 vertices: alpha = 20 comes at once, and
+        # its 2**20 maximum sets make the second phase the long one
+        path = tmp_path / "matching.col"
+        path.write_text("p edge 40 20\n" + "".join(f"e {2 * i + 1} {2 * i + 2}\n"
+                                                    for i in range(20)))
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "alpha", "--graph", str(path), "--all",
+                               "--timeout", "0.2")
+        assert code == 4
+        assert time.perf_counter() - start < 2.0
+        assert err.startswith("timeout: ")
+
+    @pytest.mark.parametrize("command", ["enum", "threshold --k 1", "maximal", "chromatic",
+                                         "alpha --all"])
+    def test_generous_timeout_changes_nothing(self, capsys, g5_file, command):
+        argv = f"{command} --graph {g5_file}"
+        plain, budgeted = _record(capsys, argv), _record(capsys, argv + " --timeout 60")
+        assert plain == budgeted
+
+
+class TestBigAnswers:
+    def test_count_beyond_4300_digits(self, capsys, tmp_path):
+        path = tmp_path / "wide.col"
+        path.write_text("p edge 15000 1\ne 1 2\n")
+        code, out, _ = run_cli(capsys, "count", "--graph", str(path))
+        assert code == 0
+        # main lifts the interpreter's limit on int <-> str conversion, so
+        # comparing the texts needs no limit of its own
+        assert out.strip() == str(3 * 2**14998)
+        code, out, _ = run_cli(capsys, "count", "--graph", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["f"] == 3 * 2**14998
+
+
 class TestEnum:
     def test_min_size(self, capsys, g5_file):
         code, out, _ = run_cli(capsys, "enum", "--graph", str(g5_file),
@@ -263,27 +378,50 @@ class TestMaximalChromaticOracle:
         _, out, _ = run_cli(capsys, "maximal", "--graph", str(g5_file), "--json")
         payload = json.loads(out)
         assert payload["maximal"] == [[1, 3], [2, 3, 5], [4]]
+        assert payload["sieve"]["candidates"] == 3
+
+    def test_maximal_paper_rule(self, capsys, g5_file):
+        _, out, _ = run_cli(capsys, "maximal", "--graph", str(g5_file), "--json",
+                            "--rule", "paper")
+        payload = json.loads(out)
+        assert payload["maximal"] == [[1, 3], [2, 3, 5], [4]]
         assert payload["sieve"]["candidates"] == 6
 
-    def test_maximal_pinned_payload(self, capsys):
-        # values of the contain-index sieve that maximal_family used to run
-        _, out, _ = run_cli(capsys, "maximal", "--gen", "40,0.3,3", "--json")
+    def _pinned_payload(self, capsys, *rule):
+        _, out, _ = run_cli(capsys, "maximal", "--gen", "40,0.3,3", "--json", *rule)
         payload = json.loads(out)
         assert payload["count"] == len(payload["maximal"]) == 1661
-        assert payload["sieve"] == {"candidates": 11111, "dominated": 9450, "removed": 0}
         digest = hashlib.sha256(json.dumps(payload["maximal"]).encode()).hexdigest()
         assert digest == "9c50c3941bf1f1a256018e479cb3662884dbd52f19a58ae6102e2135c1e0a3c4"
         assert payload["maximal"][0] == [1, 3, 5, 6, 9, 22]
+        return payload["sieve"]
 
-    def test_chromatic(self, capsys, g5, g5_file):
-        _, out, _ = run_cli(capsys, "chromatic", "--graph", str(g5_file), "--json")
+    def test_maximal_pinned_payload(self, capsys):
+        sieve = self._pinned_payload(capsys)
+        assert sieve == {"candidates": 4754, "dominated": 3093, "removed": 0}
+
+    def test_maximal_pinned_payload_paper_rule(self, capsys):
+        # values of the contain-index sieve that maximal_family used to run
+        sieve = self._pinned_payload(capsys, "--rule", "paper")
+        assert sieve == {"candidates": 11111, "dominated": 9450, "removed": 0}
+
+    def _chromatic_stats(self, capsys, g5_file, *rule):
+        _, out, _ = run_cli(capsys, "chromatic", "--graph", str(g5_file), "--json", *rule)
         payload = json.loads(out)
         assert payload["chi"] == 3
         assert len(payload["cover"]) == 3
+        return payload["stats"]
+
+    def test_chromatic(self, capsys, g5, g5_file):
         # the stats are those of the standard run that lists the candidates
+        rows, stats = run_standard(g5, degree_order(g5), rule="own-premise")
+        list(rows)
+        assert self._chromatic_stats(capsys, g5_file) == stats.as_dict()
+
+    def test_chromatic_paper_rule(self, capsys, g5, g5_file):
         rows, stats = run_standard(g5)
         list(rows)
-        assert payload["stats"] == stats.as_dict()
+        assert self._chromatic_stats(capsys, g5_file, "--rule", "paper") == stats.as_dict()
 
     def test_oracle(self, capsys, g5_file):
         _, out, _ = run_cli(capsys, "oracle", "--graph", str(g5_file), "--json")

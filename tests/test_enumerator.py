@@ -14,6 +14,7 @@ from anticlique import (
     full_order,
     independence_polynomial,
     make_graph,
+    maximal_family,
     oracle_report,
     random_graph,
     row_from_debug,
@@ -294,6 +295,8 @@ class TestTimeout:
             lambda: sum(1 for _ in run_standard(g, rule="own-premise", timeout_s=0.01)[0]),
             lambda: fibonacci_number(g, timeout_s=0.01),
             lambda: independence_polynomial(g, timeout_s=0.01),
+            lambda: sum(1 for _ in enumerate_anticliques(g, 40, timeout_s=0.01)),
+            lambda: maximal_family(g, timeout_s=0.01),
         )
         for run in runs:
             with pytest.raises(SearchTimeout):

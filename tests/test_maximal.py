@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -21,6 +22,7 @@ from anticlique import (
     run_standard,
     sieve_maximal,
 )
+from anticlique.enumerator import rule_order
 from conftest import (
     EXAMPLE_ROW_13,
     complete_graph,
@@ -126,6 +128,13 @@ class TestMaximalAnticliques:
 
     def test_family_counters(self, g5):
         fam = maximal_family(g5)
+        assert fam.candidates == 3  # two rows, one carrying a group
+        assert len(fam.sets) == 3
+        assert fam.dominated == fam.candidates - len(fam.sets)
+        assert fam.removed == 0
+
+    def test_family_counters_paper_rule(self, g5):
+        fam = maximal_family(g5, rule="paper")
         assert fam.candidates == 6  # five rows, one carrying a group
         assert len(fam.sets) == 3
         assert fam.dominated == fam.candidates - len(fam.sets)
@@ -133,9 +142,9 @@ class TestMaximalAnticliques:
 
     def test_closed_neighbourhood_matches_sieve_and_oracle(self):
         """The neighbourhood test keeps exactly what the contain-index sieve
-        keeps, in the same counts, under the full and a greedy cover order.
-        No row-wise maximal member repeats, which chromatic_with_stats relies
-        on instead of deduplicating."""
+        keeps, in the same counts, under the full and a greedy cover order and
+        under both rules.  No row-wise maximal member repeats, which
+        chromatic_with_stats relies on instead of deduplicating."""
         checked = 0
         for v in range(4, 19, 2):
             for d in (0.15, 0.3, 0.5, 0.8):
@@ -145,21 +154,23 @@ class TestMaximalAnticliques:
                     if i not in cover and j not in cover:
                         cover.add(i if len(g.adjacency[i]) >= len(g.adjacency[j]) else j)
                 expected = _as_sorted(oracle_report(g).maximal_sets)
-                for order in (full_order(v), cover_order(g, cover)):
-                    rows, _stats = run_standard(g, order)
+                for order, rule in itertools.product(
+                    (full_order(v), cover_order(g, cover)), ("own-premise", "paper")
+                ):
+                    rows, _stats = run_standard(g, rule_order(g, rule, order), rule=rule)
                     members = [X for row in rows for X in row_maximal_members(row)]
                     assert len(set(members)) == len(members)
                     index = ContainIndex(v)
                     for X in members:
                         index.add(X)
-                    fam = maximal_family(g, order)
+                    fam = maximal_family(g, order, rule=rule)
                     assert _as_sorted(fam.sets) == _as_sorted(index.sets()) == expected
                     assert fam.sets == sorted(fam.sets, key=sorted)
                     assert fam.candidates == len(members)
                     assert fam.dominated == index.dominated == fam.candidates - len(fam.sets)
                     assert fam.removed == index.removed == 0
                     checked += 1
-        assert checked == 64
+        assert checked == 128
 
     def test_against_oracle(self):
         rng = random.Random(55)
