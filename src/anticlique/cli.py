@@ -4,8 +4,8 @@ Machine-readable output with --json emits one JSON object per run, carrying
 the result payload, a graph descriptor, the solver counters and the wall
 time.  ``count``, ``poly``, ``enum``, ``threshold``, ``maximal`` and
 ``chromatic`` run the own-premise rule, imposing the vertices by descending
-degree, unless given ``--rule paper``; ``alpha`` runs the paper's rule in
-vertex order.
+degree (``count`` and ``poly`` run the paper's rule in vertex order with
+``--rule paper``); ``alpha`` runs the paper's rule in vertex order.
 
 Exit codes: 0 success, 2 usage or input error, 3 size-guard refusal,
 4 time budget (--timeout) exceeded.
@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage or input error, 3 size-guard refusal,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -24,7 +25,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .enumerator import SearchStats, rows_polynomial, rule_order, run_standard
+from .enumerator import (
+    SearchStats,
+    _deadline,
+    _remaining,
+    degree_order,
+    expand_rows,
+    rows_polynomial,
+    run_standard,
+)
 from .errors import ConfigurationError, GraphFormatError, GuardExceeded, SearchTimeout
 from .graph import FORMATS, Graph, parse_graph, random_graph, serialize_graph
 from .maximal import chromatic_with_stats, maximal_family
@@ -72,8 +81,6 @@ class RunRecord:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):   # absent before Python 3.10.7
-        sys.set_int_max_str_digits(0)   # print answers of any length
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -130,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = solver("enum", "list anticliques")
     p.add_argument("--min-size", type=int, default=0)
-    standard(p)
+    timeout(p)
     p.set_defaults(handler=_cmd_enum)
 
     p = solver("alpha", "maximum anticlique via currentmax branch and bound")
@@ -147,15 +154,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = solver("threshold", "anticliques of size above a threshold")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--first", action="store_true", help="stop at the first hit")
-    standard(p)
+    timeout(p)
     p.set_defaults(handler=_cmd_threshold)
 
     p = solver("maximal", "inclusion-maximal anticliques")
-    standard(p)
+    timeout(p)
     p.set_defaults(handler=_cmd_maximal)
 
     p = solver("chromatic", "chromatic number via minimum anticlique cover")
-    standard(p)
+    timeout(p)
     p.set_defaults(handler=_cmd_chromatic)
 
     p = solver("oracle", "brute-force report (small graphs only)")
@@ -263,11 +270,28 @@ def _emit(args, descriptor: dict, payload: dict, stats: SearchStats | None,
 # -- solver commands ----------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift the interpreter's limit on int-to-text conversion (4,300 digits
+    by default, absent before Python 3.10.7) while an answer is printed.
+    Input is still parsed under the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _standard_rows(args, g: Graph):
-    """count's, poly's and enum's run under ``--rule``, with ``--timeout``
-    and ``--trace``."""
-    return run_standard(g, rule_order(g, args.rule), rule=args.rule,
-                        trace=_trace_printer(args), timeout_s=args.timeout)
+    """count's and poly's run under ``--rule``, with ``--timeout`` and
+    ``--trace``."""
+    order = None if args.rule == "paper" else degree_order(g)
+    return run_standard(g, order, rule=args.rule, trace=_trace_printer(args),
+                        timeout_s=args.timeout)
 
 
 def _cmd_count(args) -> int:
@@ -276,7 +300,8 @@ def _cmd_count(args) -> int:
     rows, stats = _standard_rows(args, g)
     f = sum(row.member_count() for row in rows)
     wall = (time.perf_counter() - t0) * 1000
-    _emit(args, desc, {"f": f}, stats, wall, [str(f)])
+    with _all_digits():
+        _emit(args, desc, {"f": f}, stats, wall, [str(f)])
     return 0
 
 
@@ -288,15 +313,18 @@ def _cmd_poly(args) -> int:
     wall = (time.perf_counter() - t0) * 1000
     coeffs = list(poly.coeffs)
     payload = {"coefficients": coeffs, "degree": poly.degree, "f": poly.evaluate(1)}
-    _emit(args, desc, payload, stats, wall, [" ".join(map(str, coeffs))])
+    with _all_digits():
+        _emit(args, desc, payload, stats, wall, [" ".join(map(str, coeffs))])
     return 0
 
 
 def _cmd_enum(args) -> int:
     g, desc = _load_graph(args)
     t0 = time.perf_counter()
-    rows, stats = _standard_rows(args, g)
-    sets = sorted((X for row in rows for X in row.expand(args.min_size)), key=sorted)
+    deadline = _deadline(args.timeout)
+    rows, stats = run_standard(g, degree_order(g), rule="own-premise",
+                               trace=_trace_printer(args), timeout_s=_remaining(deadline))
+    sets = sorted(expand_rows(rows, args.min_size, deadline), key=sorted)
     wall = (time.perf_counter() - t0) * 1000
     payload = {"anticliques": [sorted(X) for X in sets], "count": len(sets)}
     _emit(args, desc, payload, stats, wall, [_fmt_set(X) for X in sets])
@@ -326,14 +354,15 @@ def _cmd_alpha(args) -> int:
     opts = bipartite_options(g) if args.bipartite else SearchOptions()
     if args.weights:
         opts = dataclasses.replace(opts, weights=_read_weights(args.weights))
-    res = max_anticlique(g, opts, trace=trace, timeout_s=args.timeout)
+    deadline = _deadline(args.timeout)
+    res = max_anticlique(g, opts, trace=trace, timeout_s=_remaining(deadline))
     stats = res.stats
     payload: dict[str, Any] = {"alpha": res.alpha, "witness": sorted(res.witness)}
     lines = [f"alpha = {res.alpha}", f"witness = {_fmt_set(res.witness)}"]
     if args.all or args.core:
         # the second phase gets what is left of the one budget
-        left = None if args.timeout is None else args.timeout - (time.perf_counter() - t0)
-        sets, phase2 = maximum_sets(g, res, opts, trace=trace, timeout_s=left)
+        sets, phase2 = maximum_sets(g, res, opts, trace=trace,
+                                    timeout_s=_remaining(deadline))
         stats = stats + phase2
     if args.all:
         payload["maximum_sets"] = [sorted(X) for X in sets]
@@ -351,8 +380,9 @@ def _cmd_threshold(args) -> int:
     g, desc = _load_graph(args)
     trace = _trace_printer(args)
     t0 = time.perf_counter()
-    run = dict(order=rule_order(g, args.rule), rule=args.rule, trace=trace,
-               timeout_s=args.timeout)
+    deadline = _deadline(args.timeout)
+    run = dict(order=degree_order(g), rule="own-premise", trace=trace,
+               timeout_s=_remaining(deadline))
     if args.first:
         found, stats = threshold_search(g, args.k, "first", **run)
         wall = (time.perf_counter() - t0) * 1000
@@ -361,7 +391,7 @@ def _cmd_threshold(args) -> int:
         _emit(args, desc, payload, stats, wall, lines)
         return 0
     rows, stats = threshold_search(g, args.k, "all", **run)
-    sets = sorted((X for row in rows for X in row.expand(args.k + 1)), key=sorted)
+    sets = sorted(expand_rows(rows, args.k + 1, deadline), key=sorted)
     wall = (time.perf_counter() - t0) * 1000
     payload = {"k": args.k, "anticliques": [sorted(X) for X in sets], "count": len(sets)}
     _emit(args, desc, payload, stats, wall, [_fmt_set(X) for X in sets])
@@ -371,7 +401,7 @@ def _cmd_threshold(args) -> int:
 def _cmd_maximal(args) -> int:
     g, desc = _load_graph(args)
     t0 = time.perf_counter()
-    fam = maximal_family(g, rule=args.rule, timeout_s=args.timeout)
+    fam = maximal_family(g, timeout_s=args.timeout)
     wall = (time.perf_counter() - t0) * 1000
     payload = {
         "maximal": [sorted(X) for X in fam.sets],
@@ -395,7 +425,7 @@ def _cmd_maximal(args) -> int:
 def _cmd_chromatic(args) -> int:
     g, desc = _load_graph(args)
     t0 = time.perf_counter()
-    chi, cover, stats = chromatic_with_stats(g, rule=args.rule, timeout_s=args.timeout)
+    chi, cover, stats = chromatic_with_stats(g, timeout_s=args.timeout)
     wall = (time.perf_counter() - t0) * 1000
     payload = {"chi": chi, "cover": [sorted(X) for X in cover]}
     lines = [f"chi = {chi}"] + [f"  {_fmt_set(X)}" for X in cover]

@@ -19,10 +19,11 @@ before every imposition, so a vertex whose only live neighbour is its own
 group's premise is passed over instead of split on (the group's
 contrapositive already excludes the pair).  ``fibonacci_number``,
 ``independence_polynomial``, ``enumerate_anticliques`` and maximal.py's
-engines run the own-premise rule in ``degree_order``, highest degree first:
-on ``random_graph(45, 0.08, 11)`` that finalizes 2,858 rows where the paper's
-run finalizes 180,154.  ``run_standard`` and the searches default to the
-paper's rule in vertex order.
+engines run the own-premise rule in the order they are given, by default
+``degree_order``, highest degree first: on ``random_graph(45, 0.08, 11)``
+that finalizes 2,858 rows where the paper's run finalizes 180,154.
+``run_standard`` and the searches default to the paper's rule in vertex
+order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass
-from typing import Callable, Iterable, Iterator
+from itertools import islice
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import ConfigurationError, SearchTimeout, StackBoundWarning
 from .graph import Graph
@@ -41,6 +43,10 @@ from .rows import Polynomial, Row, full_row, spectrum_of_shapes
 TraceHook = Callable[[str, dict], None]
 
 RULES = ("paper", "own-premise")
+
+DEADLINE_EVERY = 1024   # members listed between two deadline checks
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -104,15 +110,6 @@ def degree_order(g: Graph, order: ImpositionOrder | None = None) -> ImpositionOr
     return ImpositionOrder(tuple(sorted(seq, key=lambda y: (-len(g.adjacency[y]), y))))
 
 
-def rule_order(
-    g: Graph, rule: str, order: ImpositionOrder | None = None
-) -> ImpositionOrder | None:
-    """The order a row-expanding run imposes under ``rule``:
-    ``degree_order(g, order)`` for the own-premise rule, ``order`` as given
-    (vertex order by default) for the paper's."""
-    return order if rule == "paper" else degree_order(g, order)
-
-
 def _check_order(g: Graph, order: ImpositionOrder) -> None:
     seq = order.order
     members = set(seq)
@@ -166,6 +163,26 @@ def _check_rule(rule: str) -> None:
 
 def _deadline(timeout_s: float | None) -> float | None:
     return None if timeout_s is None else time.monotonic() + timeout_s
+
+
+def _until(items: Iterator[_T], deadline: float) -> Iterator[_T]:
+    """``items`` as they come; raises SearchTimeout once ``deadline`` (on
+    time.monotonic()) has passed, checked every DEADLINE_EVERY items."""
+    while chunk := list(islice(items, DEADLINE_EVERY)):
+        if time.monotonic() > deadline:
+            raise SearchTimeout("search exceeded its time budget")
+        yield from chunk
+
+
+def _remaining(deadline: float | None) -> float | None:
+    """The seconds left until ``deadline``, as a ``timeout_s``."""
+    return None if deadline is None else deadline - time.monotonic()
+
+
+def _degree_default(g: Graph, order: ImpositionOrder | None) -> ImpositionOrder:
+    """The order an own-premise engine imposes: ``order`` as given, by
+    default ``degree_order(g)``."""
+    return degree_order(g) if order is None else order
 
 
 def _exclusion_run(
@@ -285,10 +302,10 @@ def fibonacci_number(
 ) -> int:
     """Total number of anticliques of g (streaming, rows never stored).
 
-    Runs the own-premise rule in ``degree_order(g, order)``; raises
-    SearchTimeout after ``timeout_s``.
+    Runs the own-premise rule in ``order``, by default ``degree_order(g)``;
+    raises SearchTimeout after ``timeout_s``.
     """
-    rows, _stats = run_standard(g, degree_order(g, order), rule="own-premise",
+    rows, _stats = run_standard(g, _degree_default(g, order), rule="own-premise",
                                 timeout_s=timeout_s)
     return sum(row.member_count() for row in rows)
 
@@ -298,10 +315,10 @@ def independence_polynomial(
 ) -> Polynomial:
     """Coefficient k counts the k-element anticliques; degree is alpha(g).
 
-    Runs the own-premise rule in ``degree_order(g, order)``; raises
-    SearchTimeout after ``timeout_s``.
+    Runs the own-premise rule in ``order``, by default ``degree_order(g)``;
+    raises SearchTimeout after ``timeout_s``.
     """
-    rows, _stats = run_standard(g, degree_order(g, order), rule="own-premise",
+    rows, _stats = run_standard(g, _degree_default(g, order), rule="own-premise",
                                 timeout_s=timeout_s)
     return rows_polynomial(rows)
 
@@ -312,22 +329,35 @@ def rows_polynomial(rows: Iterable[Row]) -> Polynomial:
     return spectrum_of_shapes(Counter(row.shape() for row in rows))
 
 
+def expand_rows(
+    rows: Iterable[Row], min_size: int = 0, deadline: float | None = None
+) -> Iterator[frozenset[int]]:
+    """The members of size >= min_size of each row in turn.
+
+    Past ``deadline`` (absolute, on time.monotonic()) SearchTimeout is
+    raised; it is checked every DEADLINE_EVERY members, so a single row with
+    a huge number of members cannot outrun it.
+    """
+    members = (X for row in rows for X in row.expand(min_size))
+    return members if deadline is None else _until(members, deadline)
+
+
 def enumerate_anticliques(
     g: Graph,
     min_size: int = 0,
     order: ImpositionOrder | None = None,
     *,
-    rule: str = "own-premise",
     timeout_s: float | None = None,
 ) -> Iterator[frozenset[int]]:
     """Yield every anticlique of size >= min_size exactly once.
 
-    Runs ``rule`` in ``rule_order(g, rule, order)``; raises SearchTimeout
-    after ``timeout_s``.  Finalized rows are disjoint, so no deduplication is
+    Runs the own-premise rule in ``order``, by default ``degree_order(g)``;
+    one budget of ``timeout_s`` covers the run and the listing
+    (SearchTimeout).  Finalized rows are disjoint, so no deduplication is
     needed; the order is deterministic given the imposition order and the
     row expansion order.
     """
-    rows, _stats = run_standard(g, rule_order(g, rule, order), rule=rule,
-                                timeout_s=timeout_s)
-    for row in rows:
-        yield from row.expand(min_size)
+    deadline = _deadline(timeout_s)
+    rows, _stats = run_standard(g, _degree_default(g, order), rule="own-premise",
+                                timeout_s=_remaining(deadline))
+    yield from expand_rows(rows, min_size, deadline)

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Iterable
 
-from .enumerator import ImpositionOrder, SearchStats, _deadline, rule_order, run_standard
+from .enumerator import (
+    ImpositionOrder,
+    SearchStats,
+    _deadline,
+    _degree_default,
+    _remaining,
+    _until,
+    run_standard,
+)
 from .errors import GuardExceeded, SearchTimeout
 from .graph import Graph
 from .rows import Row
@@ -114,11 +122,7 @@ class MaximalFamily:
 
 
 def maximal_family(
-    g: Graph,
-    order: ImpositionOrder | None = None,
-    *,
-    rule: str = "own-premise",
-    timeout_s: float | None = None,
+    g: Graph, order: ImpositionOrder | None = None, *, timeout_s: float | None = None
 ) -> MaximalFamily:
     """All inclusion-maximal anticliques of g, sorted lexicographically.
 
@@ -126,19 +130,24 @@ def maximal_family(
     every such member is an anticlique, so a member is kept exactly when its
     closed neighbourhood X | N(X) is all of V (Tsukiyama et al., 1977).  Each
     candidate is judged on its own.  Most are not maximal on denser graphs:
-    3,093 of 4,754 on ``random_graph(40, 0.3, 3)`` (9,450 of 11,111 under
-    ``rule="paper"``).  The run is ``rule`` in ``rule_order(g, rule, order)``;
-    it raises SearchTimeout after ``timeout_s``.
+    3,093 of 4,754 on ``random_graph(40, 0.3, 3)``.  The run is the
+    own-premise rule in ``order``, by default ``degree_order(g)``.  One
+    budget of ``timeout_s`` covers it and the candidates (SearchTimeout),
+    checked every DEADLINE_EVERY candidates; a row's 2^s candidates are
+    built whole.
     """
-    rows, stats = run_standard(g, rule_order(g, rule, order), rule=rule,
-                               timeout_s=timeout_s)
+    deadline = _deadline(timeout_s)
+    rows, stats = run_standard(g, _degree_default(g, order), rule="own-premise",
+                               timeout_s=_remaining(deadline))
+    members = (X for row in rows for X in row_maximal_members(row))
+    if deadline is not None:
+        members = _until(members, deadline)
     candidates = 0
     sets = []
-    for row in rows:
-        for X in row_maximal_members(row):
-            candidates += 1
-            if _dominates(g, X):
-                sets.append(X)
+    for X in members:
+        candidates += 1
+        if _dominates(g, X):
+            sets.append(X)
     sets.sort(key=sorted)
     return MaximalFamily(sets, candidates, candidates - len(sets), 0, stats)
 
@@ -171,17 +180,12 @@ def chromatic_number(
 
 
 def chromatic_with_stats(
-    g: Graph,
-    *,
-    max_v: int | None = None,
-    rule: str = "own-premise",
-    timeout_s: float | None = None,
+    g: Graph, *, max_v: int | None = None, timeout_s: float | None = None
 ) -> tuple[int, list[frozenset[int]], SearchStats]:
     """chromatic_number plus the counters of the candidate-collection run.
 
-    ``rule`` picks ``maximal_family``'s run; its candidates are the same
-    sorted sets under either rule.  One deadline, ``timeout_s`` from this
-    call, covers that run and the cover search (SearchTimeout).
+    One budget, ``timeout_s`` from this call, covers ``maximal_family``'s
+    run and the cover search (SearchTimeout).
     """
     guard = max_v if max_v is not None else int(
         os.environ.get(CHROMATIC_GUARD_ENV, DEFAULT_CHROMATIC_MAX_V)
@@ -192,7 +196,7 @@ def chromatic_with_stats(
             f"raise {CHROMATIC_GUARD_ENV} to override"
         )
     deadline = _deadline(timeout_s)
-    family = maximal_family(g, rule=rule, timeout_s=timeout_s)
+    family = maximal_family(g, timeout_s=_remaining(deadline))
     candidates = family.sets
     covering: dict[int, list[int]] = {y: [] for y in range(1, g.v + 1)}
     for i, X in enumerate(candidates):

@@ -27,6 +27,7 @@ from .enumerator import (
     _exclusion_run,
     _resolve_order,
     cover_order,
+    expand_rows,
     full_order,
 )
 from .errors import ConfigurationError
@@ -76,7 +77,9 @@ def threshold_search(
 
     ``bound`` is ``"clique"`` or the paper's ``"w_max"``; ``rule`` is the
     imposition rule (see enumerator.py), and ``order`` is imposed as given.
-    The CLI runs ``rule="own-premise"`` in ``degree_order(g)``.
+    The defaults are the run that ``threshold_alpha`` probes with and
+    ``maximum_sets`` repeats; the CLI's ``threshold`` passes
+    ``rule="own-premise"`` and ``degree_order(g)``.
 
     mode="all": returns (finalized rows, stats); the members of size > k of
     those rows are exactly the anticliques of size > k.  mode="first": stops
@@ -188,13 +191,12 @@ def maximum_sets(
     seq = _resolve_order(g, opts.order).order
     bound, _extract = _objective(g, opts.bound, wt)
     stats = SearchStats()
-    rows = _exclusion_run(
-        g, seq, stats, Prune(bound, res.alpha - 1), trace, _deadline(timeout_s)
-    )
+    deadline = _deadline(timeout_s)
+    rows = _exclusion_run(g, seq, stats, Prune(bound, res.alpha - 1), trace, deadline)
     if wt is None:
-        sets = [X for row in rows for X in row.expand(res.alpha)]
+        sets = list(expand_rows(rows, res.alpha, deadline))
     else:
-        sets = [X for row in rows for X in row.expand()
+        sets = [X for X in expand_rows(rows, 0, deadline)
                 if sum(wt[p] for p in X) == res.alpha]
     sets.sort(key=sorted)
     return sets, stats

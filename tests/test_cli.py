@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -141,20 +143,18 @@ class TestRuleAndTimeout:
         capsys.readouterr()
 
 
-# sha256 of each command's --json record without wall_ms (keys sorted), as
-# the paper's run in vertex order printed it before these commands moved to
-# the own-premise rule in degree order
-PAPER_PAYLOADS = {
+# sha256 of each command's --json record without wall_ms, stats and sieve
+# (keys sorted), as the paper's run in vertex order printed it before these
+# commands moved to the own-premise rule in degree order
+PARENT_ANSWERS = {
     "enum --gen 20,0.2,1 --min-size 3":
-        "c27307c92d527b7e3566380c3debd937f67106ee4419dbb0e8eaf8c007b52b1c",
+        "fe190a21e366ca306254d56c6105717a199b8bf5b6292cf2bc0febfeca1da256",
     "threshold --gen 30,0.25,1 --k 6":
-        "5770ded5ae63ef4770cbae8a19b204c16e90b392195f3c6551c35e7933b88e96",
-    "threshold --gen 30,0.25,1 --k 7 --first":
-        "ec2de819e8d5e1f3d5de8f42a4c0fd19565f0c0b9f41f5e50f17ca9cd309fadd",
+        "dc855366ff71d4058f0c2c82b27c05c5d281c36ccecde1db41c78849eec8503d",
     "maximal --gen 24,0.3,1":
-        "e53547f6ebab8e0a7537aaa3e3dbaba77d1f65ee34876877a84fe1bb42b33292",
+        "3341dcf1473479591a7a9468604824c256aa2cd03e6aba91999bd5c8e34cd44f",
     "chromatic --gen 14,0.5,1":
-        "7773014d5b81d9983e6743d36fb3f6e97e89203df5d189498747a43c952efcf2",
+        "c81157c190134dd1e6877001a4c94ca4db96d9c8033a99f96434c3fa0a749ad3",
 }
 
 
@@ -166,21 +166,17 @@ def _record(capsys, argv: str) -> dict:
     return record
 
 
-class TestListingRules:
-    @pytest.mark.parametrize("argv", sorted(PAPER_PAYLOADS))
-    def test_paper_rule_keeps_the_paper_payload(self, capsys, argv):
-        record = _record(capsys, argv + " --rule paper")
-        digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
-        assert digest == PAPER_PAYLOADS[argv]
+class TestListingRun:
+    """enum, threshold, maximal and chromatic run the own-premise rule in
+    degree order; their answers are the paper's run's."""
 
-    @pytest.mark.parametrize("argv", [a for a in sorted(PAPER_PAYLOADS) if "--first" not in a])
-    def test_default_rule_gives_the_same_answer(self, capsys, argv):
-        paper, own = _record(capsys, argv + " --rule paper"), _record(capsys, argv)
-        paper_stats, own_stats = paper.pop("stats"), own.pop("stats")
-        paper.pop("sieve", None)
-        own.pop("sieve", None)
-        assert own == paper
-        assert own_stats["finalized"] < paper_stats["finalized"]
+    @pytest.mark.parametrize("argv", sorted(PARENT_ANSWERS))
+    def test_answers_are_unchanged(self, capsys, argv):
+        record = _record(capsys, argv)
+        del record["stats"]
+        record.pop("sieve", None)
+        digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+        assert digest == PARENT_ANSWERS[argv]
 
     @pytest.mark.parametrize("argv, stats", [
         ("enum --gen 20,0.2,1 --min-size 3", (24, 275, 4, 25, 0)),
@@ -188,17 +184,36 @@ class TestListingRules:
         ("maximal --gen 24,0.3,1", (101, 832, 5, 102, 0)),
         ("chromatic --gen 14,0.5,1", (17, 107, 3, 18, 0)),
     ])
-    def test_default_rule_counters(self, capsys, argv, stats):
+    def test_counters(self, capsys, argv, stats):
         fields = ("rsp", "trivial_changes", "peak_stack", "finalized", "deleted")
         assert _record(capsys, argv)["stats"] == dict(zip(fields, stats))
 
-    @pytest.mark.parametrize("rule", ["paper", "own-premise"])
-    def test_first_hit_exceeds_k(self, capsys, rule):
+    def test_enum_and_threshold_run_the_library(self, capsys):
         g = random_graph(30, 0.25, 1)
-        found = set(_record(capsys, f"threshold --gen 30,0.25,1 --k 7 --first --rule {rule}")
-                    ["found"])
+        rows, stats = run_standard(g, degree_order(g), rule="own-premise")
+        rows = list(rows)
+        enum = _record(capsys, "enum --gen 30,0.25,1 --min-size 7")
+        assert enum["stats"] == stats.as_dict()
+        assert enum["anticliques"] == sorted(sorted(X) for row in rows for X in row.expand(7))
+        _rows, stats = threshold_search(g, 6, "all", order=degree_order(g),
+                                        rule="own-premise")
+        threshold = _record(capsys, "threshold --gen 30,0.25,1 --k 6")
+        assert threshold["stats"] == stats.as_dict()
+        assert threshold["anticliques"] == enum["anticliques"]
+
+    def test_first_hit_exceeds_k(self, capsys):
+        g = random_graph(30, 0.25, 1)
+        found = set(_record(capsys, "threshold --gen 30,0.25,1 --k 7 --first")["found"])
         assert len(found) > 7
         assert not any(g.adjacency[y] & found for y in found)
+
+
+def _matching_file(tmp_path):
+    """A perfect matching on 40 vertices, edges (1,2), (3,4), ..."""
+    path = tmp_path / "matching.col"
+    path.write_text("p edge 40 20\n" + "".join(f"e {2 * i + 1} {2 * i + 2}\n"
+                                                for i in range(20)))
+    return path
 
 
 class TestListingTimeout:
@@ -206,6 +221,14 @@ class TestListingTimeout:
 
     @pytest.mark.parametrize("argv", [
         "enum --gen 60,0.1,3 --min-size 40",          # 5 s run, nothing listed
+        # a perfect matching: one row with 20 groups and 3**20 members
+        "enum --graph MATCHING",
+        "enum --graph MATCHING --min-size 20",        # 2**20 members
+        "threshold --graph MATCHING --k 1",
+        # imposing the odd vertices only: one row whose 2**20 maximum sets
+        # are listed by the second phase
+        "alpha --graph MATCHING --bipartite --all",
+        "alpha --graph MATCHING --bipartite --all --weights WEIGHTS",   # all 3**20 members
         "threshold --gen 100,0.05,1 --k 43",          # about 3 s
         "threshold --gen 100,0.05,1 --k 44 --first",  # about 0.7 s
         "maximal --gen 60,0.1,3",
@@ -213,7 +236,12 @@ class TestListingTimeout:
         # its candidates take 0.02 s; the cover search runs past 60 s
         "chromatic --gen 30,0.3,1",
     ])
-    def test_exits_4_quickly(self, capsys, argv):
+    def test_exits_4_quickly(self, capsys, tmp_path, argv):
+        argv = argv.replace("MATCHING", str(_matching_file(tmp_path)))
+        if "WEIGHTS" in argv:
+            weights = tmp_path / "weights.txt"
+            weights.write_text("1 2\n")
+            argv = argv.replace("WEIGHTS", str(weights))
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv.split(), "--timeout", "0.2")
         assert code == 4
@@ -222,14 +250,11 @@ class TestListingTimeout:
         assert err.startswith("timeout: ") and err.count("\n") == 1
 
     def test_alpha_all_shares_the_budget(self, capsys, tmp_path):
-        # a perfect matching on 40 vertices: alpha = 20 comes at once, and
-        # its 2**20 maximum sets make the second phase the long one
-        path = tmp_path / "matching.col"
-        path.write_text("p edge 40 20\n" + "".join(f"e {2 * i + 1} {2 * i + 2}\n"
-                                                    for i in range(20)))
+        # alpha = 20 comes at once, and the 2**20 maximum sets make the
+        # second phase the long one
         start = time.perf_counter()
-        code, _, err = run_cli(capsys, "alpha", "--graph", str(path), "--all",
-                               "--timeout", "0.2")
+        code, _, err = run_cli(capsys, "alpha", "--graph", str(_matching_file(tmp_path)),
+                               "--all", "--timeout", "0.2")
         assert code == 4
         assert time.perf_counter() - start < 2.0
         assert err.startswith("timeout: ")
@@ -242,18 +267,43 @@ class TestListingTimeout:
         assert plain == budgeted
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """No limit on int <-> str conversion inside the block."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int <-> str conversion")
 class TestBigAnswers:
     def test_count_beyond_4300_digits(self, capsys, tmp_path):
         path = tmp_path / "wide.col"
         path.write_text("p edge 15000 1\ne 1 2\n")
+        limit = sys.get_int_max_str_digits()
         code, out, _ = run_cli(capsys, "count", "--graph", str(path))
         assert code == 0
-        # main lifts the interpreter's limit on int <-> str conversion, so
-        # comparing the texts needs no limit of its own
-        assert out.strip() == str(3 * 2**14998)
-        code, out, _ = run_cli(capsys, "count", "--graph", str(path), "--json")
+        code, out_json, _ = run_cli(capsys, "count", "--graph", str(path), "--json")
         assert code == 0
-        assert json.loads(out)["f"] == 3 * 2**14998
+        # main lifts the limit only while it prints
+        assert sys.get_int_max_str_digits() == limit
+        with _all_digits():
+            assert out.strip() == str(3 * 2**14998)
+            assert json.loads(out_json)["f"] == 3 * 2**14998
+
+    def test_overlong_header_number_is_input_error(self, capsys, tmp_path):
+        # input is parsed under the limit, so a vertex count of more digits
+        # than it allows is refused before anything is allocated
+        path = tmp_path / "huge.col"
+        path.write_text(f"p edge 1{'0' * sys.get_int_max_str_digits()} 1\ne 1 2\n")
+        code, out, err = run_cli(capsys, "count", "--graph", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestEnum:
@@ -378,50 +428,30 @@ class TestMaximalChromaticOracle:
         _, out, _ = run_cli(capsys, "maximal", "--graph", str(g5_file), "--json")
         payload = json.loads(out)
         assert payload["maximal"] == [[1, 3], [2, 3, 5], [4]]
+        # the paper's rows give 6 (test_maximal.py)
         assert payload["sieve"]["candidates"] == 3
 
-    def test_maximal_paper_rule(self, capsys, g5_file):
-        _, out, _ = run_cli(capsys, "maximal", "--graph", str(g5_file), "--json",
-                            "--rule", "paper")
-        payload = json.loads(out)
-        assert payload["maximal"] == [[1, 3], [2, 3, 5], [4]]
-        assert payload["sieve"]["candidates"] == 6
-
-    def _pinned_payload(self, capsys, *rule):
-        _, out, _ = run_cli(capsys, "maximal", "--gen", "40,0.3,3", "--json", *rule)
+    def test_maximal_pinned_payload(self, capsys):
+        # the sets of the contain-index sieve that maximal_family used to
+        # run; its counters on the paper's rows, 11111 candidates and 9450
+        # dominated, are pinned in test_maximal.py
+        _, out, _ = run_cli(capsys, "maximal", "--gen", "40,0.3,3", "--json")
         payload = json.loads(out)
         assert payload["count"] == len(payload["maximal"]) == 1661
         digest = hashlib.sha256(json.dumps(payload["maximal"]).encode()).hexdigest()
         assert digest == "9c50c3941bf1f1a256018e479cb3662884dbd52f19a58ae6102e2135c1e0a3c4"
         assert payload["maximal"][0] == [1, 3, 5, 6, 9, 22]
-        return payload["sieve"]
+        assert payload["sieve"] == {"candidates": 4754, "dominated": 3093, "removed": 0}
 
-    def test_maximal_pinned_payload(self, capsys):
-        sieve = self._pinned_payload(capsys)
-        assert sieve == {"candidates": 4754, "dominated": 3093, "removed": 0}
-
-    def test_maximal_pinned_payload_paper_rule(self, capsys):
-        # values of the contain-index sieve that maximal_family used to run
-        sieve = self._pinned_payload(capsys, "--rule", "paper")
-        assert sieve == {"candidates": 11111, "dominated": 9450, "removed": 0}
-
-    def _chromatic_stats(self, capsys, g5_file, *rule):
-        _, out, _ = run_cli(capsys, "chromatic", "--graph", str(g5_file), "--json", *rule)
+    def test_chromatic(self, capsys, g5, g5_file):
+        _, out, _ = run_cli(capsys, "chromatic", "--graph", str(g5_file), "--json")
         payload = json.loads(out)
         assert payload["chi"] == 3
         assert len(payload["cover"]) == 3
-        return payload["stats"]
-
-    def test_chromatic(self, capsys, g5, g5_file):
         # the stats are those of the standard run that lists the candidates
         rows, stats = run_standard(g5, degree_order(g5), rule="own-premise")
         list(rows)
-        assert self._chromatic_stats(capsys, g5_file) == stats.as_dict()
-
-    def test_chromatic_paper_rule(self, capsys, g5, g5_file):
-        rows, stats = run_standard(g5)
-        list(rows)
-        assert self._chromatic_stats(capsys, g5_file, "--rule", "paper") == stats.as_dict()
+        assert payload["stats"] == stats.as_dict()
 
     def test_oracle(self, capsys, g5_file):
         _, out, _ = run_cli(capsys, "oracle", "--graph", str(g5_file), "--json")

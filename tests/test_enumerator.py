@@ -1,4 +1,5 @@
 import random
+import time
 import warnings
 from collections import Counter
 
@@ -22,6 +23,7 @@ from anticlique import (
     run_standard,
     Polynomial,
 )
+from anticlique.enumerator import expand_rows
 from anticlique.errors import SearchTimeout, StackBoundWarning
 from conftest import (
     all_anticliques,
@@ -29,6 +31,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    graph_from_edges,
     independence_poly_bitmask,
     induced_subgraph,
     mask_to_set,
@@ -301,6 +304,25 @@ class TestTimeout:
         for run in runs:
             with pytest.raises(SearchTimeout):
                 run()
+
+    def test_one_huge_row_is_listed_under_the_budget(self):
+        # a perfect matching on 40 vertices finalizes a single row with 20
+        # groups: 3**20 members, or 2**20 of size 20
+        g = graph_from_edges(40, [(2 * i + 1, 2 * i + 2) for i in range(20)])
+        rows, _stats = run_standard(g, rule="own-premise")
+        (row,) = rows
+        for run in (lambda: sum(1 for _ in enumerate_anticliques(g, timeout_s=0.05)),
+                    lambda: sum(1 for _ in enumerate_anticliques(g, 20, timeout_s=0.05)),
+                    lambda: sum(1 for _ in expand_rows([row], 0, time.monotonic() + 0.05))):
+            start = time.perf_counter()
+            with pytest.raises(SearchTimeout):
+                run()
+            assert time.perf_counter() - start < 1.0
+
+    def test_expand_rows_with_a_deadline_lists_the_same(self, g5):
+        rows = list(run_standard(g5)[0])
+        assert (list(expand_rows(rows, 1, time.monotonic() + 60))
+                == list(expand_rows(rows, 1)) == [X for r in rows for X in r.expand(1)])
 
     def test_ample_budget_changes_nothing(self, g5):
         assert fibonacci_number(g5, timeout_s=60) == 11

@@ -1,9 +1,10 @@
-"""The row-expanding engines under both imposition rules, against the oracle.
+"""The row-expanding engines against the oracle, in full and partial cover orders.
 
-``enumerate_anticliques``, ``threshold_search(..., "all")``, ``maximal_family``
-and ``chromatic_with_stats`` run the own-premise rule in degree order by
-default and the paper's rule in the order given with ``rule="paper"``; either
-way, in a full or a partial cover order, they list exactly the oracle's sets.
+``enumerate_anticliques``, ``maximal_family`` and ``chromatic_with_stats``
+run the own-premise rule, imposing a given order as given and
+``degree_order(g)`` by default; ``threshold_search`` runs either rule.  The
+paper's rows, from ``run_standard(g, order)``, are checked alongside: either
+way the engines list exactly the oracle's sets.
 """
 
 import random
@@ -11,9 +12,9 @@ import random
 import pytest
 
 from anticlique import (
-    ConfigurationError,
     ContainIndex,
     ImpositionOrder,
+    degree_order,
     enumerate_anticliques,
     full_order,
     maximal_family,
@@ -23,7 +24,6 @@ from anticlique import (
     run_standard,
     threshold_search,
 )
-from anticlique.enumerator import rule_order
 from anticlique.maximal import chromatic_with_stats
 from conftest import anticlique_masks, mask_to_set
 
@@ -38,7 +38,8 @@ def _sorted(sets):
 
 
 def _orders(g, seed):
-    """The full vertex order and a random vertex cover in random order."""
+    """No order (the engines' default), the full vertex order and a random
+    vertex cover in random order."""
     rng = random.Random(seed)
     seq = list(range(1, g.v + 1))
     rng.shuffle(seq)
@@ -48,7 +49,12 @@ def _orders(g, seed):
             cover.discard(y)
     partial = [y for y in seq if y in cover]
     rng.shuffle(partial)
-    return {"full": full_order(g.v), "cover": ImpositionOrder(tuple(partial))}
+    return {"default": None, "full": full_order(g.v), "cover": ImpositionOrder(tuple(partial))}
+
+
+def _own_premise_rows(g, order):
+    """The rows the own-premise engines expand for ``order``."""
+    return run_standard(g, degree_order(g) if order is None else order, rule="own-premise")
 
 
 @pytest.mark.filterwarnings("ignore::anticlique.errors.StackBoundWarning")
@@ -60,13 +66,16 @@ class TestAgainstTheOracle:
         alpha = max(map(len, truth))
         f = oracle_report(g).f
         for name, order in _orders(g, seed).items():
-            for rule in RULES:
-                for m in sorted({0, 1, max(alpha - 1, 0), alpha, alpha + 1}):
-                    listed = list(enumerate_anticliques(g, m, order, rule=rule))
-                    assert len(set(listed)) == len(listed), (name, rule, m)
-                    assert _sorted(listed) == _sorted(X for X in truth if len(X) >= m)
-                    if m == 0:
-                        assert len(listed) == f
+            for m in sorted({0, 1, max(alpha - 1, 0), alpha, alpha + 1}):
+                expected = _sorted(X for X in truth if len(X) >= m)
+                listed = list(enumerate_anticliques(g, m, order))
+                assert len(set(listed)) == len(listed), (name, m)
+                assert _sorted(listed) == expected
+                if m == 0:
+                    assert len(listed) == f
+                if order is not None:
+                    paper = [X for row in run_standard(g, order)[0] for X in row.expand(m)]
+                    assert _sorted(paper) == expected
 
     def test_threshold_all(self, v, d, seed):
         g = random_graph(v, d, seed)
@@ -75,8 +84,7 @@ class TestAgainstTheOracle:
         for order in _orders(g, seed).values():
             for rule in RULES:
                 for k in range(max(rep.alpha - 2, 0), rep.alpha + 1):
-                    rows, _stats = threshold_search(
-                        g, k, "all", order=rule_order(g, rule, order), rule=rule)
+                    rows, _stats = threshold_search(g, k, "all", order=order, rule=rule)
                     listed = [X for row in rows for X in row.expand(k + 1)]
                     assert len(set(listed)) == len(listed)
                     assert _sorted(listed) == _sorted(X for X in truth if len(X) > k)
@@ -84,61 +92,58 @@ class TestAgainstTheOracle:
                         assert _sorted(listed) == _sorted(rep.maximum_sets)
 
     def test_maximal_family(self, v, d, seed):
-        """Also the two facts maximal.py relies on: no row-wise maximal member
-        repeats (chromatic_with_stats does not deduplicate), and no candidate
+        """Also the two facts maximal.py relies on, in the paper's rows as in
+        the own-premise ones: no row-wise maximal member repeats
+        (chromatic_with_stats does not deduplicate), and no candidate
         contains an earlier one (``MaximalFamily.removed`` is always 0)."""
         g = random_graph(v, d, seed)
         expected = _sorted(oracle_report(g).maximal_sets)
         for order in _orders(g, seed).values():
-            for rule in RULES:
-                fam = maximal_family(g, order, rule=rule)
-                assert fam.sets == expected
-                rows, _stats = run_standard(g, rule_order(g, rule, order), rule=rule)
+            fam = maximal_family(g, order)
+            assert fam.sets == expected
+            runs = [_own_premise_rows(g, order)]
+            if order is not None:
+                runs.append(run_standard(g, order))
+            for run_index, (rows, _stats) in enumerate(runs):
                 members = [X for row in rows for X in row_maximal_members(row)]
-                assert len(set(members)) == len(members) == fam.candidates
+                assert len(set(members)) == len(members)
                 index = ContainIndex(v)
                 for X in members:
                     index.add(X)
-                assert index.removed == fam.removed == 0
-                assert index.dominated == fam.dominated
+                assert _sorted(index.sets()) == expected
+                assert index.removed == 0
+                if run_index == 0:
+                    assert fam.candidates == len(members)
+                    assert fam.dominated == index.dominated
+                    assert fam.removed == 0
 
     def test_chromatic(self, v, d, seed):
         g = random_graph(v, d, seed)
-        chi = oracle_report(g).chi
-        covers = []
-        for rule in RULES:
-            n, cover, _stats = chromatic_with_stats(g, rule=rule)
-            assert n == len(cover) == chi
-            assert frozenset().union(*cover) == frozenset(range(1, v + 1))
-            covers.append(cover)
-        # the candidates are the same sorted sets under either rule
-        assert covers[0] == covers[1]
+        n, cover, _stats = chromatic_with_stats(g)
+        assert n == len(cover) == oracle_report(g).chi
+        assert frozenset().union(*cover) == frozenset(range(1, v + 1))
 
 
 class TestTheRunBehind:
-    """Each engine expands the rows of ``rule`` in ``rule_order``."""
+    """Each engine expands the own-premise rows of the order it is given,
+    imposed as given, and of ``degree_order(g)`` by default."""
 
-    @pytest.mark.parametrize("rule", RULES)
-    def test_enumerate_follows_the_rows(self, rule):
+    def test_enumerate_follows_the_rows(self):
         g = random_graph(14, 0.3, 7)
         for order in _orders(g, 7).values():
-            rows, _stats = run_standard(g, rule_order(g, rule, order), rule=rule)
+            rows, _stats = _own_premise_rows(g, order)
             expected = [X for row in rows for X in row.expand(2)]
-            assert list(enumerate_anticliques(g, 2, order, rule=rule)) == expected
+            assert list(enumerate_anticliques(g, 2, order)) == expected
 
-    @pytest.mark.parametrize("rule", RULES)
-    def test_maximal_family_stats(self, rule):
+    def test_maximal_family_stats(self):
         g = random_graph(14, 0.3, 7)
+        finalized = set()
         for order in _orders(g, 7).values():
-            rows, stats = run_standard(g, rule_order(g, rule, order), rule=rule)
+            rows, stats = _own_premise_rows(g, order)
             list(rows)
-            assert maximal_family(g, order, rule=rule).stats == stats
-            if order == full_order(g.v):
-                assert chromatic_with_stats(g, rule=rule)[2] == stats
-
-    def test_unknown_rule_is_rejected(self, g5):
-        for run in (lambda: threshold_search(g5, 1, rule="greedy"),
-                    lambda: maximal_family(g5, rule="greedy"),
-                    lambda: list(enumerate_anticliques(g5, rule="greedy"))):
-            with pytest.raises(ConfigurationError, match="rule"):
-                run()
+            assert maximal_family(g, order).stats == stats
+            finalized.add(stats.finalized)
+            if order is None:
+                assert chromatic_with_stats(g)[2] == stats
+        # the orders are imposed as given: the three runs differ
+        assert len(finalized) == 3

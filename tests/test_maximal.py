@@ -22,12 +22,13 @@ from anticlique import (
     run_standard,
     sieve_maximal,
 )
-from anticlique.enumerator import rule_order
+from anticlique.errors import SearchTimeout
 from conftest import (
     EXAMPLE_ROW_13,
     complete_graph,
     cycle_graph,
     empty_graph,
+    graph_from_edges,
     is_anticlique,
     path_graph,
     random_row,
@@ -133,18 +134,37 @@ class TestMaximalAnticliques:
         assert fam.dominated == fam.candidates - len(fam.sets)
         assert fam.removed == 0
 
-    def test_family_counters_paper_rule(self, g5):
-        fam = maximal_family(g5, rule="paper")
-        assert fam.candidates == 6  # five rows, one carrying a group
-        assert len(fam.sets) == 3
-        assert fam.dominated == fam.candidates - len(fam.sets)
-        assert fam.removed == 0
+    def test_paper_rows_candidates(self, g5):
+        rows, _stats = run_standard(g5)
+        members = [X for row in rows for X in row_maximal_members(row)]
+        assert len(members) == 6  # five rows, one carrying a group
+        assert len(sieve_maximal(members, 5)) == 3
+
+    def test_paper_rows_pinned(self):
+        # the counters maximal_family had on the paper's rows in vertex order
+        g = random_graph(40, 0.3, 3)
+        rows, _stats = run_standard(g)
+        members = [X for row in rows for X in row_maximal_members(row)]
+        assert len(members) == 11111
+        index = ContainIndex(g.v)
+        for X in members:
+            index.add(X)
+        assert (index.dominated, index.removed) == (9450, 0)
+        assert _as_sorted(index.sets()) == _as_sorted(maximal_family(g).sets)
+
+    def test_candidates_are_checked_against_the_budget(self):
+        # a perfect matching on 32 vertices finalizes one row with 16 groups:
+        # the run takes a millisecond, judging its 2**16 candidates far longer
+        g = graph_from_edges(32, [(2 * i + 1, 2 * i + 2) for i in range(16)])
+        with pytest.raises(SearchTimeout):
+            maximal_family(g, timeout_s=0.02)
 
     def test_closed_neighbourhood_matches_sieve_and_oracle(self):
         """The neighbourhood test keeps exactly what the contain-index sieve
-        keeps, in the same counts, under the full and a greedy cover order and
-        under both rules.  No row-wise maximal member repeats, which
-        chromatic_with_stats relies on instead of deduplicating."""
+        keeps, in the same counts, under the full and a greedy cover order,
+        in the own-premise rows that maximal_family runs and in the paper's.
+        No row-wise maximal member repeats, which chromatic_with_stats relies
+        on instead of deduplicating."""
         checked = 0
         for v in range(4, 19, 2):
             for d in (0.15, 0.3, 0.5, 0.8):
@@ -157,18 +177,21 @@ class TestMaximalAnticliques:
                 for order, rule in itertools.product(
                     (full_order(v), cover_order(g, cover)), ("own-premise", "paper")
                 ):
-                    rows, _stats = run_standard(g, rule_order(g, rule, order), rule=rule)
+                    rows, _stats = run_standard(g, order, rule=rule)
                     members = [X for row in rows for X in row_maximal_members(row)]
                     assert len(set(members)) == len(members)
                     index = ContainIndex(v)
                     for X in members:
                         index.add(X)
-                    fam = maximal_family(g, order, rule=rule)
-                    assert _as_sorted(fam.sets) == _as_sorted(index.sets()) == expected
-                    assert fam.sets == sorted(fam.sets, key=sorted)
-                    assert fam.candidates == len(members)
-                    assert fam.dominated == index.dominated == fam.candidates - len(fam.sets)
-                    assert fam.removed == index.removed == 0
+                    assert _as_sorted(index.sets()) == expected
+                    assert index.removed == 0
+                    if rule == "own-premise":
+                        fam = maximal_family(g, order)
+                        assert _as_sorted(fam.sets) == expected
+                        assert fam.sets == sorted(fam.sets, key=sorted)
+                        assert fam.candidates == len(members)
+                        assert fam.dominated == index.dominated == fam.candidates - len(fam.sets)
+                        assert fam.removed == 0
                     checked += 1
         assert checked == 128
 
