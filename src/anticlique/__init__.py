@@ -8,6 +8,7 @@ anti-implication per vertex, instead of visiting sets one by one.
 from .enumerator import (
     ImpositionOrder,
     SearchStats,
+    cover_degree_order,
     cover_order,
     degree_order,
     enumerate_anticliques,
@@ -85,6 +86,7 @@ __all__ = [
     "chromatic_number",
     "chromatic_with_stats",
     "core",
+    "cover_degree_order",
     "cover_order",
     "degree_order",
     "enumerate_anticliques",

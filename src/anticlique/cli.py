@@ -3,9 +3,12 @@
 Machine-readable output with --json emits one JSON object per run, carrying
 the result payload, a graph descriptor, the solver counters and the wall
 time.  ``count``, ``poly``, ``enum``, ``threshold``, ``maximal`` and
-``chromatic`` run the own-premise rule, imposing the vertices by descending
-degree (``count`` and ``poly`` run the paper's rule in vertex order with
-``--rule paper``); ``alpha`` runs the paper's rule in vertex order.
+``chromatic`` run the own-premise rule in ``cover_degree_order``: every
+vertex by descending degree except a greedy maximal anticlique, whose
+vertices are never imposed.  On ``random_graph(60, 0.1, 3)`` ``count``
+finalizes 133,689 rows (179,719 with every vertex imposed).  ``count`` and
+``poly`` run the paper's rule in vertex order with ``--rule paper``;
+``alpha`` runs the paper's rule in vertex order.
 
 Exit codes: 0 success, 2 usage or input error, 3 size-guard refusal,
 4 time budget (--timeout) exceeded.
@@ -29,7 +32,7 @@ from .enumerator import (
     SearchStats,
     _deadline,
     _remaining,
-    degree_order,
+    cover_degree_order,
     expand_rows,
     rows_polynomial,
     run_standard,
@@ -122,9 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def standard(p: argparse.ArgumentParser) -> None:
         p.add_argument("--rule", choices=("own-premise", "paper"), default="own-premise",
-                       help="own-premise (default): the own-premise rule, vertices "
-                            "imposed by descending degree; paper: the paper's run "
-                            "in vertex order")
+                       help="own-premise (default): the own-premise rule, a vertex "
+                            "cover imposed by descending degree (all vertices but a "
+                            "greedy maximal anticlique); paper: the paper's run in "
+                            "vertex order")
         timeout(p)
 
     p = solver("count", "number of anticliques f(G)")
@@ -289,7 +293,7 @@ def _all_digits():
 def _standard_rows(args, g: Graph):
     """count's and poly's run under ``--rule``, with ``--timeout`` and
     ``--trace``."""
-    order = None if args.rule == "paper" else degree_order(g)
+    order = None if args.rule == "paper" else cover_degree_order(g)
     return run_standard(g, order, rule=args.rule, trace=_trace_printer(args),
                         timeout_s=args.timeout)
 
@@ -322,7 +326,7 @@ def _cmd_enum(args) -> int:
     g, desc = _load_graph(args)
     t0 = time.perf_counter()
     deadline = _deadline(args.timeout)
-    rows, stats = run_standard(g, degree_order(g), rule="own-premise",
+    rows, stats = run_standard(g, cover_degree_order(g), rule="own-premise",
                                trace=_trace_printer(args), timeout_s=_remaining(deadline))
     sets = sorted(expand_rows(rows, args.min_size, deadline), key=sorted)
     wall = (time.perf_counter() - t0) * 1000
@@ -381,7 +385,7 @@ def _cmd_threshold(args) -> int:
     trace = _trace_printer(args)
     t0 = time.perf_counter()
     deadline = _deadline(args.timeout)
-    run = dict(order=degree_order(g), rule="own-premise", trace=trace,
+    run = dict(order=cover_degree_order(g), rule="own-premise", trace=trace,
                timeout_s=_remaining(deadline))
     if args.first:
         found, stats = threshold_search(g, args.k, "first", **run)

@@ -20,14 +20,15 @@ from .enumerator import (
     ImpositionOrder,
     SearchStats,
     _deadline,
-    _degree_default,
+    _default_order,
     _remaining,
     _until,
     run_standard,
 )
 from .errors import GuardExceeded, SearchTimeout
-from .graph import Graph
+from .graph import Graph, to_complement
 from .rows import Row
+from .search import max_anticlique
 
 CHROMATIC_GUARD_ENV = "ANTICLIQUE_CHROMATIC_MAX_V"
 DEFAULT_CHROMATIC_MAX_V = 30
@@ -130,14 +131,14 @@ def maximal_family(
     every such member is an anticlique, so a member is kept exactly when its
     closed neighbourhood X | N(X) is all of V (Tsukiyama et al., 1977).  Each
     candidate is judged on its own.  Most are not maximal on denser graphs:
-    3,093 of 4,754 on ``random_graph(40, 0.3, 3)``.  The run is the
-    own-premise rule in ``order``, by default ``degree_order(g)``.  One
+    2,335 of 3,996 on ``random_graph(40, 0.3, 3)``.  The run is the
+    own-premise rule in ``order``, by default ``cover_degree_order(g)``.  One
     budget of ``timeout_s`` covers it and the candidates (SearchTimeout),
     checked every DEADLINE_EVERY candidates; a row's 2^s candidates are
     built whole.
     """
     deadline = _deadline(timeout_s)
-    rows, stats = run_standard(g, _degree_default(g, order), rule="own-premise",
+    rows, stats = run_standard(g, _default_order(g, order), rule="own-premise",
                                timeout_s=_remaining(deadline))
     members = (X for row in rows for X in row_maximal_members(row))
     if deadline is not None:
@@ -163,7 +164,7 @@ def maximal_anticliques(g: Graph, order: ImpositionOrder | None = None) -> list[
 
 
 def chromatic_number(
-    g: Graph, *, max_v: int | None = None
+    g: Graph, *, max_v: int | None = None, timeout_s: float | None = None
 ) -> tuple[int, list[frozenset[int]]]:
     """Exact chromatic number as a minimum cover of V by anticliques.
 
@@ -172,20 +173,24 @@ def chromatic_number(
     minimum cover can be grown to a maximal one, so no other set is needed.
     Branch and bound: branch on the covering sets of the most constrained
     uncovered vertex, largest uncovered-coverage first with lexicographic
-    tie-break, pruned by ceil(uncovered / largest set size).  Desk scale only:
-    refuses above the guard (ANTICLIQUE_CHROMATIC_MAX_V, default 30).
+    tie-break, pruned by the larger of ceil(uncovered / largest set size)
+    and a greedy clique among the uncovered vertices, and stopped once a
+    cover reaches the clique number.  Desk scale only: refuses above the
+    guard (ANTICLIQUE_CHROMATIC_MAX_V, default 30); raises SearchTimeout
+    after ``timeout_s``.
     """
-    chi, cover, _stats = chromatic_with_stats(g, max_v=max_v)
+    chi, cover, _stats = chromatic_with_stats(g, max_v=max_v, timeout_s=timeout_s)
     return chi, cover
 
 
 def chromatic_with_stats(
     g: Graph, *, max_v: int | None = None, timeout_s: float | None = None
 ) -> tuple[int, list[frozenset[int]], SearchStats]:
-    """chromatic_number plus the counters of the candidate-collection run.
+    """chromatic_number plus the counters of the candidate-collection run,
+    ``maximal_family``'s own-premise run in ``cover_degree_order(g)``.
 
     One budget, ``timeout_s`` from this call, covers ``maximal_family``'s
-    run and the cover search (SearchTimeout).
+    run, the clique number's search and the cover search (SearchTimeout).
     """
     guard = max_v if max_v is not None else int(
         os.environ.get(CHROMATIC_GUARD_ENV, DEFAULT_CHROMATIC_MAX_V)
@@ -204,17 +209,22 @@ def chromatic_with_stats(
             covering[y].append(i)
     max_size = max(len(X) for X in candidates)
     universe = frozenset(range(1, g.v + 1))
+    # no cover beats the clique number: once one reaches it, the search ends
+    omega = max_anticlique(to_complement(g), timeout_s=_remaining(deadline)).alpha
     best: list[int] | None = None
 
     def descend(uncovered: frozenset[int], chosen: list[int]) -> None:
         nonlocal best
         if deadline is not None and time.monotonic() > deadline:
             raise SearchTimeout("search exceeded its time budget")
+        if best is not None and len(best) == omega:
+            return
         if not uncovered:
             if best is None or len(chosen) < len(best):
                 best = list(chosen)
             return
-        lower = len(chosen) + ceil(len(uncovered) / max_size)
+        lower = len(chosen) + max(ceil(len(uncovered) / max_size),
+                                  _greedy_clique(g, uncovered))
         if best is not None and lower >= len(best):
             return
         y = min(uncovered, key=lambda u: (len(covering[u]), u))
@@ -230,3 +240,14 @@ def chromatic_with_stats(
     descend(universe, [])
     assert best is not None, "every vertex lies in some maximal anticlique"
     return len(best), [candidates[i] for i in best], family.stats
+
+
+def _greedy_clique(g: Graph, vertices: frozenset[int]) -> int:
+    """The size of a clique inside ``vertices``, grown greedily from the
+    vertices with the most neighbours there: each of its vertices needs a
+    cover set of its own."""
+    clique: set[int] = set()
+    for y in sorted(vertices, key=lambda u: (-len(g.adjacency[u] & vertices), u)):
+        if clique <= g.adjacency[y]:
+            clique.add(y)
+    return len(clique)

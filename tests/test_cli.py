@@ -11,6 +11,7 @@ import pytest
 
 from anticlique import (
     bipartite_options,
+    cover_degree_order,
     degree_order,
     independence_polynomial,
     max_anticlique,
@@ -22,6 +23,7 @@ from anticlique import (
     threshold_search,
 )
 from anticlique.cli import main
+from anticlique.maximal import maximal_family
 from conftest import G5_DIMACS, all_anticliques, random_bipartite
 
 
@@ -91,7 +93,7 @@ class TestPoly:
         assert code == 0
         payload = json.loads(out)
         g = random_graph(40, 0.25, 3)
-        rows, stats = run_standard(g, degree_order(g), rule="own-premise")
+        rows, stats = run_standard(g, cover_degree_order(g), rule="own-premise")
         poly = rows_polynomial(rows)
         assert payload["coefficients"] == list(poly.coeffs)
         assert payload["stats"] == stats.as_dict()
@@ -168,7 +170,7 @@ def _record(capsys, argv: str) -> dict:
 
 class TestListingRun:
     """enum, threshold, maximal and chromatic run the own-premise rule in
-    degree order; their answers are the paper's run's."""
+    ``cover_degree_order``; their answers are the paper's run's."""
 
     @pytest.mark.parametrize("argv", sorted(PARENT_ANSWERS))
     def test_answers_are_unchanged(self, capsys, argv):
@@ -179,23 +181,45 @@ class TestListingRun:
         assert digest == PARENT_ANSWERS[argv]
 
     @pytest.mark.parametrize("argv, stats", [
-        ("enum --gen 20,0.2,1 --min-size 3", (24, 275, 4, 25, 0)),
-        ("threshold --gen 30,0.25,1 --k 6", (313, 2795, 5, 276, 38)),
-        ("maximal --gen 24,0.3,1", (101, 832, 5, 102, 0)),
-        ("chromatic --gen 14,0.5,1", (17, 107, 3, 18, 0)),
+        ("enum --gen 20,0.2,1 --min-size 3", (24, 84, 4, 25, 0)),
+        ("threshold --gen 30,0.25,1 --k 6", (298, 845, 5, 262, 37)),
+        ("maximal --gen 24,0.3,1", (103, 223, 5, 104, 0)),
+        ("chromatic --gen 14,0.5,1", (15, 40, 3, 16, 0)),
     ])
     def test_counters(self, capsys, argv, stats):
         fields = ("rsp", "trivial_changes", "peak_stack", "finalized", "deleted")
         assert _record(capsys, argv)["stats"] == dict(zip(fields, stats))
 
+    @pytest.mark.parametrize("command, stats", [
+        ("enum", (24, 275, 4, 25, 0)),
+        ("threshold", (313, 2795, 5, 276, 38)),
+        ("maximal", (101, 832, 5, 102, 0)),
+        ("chromatic", (17, 107, 3, 18, 0)),
+    ])
+    def test_degree_order_counters(self, command, stats):
+        """test_counters' runs in the full ``degree_order``, which these
+        commands imposed before ``cover_degree_order``."""
+        if command == "enum":
+            g = random_graph(20, 0.2, 1)
+            rows, got = run_standard(g, degree_order(g), rule="own-premise")
+            list(rows)
+        elif command == "threshold":
+            g = random_graph(30, 0.25, 1)
+            _rows, got = threshold_search(g, 6, "all", order=degree_order(g),
+                                          rule="own-premise")
+        else:
+            g = random_graph(*{"maximal": (24, 0.3, 1), "chromatic": (14, 0.5, 1)}[command])
+            got = maximal_family(g, degree_order(g)).stats
+        assert tuple(got.as_dict().values()) == stats
+
     def test_enum_and_threshold_run_the_library(self, capsys):
         g = random_graph(30, 0.25, 1)
-        rows, stats = run_standard(g, degree_order(g), rule="own-premise")
+        rows, stats = run_standard(g, cover_degree_order(g), rule="own-premise")
         rows = list(rows)
         enum = _record(capsys, "enum --gen 30,0.25,1 --min-size 7")
         assert enum["stats"] == stats.as_dict()
         assert enum["anticliques"] == sorted(sorted(X) for row in rows for X in row.expand(7))
-        _rows, stats = threshold_search(g, 6, "all", order=degree_order(g),
+        _rows, stats = threshold_search(g, 6, "all", order=cover_degree_order(g),
                                         rule="own-premise")
         threshold = _record(capsys, "threshold --gen 30,0.25,1 --k 6")
         assert threshold["stats"] == stats.as_dict()
@@ -216,6 +240,22 @@ def _matching_file(tmp_path):
     return path
 
 
+def _mycielski_file(tmp_path):
+    """The Mycielski graph M6: 47 vertices, triangle-free, chromatic number
+    6 (Mycielski, 1955).  Its clique bound stays at 2, so the cover search
+    cannot stop early."""
+    v, edges = 2, [(1, 2)]
+    for _ in range(4):
+        # a copy u + v of each vertex u, joined to u's neighbours, and an apex
+        edges = (edges + [(i, j + v) for i, j in edges] + [(j, i + v) for i, j in edges]
+                 + [(u + v, 2 * v + 1) for u in range(1, v + 1)])
+        v = 2 * v + 1
+    path = tmp_path / "mycielski.col"
+    path.write_text(f"p edge {v} {len(edges)}\n"
+                    + "".join(f"e {i} {j}\n" for i, j in edges))
+    return path
+
+
 class TestListingTimeout:
     """Each command gives up on its budget with exit code 4."""
 
@@ -233,11 +273,14 @@ class TestListingTimeout:
         "threshold --gen 100,0.05,1 --k 44 --first",  # about 0.7 s
         "maximal --gen 60,0.1,3",
         "alpha --gen 100,0.05,1",                     # about 2.4 s
-        # its candidates take 0.02 s; the cover search runs past 60 s
-        "chromatic --gen 30,0.3,1",
+        # its candidates take 0.02 s; the cover search runs past 30 s
+        "chromatic --graph MYCIELSKI",
     ])
-    def test_exits_4_quickly(self, capsys, tmp_path, argv):
+    def test_exits_4_quickly(self, capsys, tmp_path, monkeypatch, argv):
         argv = argv.replace("MATCHING", str(_matching_file(tmp_path)))
+        if "MYCIELSKI" in argv:
+            monkeypatch.setenv("ANTICLIQUE_CHROMATIC_MAX_V", "47")
+            argv = argv.replace("MYCIELSKI", str(_mycielski_file(tmp_path)))
         if "WEIGHTS" in argv:
             weights = tmp_path / "weights.txt"
             weights.write_text("1 2\n")
@@ -441,7 +484,12 @@ class TestMaximalChromaticOracle:
         digest = hashlib.sha256(json.dumps(payload["maximal"]).encode()).hexdigest()
         assert digest == "9c50c3941bf1f1a256018e479cb3662884dbd52f19a58ae6102e2135c1e0a3c4"
         assert payload["maximal"][0] == [1, 3, 5, 6, 9, 22]
-        assert payload["sieve"] == {"candidates": 4754, "dominated": 3093, "removed": 0}
+        assert payload["sieve"] == {"candidates": 3996, "dominated": 2335, "removed": 0}
+        # the full degree order's rows, the default before cover_degree_order
+        g = random_graph(40, 0.3, 3)
+        fam = maximal_family(g, degree_order(g))
+        assert [sorted(X) for X in fam.sets] == payload["maximal"]
+        assert (fam.candidates, fam.dominated, fam.removed) == (4754, 3093, 0)
 
     def test_chromatic(self, capsys, g5, g5_file):
         _, out, _ = run_cli(capsys, "chromatic", "--graph", str(g5_file), "--json")
@@ -449,7 +497,7 @@ class TestMaximalChromaticOracle:
         assert payload["chi"] == 3
         assert len(payload["cover"]) == 3
         # the stats are those of the standard run that lists the candidates
-        rows, stats = run_standard(g5, degree_order(g5), rule="own-premise")
+        rows, stats = run_standard(g5, cover_degree_order(g5), rule="own-premise")
         list(rows)
         assert payload["stats"] == stats.as_dict()
 

@@ -12,8 +12,9 @@ default clique bound, recorded when it became the default: the answers and
 witnesses are the same, only the counters differ.
 
 ``STANDARD_OWN_PREMISE`` pins the standard run under the own-premise rule,
-in vertex order and in ``degree_order`` (the run behind ``count`` and
-``poly``), recorded when that rule was added; f is the paper rule's.
+in vertex order and in ``degree_order`` (recorded when that rule was added),
+and in ``cover_degree_order`` (the run behind ``count`` and ``poly``,
+recorded when it became their order); f is the paper rule's.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ import pytest
 from anticlique import (
     SearchOptions,
     bipartite_options,
+    cover_degree_order,
     degree_order,
     max_anticlique,
     max_weight_anticlique,
@@ -49,9 +51,18 @@ STANDARD_OWN_PREMISE = [
     ((32, 0.3, 4), (1180, 9076, 8, 1181, 0), (716, 5931, 7, 717, 0), 19532),
 ]
 
-# graph at paper scale, rows finalized by count's default run (paper rule:
-# 180,154 and 217,860)
+# stats in cover_degree_order, one per STANDARD_OWN_PREMISE graph
+STANDARD_COVER_DEGREE = [
+    (10, 15, 3, 11, 0),
+    (108, 161, 6, 109, 0),
+    (230, 513, 7, 231, 0),
+    (625, 1770, 7, 626, 0),
+]
+
+# graph at paper scale, rows finalized in degree order (paper rule: 180,154
+# and 217,860) and in cover_degree_order, count's default run
 DEGREE_ORDER_FINALIZED = [((45, 0.08, 11), 2858), ((45, 0.1, 13), 6628)]
+COVER_DEGREE_ORDER_FINALIZED = [((45, 0.08, 11), 2199), ((45, 0.1, 13), 5566)]
 
 # graph, stats, alpha, witness
 CURRENTMAX = [
@@ -157,10 +168,26 @@ def test_standard_run_own_premise(spec, vertex_stats, degree_stats, f):
     assert _stats(got) == degree_stats
 
 
+@pytest.mark.parametrize("case, stats", zip(STANDARD_OWN_PREMISE, STANDARD_COVER_DEGREE))
+def test_standard_run_cover_degree_order(case, stats):
+    spec, _vertex_stats, _degree_stats, f = case
+    g = random_graph(*spec)
+    rows, got = run_standard(g, cover_degree_order(g), rule="own-premise")
+    assert sum(row.member_count() for row in rows) == f
+    assert _stats(got) == stats
+
+
 @pytest.mark.parametrize("spec, finalized", DEGREE_ORDER_FINALIZED)
 def test_degree_order_finalized_at_paper_scale(spec, finalized):
     g = random_graph(*spec)
     rows, got = run_standard(g, degree_order(g), rule="own-premise")
+    assert sum(1 for _row in rows) == got.finalized == finalized
+
+
+@pytest.mark.parametrize("spec, finalized", COVER_DEGREE_ORDER_FINALIZED)
+def test_cover_degree_order_finalized_at_paper_scale(spec, finalized):
+    g = random_graph(*spec)
+    rows, got = run_standard(g, cover_degree_order(g), rule="own-premise")
     assert sum(1 for _row in rows) == got.finalized == finalized
 
 

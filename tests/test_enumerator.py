@@ -1,3 +1,4 @@
+import json
 import random
 import time
 import warnings
@@ -8,11 +9,13 @@ import pytest
 from anticlique import (
     ConfigurationError,
     ImpositionOrder,
+    cover_degree_order,
     cover_order,
     degree_order,
     enumerate_anticliques,
     fibonacci_number,
     full_order,
+    full_row,
     independence_polynomial,
     make_graph,
     maximal_family,
@@ -23,7 +26,8 @@ from anticlique import (
     run_standard,
     Polynomial,
 )
-from anticlique.enumerator import expand_rows
+from anticlique.cli import main
+from anticlique.enumerator import _check_order, expand_rows
 from anticlique.errors import SearchTimeout, StackBoundWarning
 from conftest import (
     all_anticliques,
@@ -254,6 +258,64 @@ class TestDegreeOrder:
             degree_order(g, ImpositionOrder((4,)))
 
 
+class TestCoverDegreeOrder:
+    """``cover_degree_order``: degree order without a greedy maximal
+    anticlique, the own-premise engines' default."""
+
+    def test_worked_example(self, g5):
+        # degree order (4, 1, 2, 5, 3); from its end 3, 5 and 2 are kept
+        assert cover_degree_order(g5).order == (4, 1)
+
+    @pytest.mark.parametrize("v,d,seed", SWEEP)
+    def test_a_cover_left_by_a_maximal_anticlique(self, v, d, seed):
+        g = random_graph(v, d, seed)
+        order = cover_degree_order(g)
+        _check_order(g, order)
+        assert order.order == tuple(y for y in degree_order(g).order if y in order.order)
+        left = set(range(1, v + 1)) - set(order.order)
+        assert not any(g.adjacency[y] & left for y in left)
+        assert all(g.adjacency[y] & left for y in order.order)
+
+    def test_deterministic(self):
+        g = random_graph(30, 0.2, 4)
+        again = make_graph(g.v, list(reversed(g.edges)))
+        assert cover_degree_order(g) == cover_degree_order(g) == cover_degree_order(again)
+
+    def test_edgeless_graph_imposes_nothing(self):
+        g = empty_graph(7)
+        assert cover_degree_order(g).order == ()
+        rows, stats = run_standard(g, cover_degree_order(g), rule="own-premise")
+        (row,) = rows
+        assert row == full_row(7)
+        assert stats.trivial_changes == stats.rsp == 0
+        assert fibonacci_number(g) == 2 ** 7
+
+    def test_complete_graph_leaves_out_one_vertex(self):
+        # equal degrees: the last vertex of the order is the one kept
+        assert cover_degree_order(complete_graph(6)).order == (1, 2, 3, 4, 5)
+        assert fibonacci_number(complete_graph(6)) == 7
+
+
+@pytest.mark.parametrize("v,d,seed", SWEEP)
+def test_cli_default_against_the_oracle(capsys, v, d, seed):
+    """count, poly, enum, threshold and maximal in their default order."""
+
+    def run(*argv):
+        assert main([*argv, "--gen", f"{v},{d},{seed}", "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    g = random_graph(v, d, seed)
+    rep = oracle_report(g)
+    truth = sorted(sorted(mask_to_set(m)) for m in anticlique_masks(g))
+    assert run("count")["f"] == rep.f
+    assert run("poly")["coefficients"] == list(rep.spectrum.coeffs)
+    assert run("enum")["anticliques"] == truth
+    for k in range(max(rep.alpha - 2, 0), rep.alpha + 1):
+        assert run("threshold", "--k", str(k))["anticliques"] == [
+            X for X in truth if len(X) > k]
+    assert run("maximal")["maximal"] == sorted(sorted(X) for X in rep.maximal_sets)
+
+
 def _shuffled_order(g, rng, partial):
     """All of g's vertices, or a random vertex cover of g, in random order."""
     seq = list(range(1, g.v + 1))
@@ -365,6 +427,8 @@ class TestOwnPremiseRule:
                 for by_degree in (False, True):
                     for _row in _own_premise_rows(g, by_degree):
                         pass
+                for _row in run_standard(g, cover_degree_order(g), rule="own-premise")[0]:
+                    pass
         assert paper_over > 0
 
     @pytest.mark.parametrize("spec", [

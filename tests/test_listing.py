@@ -2,7 +2,7 @@
 
 ``enumerate_anticliques``, ``maximal_family`` and ``chromatic_with_stats``
 run the own-premise rule, imposing a given order as given and
-``degree_order(g)`` by default; ``threshold_search`` runs either rule.  The
+``cover_degree_order(g)`` by default; ``threshold_search`` runs either rule.  The
 paper's rows, from ``run_standard(g, order)``, are checked alongside: either
 way the engines list exactly the oracle's sets.
 """
@@ -14,6 +14,7 @@ import pytest
 from anticlique import (
     ContainIndex,
     ImpositionOrder,
+    cover_degree_order,
     degree_order,
     enumerate_anticliques,
     full_order,
@@ -54,7 +55,8 @@ def _orders(g, seed):
 
 def _own_premise_rows(g, order):
     """The rows the own-premise engines expand for ``order``."""
-    return run_standard(g, degree_order(g) if order is None else order, rule="own-premise")
+    return run_standard(g, cover_degree_order(g) if order is None else order,
+                        rule="own-premise")
 
 
 @pytest.mark.filterwarnings("ignore::anticlique.errors.StackBoundWarning")
@@ -126,7 +128,7 @@ class TestAgainstTheOracle:
 
 class TestTheRunBehind:
     """Each engine expands the own-premise rows of the order it is given,
-    imposed as given, and of ``degree_order(g)`` by default."""
+    imposed as given, and of ``cover_degree_order(g)`` by default."""
 
     def test_enumerate_follows_the_rows(self):
         g = random_graph(14, 0.3, 7)
@@ -145,5 +147,10 @@ class TestTheRunBehind:
             finalized.add(stats.finalized)
             if order is None:
                 assert chromatic_with_stats(g)[2] == stats
-        # the orders are imposed as given: the three runs differ
-        assert len(finalized) == 3
+        # the orders are imposed as given: the three runs differ, and differ
+        # from the full degree order's
+        rows, stats = _own_premise_rows(g, degree_order(g))
+        list(rows)
+        assert maximal_family(g, degree_order(g)).stats == stats
+        finalized.add(stats.finalized)
+        assert len(finalized) == 4

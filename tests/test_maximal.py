@@ -21,7 +21,9 @@ from anticlique import (
     row_maximal_members,
     run_standard,
     sieve_maximal,
+    to_complement,
 )
+import anticlique.maximal as maximal_module
 from anticlique.errors import SearchTimeout
 from conftest import (
     EXAMPLE_ROW_13,
@@ -285,3 +287,49 @@ class TestChromaticNumber:
 
     def test_deterministic_cover(self, g5):
         assert chromatic_number(g5) == chromatic_number(g5)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_heavy_tail_against_backtracking(self, seed):
+        # random_graph(30, 0.3, 1) (chi = 6) ran past 60 s before the search
+        # bounded by cliques and stopped at the clique number
+        g = random_graph(30, 0.3, seed)
+        chi, cover = chromatic_number(g, timeout_s=10)
+        assert chi == next(k for k in range(1, g.v + 1) if _colourable(g, k))
+        self._check_cover(g, cover, chi)
+
+    @pytest.mark.parametrize("seed, chi, omega, most", [(1, 6, 6, 1000), (4, 5, 4, 20000)])
+    def test_search_is_bounded_by_cliques(self, monkeypatch, seed, chi, omega, most):
+        """Nodes that reach the bound, counted by the greedy clique's calls.
+        Seed 1: the search ends at its first cover of omega sets, after 623
+        nodes (38,864 when it runs on).  Seed 4: chi > omega, and the greedy
+        clique bounds the 13,584 nodes (60 times the time without it)."""
+        g = random_graph(30, 0.3, seed)
+        assert max_anticlique(to_complement(g)).alpha == omega
+        nodes = []
+        clique = maximal_module._greedy_clique
+        monkeypatch.setattr(maximal_module, "_greedy_clique",
+                            lambda g, vertices: nodes.append(1) or clique(g, vertices))
+        assert chromatic_number(g)[0] == chi
+        assert 0 < len(nodes) < most
+
+
+def _colourable(g, k) -> bool:
+    """True iff g has a proper colouring with k colours, by backtracking in
+    descending-degree order; a vertex opens at most one new colour."""
+    order = sorted(range(1, g.v + 1), key=lambda y: (-len(g.adjacency[y]), y))
+    colour: dict[int, int] = {}
+
+    def place(i: int) -> bool:
+        if i == len(order):
+            return True
+        y = order[i]
+        used = {colour[z] for z in g.adjacency[y] if z in colour}
+        for c in range(min(k, len(set(colour.values())) + 1)):
+            if c not in used:
+                colour[y] = c
+                if place(i + 1):
+                    return True
+                del colour[y]
+        return False
+
+    return place(0)
