@@ -222,9 +222,13 @@ def _exclusion_run(
     for each son of a split.  ``deadline`` is absolute, on time.monotonic().
     Under ``rule="own-premise"`` every imposition is preceded by
     ``anti_implication_holds`` (an Unchanged outcome when it holds), which
-    makes the paper's pop-time test redundant, so it is skipped.
+    makes the paper's pop-time test redundant, so it is skipped.  Both get
+    the imposed vertex's neighbour mask, built once per run for the vertices
+    of ``seq`` only, and both stay calls to this module's names, which
+    perfbench/tracer.py wraps.
     """
     own_premise = rule == "own-premise"
+    nbr = {t: g.nbr_mask(t) for t in seq}
     stack = [full_row(g.v)]
     output: list[Row] = []   # kept only for the trace's snapshots
     stats.peak_stack = 1
@@ -238,12 +242,12 @@ def _exclusion_run(
         # already; test it once, then run the mechanical case analysis until
         # split or finalize
         if (not own_premise and row.pa < len(seq)
-                and anti_implication_holds(row, seq[row.pa], g.adjacency[seq[row.pa]])):
+                and anti_implication_holds(row, seq[row.pa], nbr[seq[row.pa]])):
             stats.trivial_changes += 1
             row.pa += 1
         while row is not None and row.pa < len(seq):
             t = seq[row.pa]
-            nbrs = g.adjacency[t]
+            nbrs = nbr[t]
             if own_premise and anti_implication_holds(row, t, nbrs):
                 outcome = UNCHANGED
             else:

@@ -5,13 +5,19 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, GuardExceeded
 
 Edge = tuple[int, int]
 
 FORMATS = ("dimacs", "edgelist", "json")
+
+# the most vertices a graph may have: a header-only graph of this size takes
+# about 0.23 s and 50 MB to build, one of 2,000,000 vertices 10.9 s (Python
+# 3.11 on a 2-core machine)
+MAX_V = 100_000
 
 
 @dataclass(frozen=True)
@@ -20,6 +26,9 @@ class Graph:
 
     ``edges`` holds (i, j) pairs with i < j, sorted; ``adjacency[y]`` is the
     neighbour set B(y), with a dummy entry at index 0 so vertices read 1-based.
+    ``nbr_mask(y)`` is B(y) as a bitmask, bit q set for each neighbour q.
+    ``nbr_masks`` is the table of all of them, built on first access and
+    kept; it takes no part in equality.
     """
 
     v: int
@@ -30,14 +39,29 @@ class Graph:
     def w(self) -> int:
         return len(self.edges)
 
+    def nbr_mask(self, y: int) -> int:
+        return sum(1 << q for q in self.adjacency[y])
+
+    @cached_property
+    def nbr_masks(self) -> tuple[int, ...]:
+        # built on first access, not in make_graph; a mask is as wide as its
+        # highest neighbour label, so the table can take far more memory than
+        # the edges, and the exclusion run builds only the masks it imposes
+        return tuple(map(self.nbr_mask, range(self.v + 1)))
+
     def neighbors(self, y: int) -> frozenset[int]:
         return self.adjacency[y]
 
 
 def make_graph(v: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from raw edge pairs, normalizing and validating them."""
+    """Build a Graph from raw edge pairs, normalizing and validating them.
+
+    Refuses (GuardExceeded) a vertex count above MAX_V before allocating
+    anything per vertex.
+    """
     if v < 1:
         raise ValueError(f"vertex count must be at least 1, got {v}")
+    _check_size(v)
     normalized: set[Edge] = set()
     for i, j in edges:
         if i == j:
@@ -162,6 +186,11 @@ def _check_edge(v: int, i: int, j: int, lineno: int) -> None:
         raise GraphFormatError(f"edge ({i}, {j}) out of range 1..{v}", lineno)
 
 
+def _check_size(v: int) -> None:
+    if v > MAX_V:
+        raise GuardExceeded(f"graph of v={v} vertices refused above the size guard {MAX_V}")
+
+
 def serialize_graph(g: Graph, format: str) -> str:
     """Render ``g`` in the named format; output is diff-stable (sorted edges)."""
     if format == "dimacs":
@@ -190,9 +219,13 @@ def to_complement(g: Graph) -> Graph:
 
 
 def random_graph(v: int, d: float, seed: int) -> Graph:
-    """Seeded Gilbert model: each of the C(v,2) pairs kept with probability d."""
+    """Seeded Gilbert model: each of the C(v,2) pairs kept with probability d.
+
+    Refuses (GuardExceeded) a vertex count above MAX_V.
+    """
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"edge density must lie in [0, 1], got {d}")
+    _check_size(v)
     rng = random.Random(seed)
     edges = [
         (i, j)

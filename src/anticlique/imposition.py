@@ -7,12 +7,16 @@ split into two disjoint rows (t forced out vs t forced in).  The input row is
 never mutated.  Engines impose each vertex at most once, and only the vertex
 being imposed becomes 1 or a premise, so the symbol at t is always 0, 2 or b
 when this is called.
+
+``neighbors`` is t's neighbour mask, bit p set for each neighbour p, as
+``Graph.nbr_mask(t)`` gives it: the live neighbourhood is then one ``&`` with
+the row's complemented zero mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from .rows import Row
 
@@ -42,11 +46,11 @@ ImpositionOutcome = Union[Unchanged, Mutated, Split]
 UNCHANGED = Unchanged()
 
 
-def impose(row: Row, t: int, neighbors: Iterable[int]) -> ImpositionOutcome:
+def impose(row: Row, t: int, neighbors: int) -> ImpositionOutcome:
     """Impose the anti-implication t -> not-neighbors on ``row``.
 
-    Dispatch on the symbol rho at t and the live (non-zero) part of the
-    neighborhood:
+    ``neighbors`` is t's neighbour mask.  Dispatch on the symbol rho at t
+    and the live (non-zero) part of the neighborhood:
 
     * rho = 0, or no live neighbor: already satisfied.
     * rho = 2 with a 1 among the neighbors: t is forced out.
@@ -72,10 +76,7 @@ def impose(row: Row, t: int, neighbors: Iterable[int]) -> ImpositionOutcome:
         if anti & bit:
             owner = g
             break
-    live = 0
-    for p in neighbors:
-        live |= 1 << p
-    live &= ~row.zero_mask
+    live = neighbors & ~row.zero_mask
     if not live:
         return UNCHANGED
     if owner is not None:
@@ -94,7 +95,7 @@ def impose(row: Row, t: int, neighbors: Iterable[int]) -> ImpositionOutcome:
     return Split(zero_son, _take(row, t, live, None))
 
 
-def anti_implication_holds(row: Row, t: int, neighbors: Iterable[int]) -> bool:
+def anti_implication_holds(row: Row, t: int, neighbors: int) -> bool:
     """True iff t -> not-neighbors already holds for every member of the row.
 
     That is the case when t is forced out, when every neighbor is forced out,
@@ -104,22 +105,19 @@ def anti_implication_holds(row: Row, t: int, neighbors: Iterable[int]) -> bool:
     paper's rule the engines run this test once whenever a row is popped off
     the working stack, under the own-premise rule before every imposition;
     rows it clears keep their shape instead of going through a redundant
-    split.
+    split.  ``neighbors`` is t's neighbour mask.
     """
     zeros = row.zero_mask
     if zeros >> t & 1:
         return True
-    live = 0   # the one non-zero neighbor so far
-    for p in neighbors:
-        if not zeros >> p & 1:
-            if live:
-                return False
-            live = p
+    live = neighbors & ~zeros
     if not live:
         return True
+    if live & (live - 1):   # more than one non-zero neighbor
+        return False
     # a position is the premise of at most one group
     for prem, anti in row.groups.values():
-        if prem == live:
+        if 1 << prem == live:
             return bool(anti >> t & 1)
     return False
 

@@ -28,7 +28,7 @@ from .enumerator import (
 from .errors import GuardExceeded, SearchTimeout
 from .graph import Graph, to_complement
 from .rows import Row
-from .search import max_anticlique
+from . import search   # called by module name, so a wrapper on search.max_anticlique sees it
 
 CHROMATIC_GUARD_ENV = "ANTICLIQUE_CHROMATIC_MAX_V"
 DEFAULT_CHROMATIC_MAX_V = 30
@@ -210,7 +210,7 @@ def chromatic_with_stats(
     max_size = max(len(X) for X in candidates)
     universe = frozenset(range(1, g.v + 1))
     # no cover beats the clique number: once one reaches it, the search ends
-    omega = max_anticlique(to_complement(g), timeout_s=_remaining(deadline)).alpha
+    omega = search.max_anticlique(to_complement(g), timeout_s=_remaining(deadline)).alpha
     best: list[int] | None = None
 
     def descend(uncovered: frozenset[int], chosen: list[int]) -> None:

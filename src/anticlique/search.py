@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .enumerator import (
     ImpositionOrder,
@@ -256,7 +256,7 @@ def _weight_vector(g: Graph, weights: Mapping[int, int]) -> list[int]:
     return wt
 
 
-def _weighted_bound(row: Row, wt: list[int], nbr: list[int] | None = None) -> int:
+def _weighted_bound(row: Row, wt: list[int], nbr: Sequence[int] | None = None) -> int:
     # a module function only because perfbench/tracer.py wraps it by name
     return row.max_weight(wt) if nbr is None else row.clique_bound(nbr, wt)
 
@@ -280,8 +280,7 @@ def _objective(
     it: cardinality without weights, total weight with them."""
     if bound not in ("clique", "w_max"):
         raise ConfigurationError(f"unknown bound {bound!r}; use 'clique' or 'w_max'")
-    # nbr[p]: the neighbour mask of p, bit q for each neighbour q
-    nbr = [sum(1 << q for q in adj) for adj in g.adjacency] if bound == "clique" else None
+    nbr = g.nbr_masks if bound == "clique" else None
     if wt is not None:
         return partial(_weighted_bound, wt=wt, nbr=nbr), partial(_weighted_member, wt=wt)
     if nbr is None:

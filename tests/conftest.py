@@ -101,6 +101,11 @@ def member_masks_bruteforce(row: Row) -> list[int]:
     return out
 
 
+def nbr_mask(positions) -> int:
+    """Neighbour positions as the library's neighbour mask: bit p for position p."""
+    return sum(1 << p for p in positions)
+
+
 def mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(p + 1 for p in range(mask.bit_length()) if (mask >> p) & 1)
 

@@ -30,6 +30,7 @@ from anticlique.imposition import Mutated, Unchanged
 from conftest import (
     EXAMPLE_ROW_13,
     member_masks_bruteforce,
+    nbr_mask,
     path_graph,
     random_bipartite,
     random_row,
@@ -125,7 +126,7 @@ def test_criterion_5_imposition_soundness():
             m for m in member_masks_bruteforce(row)
             if not (m & tb) or not (m & bmask)
         }
-        out = impose(row, t, B)
+        out = impose(row, t, nbr_mask(B))
         if isinstance(out, Unchanged):
             got = set(member_masks_bruteforce(row))
         elif isinstance(out, Mutated):

@@ -348,6 +348,15 @@ class TestBigAnswers:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_hostile_header_is_refused(self, capsys, tmp_path):
+        # 2,000,000 vertices took 10.9 s of allocation before the size guard
+        path = tmp_path / "hostile.col"
+        path.write_text("p edge 2000000 1\ne 1 2\n")
+        code, out, err = run_cli(capsys, "count", "--graph", str(path), "--timeout", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("refused: ") and "size guard" in err
+
 
 class TestEnum:
     def test_min_size(self, capsys, g5_file):

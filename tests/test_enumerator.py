@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -124,6 +125,20 @@ class TestFibonacciNumber:
         assert fibonacci_number(path_graph(1)) == 2
         assert fibonacci_number(path_graph(2)) == 3
         assert fibonacci_number(path_graph(4)) == 8
+
+    def test_star_builds_only_the_imposed_masks(self):
+        # each leaf's neighbour mask is as wide as the centre's label, about
+        # 9 MB for all of them at v = 8,000; the run imposes the centre alone
+        v = 8000
+        g = make_graph(v, [(y, v) for y in range(1, v)])
+        tracemalloc.start()
+        try:
+            f = fibonacci_number(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f == 2 ** (v - 1) + 1
+        assert peak < 4 * 2**20
 
 
 class TestIndependencePolynomial:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from anticlique import (
     GraphFormatError,
+    GuardExceeded,
     bipartition,
     make_graph,
     parse_graph,
@@ -14,6 +16,7 @@ from anticlique import (
     serialize_graph,
     to_complement,
 )
+from anticlique.graph import MAX_V
 from conftest import G5_DIMACS, complete_graph, empty_graph, path_graph
 
 
@@ -115,6 +118,42 @@ class TestRandomGraph:
         mean = sum(counts) / len(counts)
         sigma = math.sqrt(pairs * 0.25)
         assert abs(mean - 0.5 * pairs) <= 4 * sigma / math.sqrt(len(counts))
+
+
+class TestNbrMasks:
+    def test_bits_are_the_neighbours(self):
+        for g in (random_graph(20, 0.3, 5), path_graph(4), empty_graph(3)):
+            assert len(g.nbr_masks) == g.v + 1
+            for y, mask in enumerate(g.nbr_masks):
+                assert mask == g.nbr_mask(y)
+                assert not mask & 1
+                assert {q for q in range(mask.bit_length()) if mask >> q & 1} == g.adjacency[y]
+
+    def test_built_once(self):
+        g = random_graph(12, 0.4, 1)
+        assert g.nbr_masks is g.nbr_masks
+
+    def test_not_part_of_equality(self):
+        g, h = random_graph(12, 0.4, 1), random_graph(12, 0.4, 1)
+        assert len(g.nbr_masks) == 13
+        assert "nbr_masks" in vars(g) and "nbr_masks" not in vars(h)
+        assert g == h and hash(g) == hash(h)
+        assert "nbr_masks" not in {f.name for f in dataclasses.fields(g)}
+
+
+class TestSizeGuard:
+    def test_make_graph_refuses_before_allocating(self):
+        with pytest.raises(GuardExceeded, match="size guard"):
+            make_graph(2_000_000, [(1, 2)])
+
+    def test_random_graph_refuses(self):
+        with pytest.raises(GuardExceeded, match="size guard"):
+            random_graph(2_000_000, 0.1, 1)
+
+    def test_limit(self):
+        assert make_graph(MAX_V, []).v == MAX_V
+        with pytest.raises(GuardExceeded):
+            make_graph(MAX_V + 1, [])
 
 
 class TestBipartition:

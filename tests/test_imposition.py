@@ -15,17 +15,17 @@ from anticlique import (
 )
 from anticlique.imposition import anti_implication_holds
 from anticlique.rows import Row
-from conftest import member_masks_bruteforce, random_row
+from conftest import member_masks_bruteforce, nbr_mask, random_row
 
 
 class TestWorkedExamples:
     def test_first_imposition_creates_group(self):
-        out = impose(full_row(5), 1, {2, 4, 5})
+        out = impose(full_row(5), 1, nbr_mask({2, 4, 5}))
         assert isinstance(out, Mutated)
         assert out.row == row_from_debug("(a1,b1,2,b1,b1)")
 
     def test_second_imposition_splits(self):
-        out = impose(row_from_debug("(a1,b1,2,b1,b1)"), 2, {1, 4})
+        out = impose(row_from_debug("(a1,b1,2,b1,b1)"), 2, nbr_mask({1, 4}))
         assert isinstance(out, Split)
         assert out.zero_son == row_from_debug("(a1,0,2,b1,b1)")
         assert out.one_son == row_from_debug("(0,1,2,0,2)")
@@ -34,7 +34,7 @@ class TestWorkedExamples:
         # the four-possibility row: premise only, premise plus part of the
         # anticonclusion, proper part of the anticonclusion, whole one
         before = row_from_debug("(1,b3,a4,a3,a1,a2,b2,2,b3,b4,0,2,b2,b1,0)")
-        out = impose(before, 8, {5, 6, 7, 9, 10, 11, 12})
+        out = impose(before, 8, nbr_mask({5, 6, 7, 9, 10, 11, 12}))
         assert isinstance(out, Split)
         zero_expected = row_from_debug("(1,b3,a4,a3,a1,a2,b2,0,b3,b4,0,2,b2,b1,0)")
         one_expected = row_from_debug("(1,b3,2,a3,0,0,0,1,0,0,0,0,2,2,0)")
@@ -45,34 +45,34 @@ class TestWorkedExamples:
 class TestCases:
     def test_zero_position_unchanged(self):
         row = row_from_debug("(0,2,2)")
-        assert isinstance(impose(row, 1, {2, 3}), Unchanged)
+        assert isinstance(impose(row, 1, nbr_mask({2, 3})), Unchanged)
 
     def test_all_zero_neighborhood_unchanged(self):
         row = row_from_debug("(2,0,0)")
-        assert isinstance(impose(row, 1, {2, 3}), Unchanged)
+        assert isinstance(impose(row, 1, nbr_mask({2, 3})), Unchanged)
 
     def test_isolated_vertex_unchanged(self):
-        assert isinstance(impose(full_row(3), 2, set()), Unchanged)
+        assert isinstance(impose(full_row(3), 2, nbr_mask(set())), Unchanged)
 
     def test_one_in_neighborhood_zeroes_free_position(self):
-        out = impose(row_from_debug("(2,1,2)"), 1, {2})
+        out = impose(row_from_debug("(2,1,2)"), 1, nbr_mask({2}))
         assert isinstance(out, Mutated)
         assert out.row == row_from_debug("(0,1,2)")
 
     def test_one_in_neighborhood_shrinks_group(self):
-        out = impose(row_from_debug("(a1,1,b1,b1)"), 3, {2})
+        out = impose(row_from_debug("(a1,1,b1,b1)"), 3, nbr_mask({2}))
         assert isinstance(out, Mutated)
         assert out.row == row_from_debug("(a1,1,0,b1)")
 
     def test_group_dissolves_when_anticonclusion_empties(self):
-        out = impose(row_from_debug("(a1,1,b1)"), 3, {2})
+        out = impose(row_from_debug("(a1,1,b1)"), 3, nbr_mask({2}))
         assert isinstance(out, Mutated)
         assert out.row == row_from_debug("(2,1,0)")
 
     def test_split_on_own_premise_is_mechanical(self):
         # the literal case analysis splits even though the contrapositive
         # already guarantees the constraint; the pop-time check is separate
-        out = impose(row_from_debug("(a1,0,1,0,b1)"), 5, {1, 4})
+        out = impose(row_from_debug("(a1,0,1,0,b1)"), 5, nbr_mask({1, 4}))
         assert isinstance(out, Split)
         assert out.zero_son == row_from_debug("(2,0,1,0,0)")
         assert out.one_son == row_from_debug("(0,0,1,0,1)")
@@ -80,29 +80,29 @@ class TestCases:
     def test_precondition_rejects_one(self):
         row = row_from_debug("(1,2,2)")
         with pytest.raises(AssertionError):
-            impose(row, 1, {2})
+            impose(row, 1, nbr_mask({2}))
 
     def test_precondition_rejects_premise(self):
         row = row_from_debug("(a1,b1,2)")
         with pytest.raises(AssertionError):
-            impose(row, 1, {2, 3})
+            impose(row, 1, nbr_mask({2, 3}))
 
 
 class TestAntiImplicationHolds:
     def test_zero_at_t(self):
-        assert anti_implication_holds(row_from_debug("(0,2,2)"), 1, {2})
+        assert anti_implication_holds(row_from_debug("(0,2,2)"), 1, nbr_mask({2}))
 
     def test_all_zero_neighbors(self):
-        assert anti_implication_holds(row_from_debug("(2,0,0)"), 1, {2, 3})
+        assert anti_implication_holds(row_from_debug("(2,0,0)"), 1, nbr_mask({2, 3}))
 
     def test_contrapositive_through_own_premise(self):
-        assert anti_implication_holds(row_from_debug("(a1,0,0,0,b1)"), 5, {1, 4})
+        assert anti_implication_holds(row_from_debug("(a1,0,0,0,b1)"), 5, nbr_mask({1, 4}))
 
     def test_foreign_group_member_defeats_it(self):
-        assert not anti_implication_holds(row_from_debug("(a1,b1,2,b1,b1)"), 2, {1, 4})
+        assert not anti_implication_holds(row_from_debug("(a1,b1,2,b1,b1)"), 2, nbr_mask({1, 4}))
 
     def test_free_neighbor_defeats_it(self):
-        assert not anti_implication_holds(row_from_debug("(2,2)"), 1, {2})
+        assert not anti_implication_holds(row_from_debug("(2,2)"), 1, nbr_mask({2}))
 
     def test_agrees_with_bruteforce(self):
         rng = random.Random(31)
@@ -118,7 +118,48 @@ class TestAntiImplicationHolds:
             tb = 1 << (t - 1)
             bmask = sum(1 << (p - 1) for p in B)
             holds = all(not (m & tb) or not (m & bmask) for m in members)
-            assert anti_implication_holds(row, t, B) == holds
+            assert anti_implication_holds(row, t, nbr_mask(B)) == holds
+
+
+def _holds_by_walk(row, t, neighbors):
+    """anti_implication_holds as it walked a neighbour set element by
+    element, before the neighbour mask; the reference for the mask form."""
+    zeros = row.zero_mask
+    if zeros >> t & 1:
+        return True
+    live = 0
+    for p in neighbors:
+        if not zeros >> p & 1:
+            if live:
+                return False
+            live = p
+    if not live:
+        return True
+    for prem, anti in row.groups.values():
+        if prem == live:
+            return bool(anti >> t & 1)
+    return False
+
+
+class TestNeighbourMask:
+    """The mask form of anti_implication_holds gives the element walk's
+    answers, on the criterion-5 generator."""
+
+    def test_mask_agrees_with_the_element_walk(self):
+        rng = random.Random(1013)
+        calls = 0
+        while calls < 1000:
+            v = rng.randint(2, 12)
+            row = random_row(rng, v)
+            candidates = [p for p in range(1, v + 1) if p not in row.ones() | row.premset()]
+            if not candidates:
+                continue
+            t = rng.choice(candidates)
+            B = {p for p in range(1, v + 1) if p != t and rng.random() < 0.35}
+            # the test also meets neighbour sets that hold t itself
+            C = B | {t} if rng.random() < 0.5 else B
+            assert anti_implication_holds(row, t, nbr_mask(C)) == _holds_by_walk(row, t, C)
+            calls += 1
 
 
 class TestSoundnessSweep:
@@ -138,7 +179,7 @@ class TestSoundnessSweep:
                 m for m in member_masks_bruteforce(row)
                 if not (m & tb) or not (m & bmask)
             }
-            out = impose(row, t, B)
+            out = impose(row, t, nbr_mask(B))
             if isinstance(out, Unchanged):
                 got = set(member_masks_bruteforce(row))
             elif isinstance(out, Mutated):
@@ -206,7 +247,7 @@ class TestSoundnessSweep:
             t = rng.choice(candidates)
             B = {p for p in range(1, v + 1) if p != t and rng.random() < 0.4}
             clones["n"] = 0
-            impose(row, t, B)
+            impose(row, t, nbr_mask(B))
             assert clones["n"] <= 2
 
     def test_input_row_never_mutated(self):
@@ -220,5 +261,5 @@ class TestSoundnessSweep:
                 continue
             t = rng.choice(candidates)
             B = {p for p in range(1, v + 1) if p != t and rng.random() < 0.3}
-            impose(row, t, B)
+            impose(row, t, nbr_mask(B))
             assert (row.debug(), row.pa, row.zero_mask) == before

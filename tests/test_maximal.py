@@ -24,6 +24,7 @@ from anticlique import (
     to_complement,
 )
 import anticlique.maximal as maximal_module
+import anticlique.search as search_module
 from anticlique.errors import SearchTimeout
 from conftest import (
     EXAMPLE_ROW_13,
@@ -287,6 +288,16 @@ class TestChromaticNumber:
 
     def test_deterministic_cover(self, g5):
         assert chromatic_number(g5) == chromatic_number(g5)
+
+    def test_clique_number_found_through_search_module(self, monkeypatch, g5):
+        """The clique number's search is called as search.max_anticlique, so a
+        wrapper installed there (as perfbench's tracer does) sees it."""
+        seen = []
+        original = search_module.max_anticlique
+        monkeypatch.setattr(search_module, "max_anticlique",
+                            lambda g, **kw: seen.append(g.v) or original(g, **kw))
+        assert chromatic_number(g5)[0] == 3
+        assert seen == [g5.v]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_heavy_tail_against_backtracking(self, seed):

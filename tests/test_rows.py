@@ -17,6 +17,7 @@ from conftest import (
     EXAMPLE_ROW_13,
     mask_to_set,
     member_masks_bruteforce,
+    nbr_mask,
     random_row,
 )
 
@@ -232,7 +233,7 @@ class TestRandomRowSweep:
             if candidates:
                 t = rng.choice(candidates)
                 B = {p for p in range(1, v + 1) if p != t and rng.random() < 0.4}
-                out = impose(row, t, B)
+                out = impose(row, t, nbr_mask(B))
                 if isinstance(out, Mutated):
                     rows.append(out.row)
                 elif isinstance(out, Split):
