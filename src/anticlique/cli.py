@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -100,7 +101,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="anticlique",
         description="Exact anticlique (independent set) toolkit on five-valued rows.",

@@ -222,12 +222,15 @@ def _exclusion_run(
     for each son of a split.  ``deadline`` is absolute, on time.monotonic().
     Under ``rule="own-premise"`` every imposition is preceded by
     ``anti_implication_holds`` (an Unchanged outcome when it holds), which
-    makes the paper's pop-time test redundant, so it is skipped.  Both get
-    the imposed vertex's neighbour mask, built once per run for the vertices
-    of ``seq`` only, and both stay calls to this module's names, which
-    perfbench/tracer.py wraps.
+    makes the paper's pop-time test redundant, so it is skipped; without
+    ``trace``, vertices already 0 in the row are stepped past inline first.
+    Both get the imposed vertex's neighbour mask, built once per run for the
+    vertices of ``seq`` only, and both stay calls to this module's names,
+    which perfbench/tracer.py wraps.
     """
     own_premise = rule == "own-premise"
+    skip_zeros = own_premise and not trace
+    n = len(seq)
     nbr = {t: g.nbr_mask(t) for t in seq}
     stack = [full_row(g.v)]
     output: list[Row] = []   # kept only for the trace's snapshots
@@ -241,21 +244,33 @@ def _exclusion_run(
         # paper rule: a popped row's pending anti-implication may hold
         # already; test it once, then run the mechanical case analysis until
         # split or finalize
-        if (not own_premise and row.pa < len(seq)
+        if (not own_premise and row.pa < n
                 and anti_implication_holds(row, seq[row.pa], nbr[seq[row.pa]])):
             stats.trivial_changes += 1
             row.pa += 1
-        while row is not None and row.pa < len(seq):
-            t = seq[row.pa]
+        while row is not None:
+            pa = row.pa
+            if skip_zeros:
+                # a vertex already 0 holds its anti-implication: step past
+                # it as an Unchanged outcome, without a call
+                zeros = row.zero_mask
+                while pa < n and zeros >> seq[pa] & 1:
+                    pa += 1
+                stats.trivial_changes += pa - row.pa
+                row.pa = pa
+            if pa >= n:
+                break
+            t = seq[pa]
             nbrs = nbr[t]
             if own_premise and anti_implication_holds(row, t, nbrs):
                 outcome = UNCHANGED
             else:
                 outcome = impose(row, t, nbrs)
-            if isinstance(outcome, Unchanged):
+            kind = type(outcome)
+            if kind is Unchanged:
                 stats.trivial_changes += 1
                 row.pa += 1
-            elif isinstance(outcome, Mutated):
+            elif kind is Mutated:
                 stats.trivial_changes += 1
                 row = outcome.row
                 row.pa += 1

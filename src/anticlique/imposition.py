@@ -26,19 +26,33 @@ class Unchanged:
     """The anti-implication already holds for every member."""
 
 
-@dataclass(frozen=True)
 class Mutated:
     """The family shrank but stayed a single row."""
 
-    row: Row
+    __slots__ = ("row",)
+
+    def __init__(self, row: Row):
+        self.row = row
+
+    def __eq__(self, other):
+        if type(other) is not Mutated:
+            return NotImplemented
+        return self.row == other.row
 
 
-@dataclass(frozen=True)
 class Split:
     """Disjoint split: zero_son excludes t, one_son includes t."""
 
-    zero_son: Row
-    one_son: Row
+    __slots__ = ("zero_son", "one_son")
+
+    def __init__(self, zero_son: Row, one_son: Row):
+        self.zero_son = zero_son
+        self.one_son = one_son
+
+    def __eq__(self, other):
+        if type(other) is not Split:
+            return NotImplemented
+        return (self.zero_son, self.one_son) == (other.zero_son, other.one_son)
 
 
 ImpositionOutcome = Union[Unchanged, Mutated, Split]
@@ -88,7 +102,10 @@ def impose(row: Row, t: int, neighbors: int) -> ImpositionOutcome:
         son = row.clone()
         son.zero_mask |= bit
         return Mutated(son)
-    if not any(live & (anti | 1 << prem) for prem, anti in row.groups.values()):
+    for prem, anti in row.groups.values():
+        if live & (anti | 1 << prem):
+            break
+    else:
         return Mutated(_new_group(row, t, live))
     zero_son = row.clone()
     zero_son.zero_mask |= bit
@@ -163,16 +180,14 @@ def _take(row: Row, t: int, live: int, owner: int | None) -> Row:
     anticonclusion empties dissolve.  A dissolved group's remaining
     positions go free.
     """
-    son = row.clone()
-    son.one_mask |= 1 << t
-    if live & son.one_mask:
+    ones = row.one_mask | 1 << t
+    if live & ones:
         raise AssertionError(f"a live neighbor of {t} holds 1 in a split branch")
-    son.zero_mask |= live
+    zeros = row.zero_mask | live
     groups = {}
     for g, (prem, anti) in row.groups.items():
         if g == owner:
-            son.zero_mask |= 1 << prem
+            zeros |= 1 << prem
         elif not live >> prem & 1 and (rest := anti & ~live):
             groups[g] = (prem, rest)
-    son.groups = groups
-    return son
+    return Row(row.v, zeros, ones, groups, row.pa, row.next_gid)

@@ -102,8 +102,14 @@ class Row:
         self.next_gid = next_gid
 
     def clone(self) -> "Row":
-        return Row(self.v, self.zero_mask, self.one_mask, self.groups.copy(),
-                   self.pa, self.next_gid)
+        son = object.__new__(Row)
+        son.v = self.v
+        son.zero_mask = self.zero_mask
+        son.one_mask = self.one_mask
+        son.groups = self.groups.copy()
+        son.pa = self.pa
+        son.next_gid = self.next_gid
+        return son
 
     # -- derived position sets --------------------------------------------
 

@@ -22,7 +22,7 @@ from anticlique import (
     serialize_graph,
     threshold_search,
 )
-from anticlique.cli import main
+from anticlique.cli import _build_parser, main
 from anticlique.maximal import maximal_family
 from conftest import G5_DIMACS, all_anticliques, random_bipartite
 
@@ -143,6 +143,32 @@ class TestRuleAndTimeout:
             main(["count", "--gen", "5,0.5,1", "--timeout", value])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may leak into the next."""
+
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_rule_does_not_stick(self, capsys):
+        g = random_graph(30, 0.2, 5)
+        rows, own = run_standard(g, cover_degree_order(g), rule="own-premise")
+        list(rows)
+        code, out, _ = run_cli(capsys, "count", "--gen", "30,0.2,5", "--json", "--rule", "paper")
+        assert code == 0
+        assert json.loads(out)["stats"] != own.as_dict()
+        code, out, _ = run_cli(capsys, "count", "--gen", "30,0.2,5", "--json")
+        assert code == 0
+        assert json.loads(out)["stats"] == own.as_dict()
+
+    def test_usage_error_then_good_call(self, capsys, g5_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--graph", str(g5_file), "--rule", "greedy"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "count", "--graph", str(g5_file))
+        assert (code, out.strip()) == (0, "11")
 
 
 # sha256 of each command's --json record without wall_ms, stats and sieve
@@ -356,6 +382,15 @@ class TestBigAnswers:
         assert code == 3
         assert out == ""
         assert err.startswith("refused: ") and "size guard" in err
+
+    def test_oversized_gen_is_refused_at_once(self, capsys):
+        # --gen 100000,... passes the vertex guard but would draw for hours
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "count", "--gen", "100000,0.5,1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err.startswith("refused: ") and "pairs" in err
 
 
 class TestEnum:

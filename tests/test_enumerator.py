@@ -27,6 +27,7 @@ from anticlique import (
     run_standard,
     Polynomial,
 )
+from anticlique import enumerator
 from anticlique.cli import main
 from anticlique.enumerator import _check_order, expand_rows
 from anticlique.errors import SearchTimeout, StackBoundWarning
@@ -445,6 +446,22 @@ class TestOwnPremiseRule:
                 for _row in run_standard(g, cover_degree_order(g), rule="own-premise")[0]:
                     pass
         assert paper_over > 0
+
+    @pytest.mark.parametrize("v,d,seed", SWEEP + [(45, 0.1, 13)])
+    def test_zero_skip_matches_the_traced_run(self, monkeypatch, v, d, seed):
+        # without a trace hook the run steps past vertices already 0 inline;
+        # with one, each of them is an Unchanged outcome of the test
+        monkeypatch.setattr(enumerator, "_snapshot", lambda *args: None)  # linear trace
+        g = random_graph(v, d, seed)
+        # vertex order at (45, 0.1, 13) finalizes 31,411 rows; cover order 5,566
+        orders = (cover_degree_order(g),) if v == 45 else (cover_degree_order(g), None)
+        for order in orders:
+            plain_rows, plain = run_standard(g, order, rule="own-premise")
+            plain_rows = [(r.debug(), r.pa) for r in plain_rows]
+            traced_rows, traced = run_standard(g, order, rule="own-premise",
+                                               trace=lambda kind, info: None)
+            assert [(r.debug(), r.pa) for r in traced_rows] == plain_rows
+            assert traced == plain
 
     @pytest.mark.parametrize("spec", [
         (30, 0.15, 1), (34, 0.2, 2), (38, 0.25, 3), (42, 0.3, 4), (45, 0.35, 5),

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from anticlique import (
     serialize_graph,
     to_complement,
 )
-from anticlique.graph import MAX_V
+from anticlique import graph
+from anticlique.graph import MAX_PAIRS, MAX_V
 from conftest import G5_DIMACS, complete_graph, empty_graph, path_graph
 
 
@@ -154,6 +156,23 @@ class TestSizeGuard:
         assert make_graph(MAX_V, []).v == MAX_V
         with pytest.raises(GuardExceeded):
             make_graph(MAX_V + 1, [])
+
+    def test_random_graph_refuses_before_drawing(self):
+        # 100,000 vertices pass MAX_V, but drawing their C(v,2) pairs would
+        # take about 40 minutes
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded, match="size guard of 2000000 pairs"):
+            random_graph(100_000, 0.1, 1)
+        with pytest.raises(GuardExceeded):
+            random_graph(2001, 0.0, 1)
+        assert time.perf_counter() - start < 0.1
+
+    def test_pair_limit(self, monkeypatch):
+        assert 2000 * 1999 // 2 <= MAX_PAIRS < 2001 * 2000 // 2
+        monkeypatch.setattr(graph, "MAX_PAIRS", 10)
+        assert random_graph(5, 1.0, 1).w == 10
+        with pytest.raises(GuardExceeded):
+            random_graph(6, 0.0, 1)
 
 
 class TestBipartition:
