@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="generate the input graph inline instead of --graph")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--trace", action="store_true",
-                       help="print working/output stacks after each imposition")
+                       help="print the working stack after each imposition")
         return p
 
     def timeout(p: argparse.ArgumentParser) -> None:
@@ -229,6 +229,7 @@ def _load_graph(args) -> tuple[Graph, dict]:
 def _trace_printer(args):
     if not args.trace:
         return None
+    output: list[str] = []   # the finalized rows of the current run
 
     def hook(kind: str, info: dict) -> None:
         if kind == "impose":
@@ -236,16 +237,14 @@ def _trace_printer(args):
             print("  working stack (top first):")
             for line in info["working"]:
                 print(f"    {line}")
-            if info["output"]:
-                print("  output stack (top first):")
-                for line in reversed(info["output"]):
-                    print(f"    {line}")
         elif kind == "finalize":
-            print(f"finalize {info['row']} N={info['count']}")
+            output.append(f"{info['row']} N={info['count']}")
+            print(f"finalize {output[-1]}")
         elif kind == "done":
             print("final output stack (top first):")
-            for row, count in reversed(info["output"]):
-                print(f"  {row} N={count}")
+            for line in reversed(output):
+                print(f"  {line}")
+            output.clear()
         elif kind == "prune":
             print(f"prune {info['row']} bound={info['bound']} limit={info['limit']}")
         elif kind == "improve":

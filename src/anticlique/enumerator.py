@@ -163,10 +163,9 @@ def run_standard(
     Returns (row iterator, stats); the stats object fills in as the iterator
     is consumed and is complete once it is exhausted.  ``rule`` is
     ``"paper"`` or ``"own-premise"`` (see the module docstring).  With
-    ``trace`` set, the hook receives an event per imposition plus a final
-    "done" event (and the output stack is then kept in memory for the
-    snapshots).  The iterator raises SearchTimeout once ``timeout_s``
-    seconds have passed since this call.
+    ``trace`` set, the hook receives an event per imposition and per
+    finalized row, plus a final "done" event.  The iterator raises
+    SearchTimeout once ``timeout_s`` seconds have passed since this call.
     """
     _check_rule(rule)
     ord_ = _resolve_order(g, order)
@@ -222,18 +221,16 @@ def _exclusion_run(
     for each son of a split.  ``deadline`` is absolute, on time.monotonic().
     Under ``rule="own-premise"`` every imposition is preceded by
     ``anti_implication_holds`` (an Unchanged outcome when it holds), which
-    makes the paper's pop-time test redundant, so it is skipped; without
-    ``trace``, vertices already 0 in the row are stepped past inline first.
-    Both get the imposed vertex's neighbour mask, built once per run for the
-    vertices of ``seq`` only, and both stay calls to this module's names,
-    which perfbench/tracer.py wraps.
+    makes the paper's pop-time test redundant, so it is skipped, and
+    vertices already 0 in the row are stepped past inline first, with or
+    without ``trace``.  The test and ``impose`` get the imposed vertex's
+    neighbour mask, built once per run for the vertices of ``seq`` only, and
+    both stay calls to this module's names, which perfbench/tracer.py wraps.
     """
     own_premise = rule == "own-premise"
-    skip_zeros = own_premise and not trace
     n = len(seq)
     nbr = {t: g.nbr_mask(t) for t in seq}
     stack = [full_row(g.v)]
-    output: list[Row] = []   # kept only for the trace's snapshots
     stats.peak_stack = 1
     while stack:
         if deadline is not None and time.monotonic() > deadline:
@@ -250,7 +247,7 @@ def _exclusion_run(
             row.pa += 1
         while row is not None:
             pa = row.pa
-            if skip_zeros:
+            if own_premise:
                 # a vertex already 0 holds its anti-implication: step past
                 # it as an Unchanged outcome, without a call
                 zeros = row.zero_mask
@@ -290,12 +287,11 @@ def _exclusion_run(
                 else:
                     row = zero if one is None else one
             if trace:
-                trace("impose", _snapshot(t, outcome, row, stack, output, seq))
+                trace("impose", _snapshot(t, outcome, row, stack, seq))
         if row is None:
             continue
         stats.finalized += 1
         if trace:
-            output.append(row)
             trace("finalize", {"row": row.debug(), "count": row.member_count()})
         yield row
     if prune is None and stats.peak_stack > max(g.w, 1):
@@ -306,9 +302,7 @@ def _exclusion_run(
             stacklevel=2,
         )
     if trace:
-        trace("done", {
-            "output": [(r.debug(), r.member_count()) for r in output],
-        })
+        trace("done", {})
 
 
 def _kept(row: Row, prune: Prune, stats: SearchStats, trace: TraceHook | None) -> Row | None:
@@ -321,7 +315,9 @@ def _kept(row: Row, prune: Prune, stats: SearchStats, trace: TraceHook | None) -
     return None
 
 
-def _snapshot(t, outcome, current, stack, output, seq) -> dict:
+def _snapshot(t, outcome, current, stack, seq) -> dict:
+    """An ``impose`` event: the vertex, the outcome and the working stack,
+    top first."""
     def label(r: Row) -> str:
         pending = seq[r.pa] if r.pa < len(seq) else "-"
         return f"{r.debug()} PA={pending}"
@@ -331,7 +327,6 @@ def _snapshot(t, outcome, current, stack, output, seq) -> dict:
         "t": t,
         "outcome": type(outcome).__name__.lower(),
         "working": working + [label(r) for r in reversed(stack)],
-        "output": [f"{r.debug()} N={r.member_count()}" for r in output],
     }
 
 

@@ -10,7 +10,9 @@ when this is called.
 
 ``neighbors`` is t's neighbour mask, bit p set for each neighbour p, as
 ``Graph.nbr_mask(t)`` gives it: the live neighbourhood is then one ``&`` with
-the row's complemented zero mask.
+the row's complemented zero mask.  A row's groups are keyed by premise, so
+whether t is a premise, and which group a lone live neighbour heads, are
+each one lookup.
 """
 
 from __future__ import annotations
@@ -83,12 +85,12 @@ def impose(row: Row, t: int, neighbors: int) -> ImpositionOutcome:
         raise _order_violated(t, "1")
     if row.zero_mask & bit:
         return UNCHANGED
-    owner = None   # id of the group whose anticonclusion holds t
-    for g, (prem, anti) in row.groups.items():
-        if prem == t:
-            raise _order_violated(t, "a")
+    if t in row.groups:
+        raise _order_violated(t, "a")
+    owner = None   # premise of the group whose anticonclusion holds t
+    for prem, anti in row.groups.items():
         if anti & bit:
-            owner = g
+            owner = prem
             break
     live = neighbors & ~row.zero_mask
     if not live:
@@ -102,7 +104,7 @@ def impose(row: Row, t: int, neighbors: int) -> ImpositionOutcome:
         son = row.clone()
         son.zero_mask |= bit
         return Mutated(son)
-    for prem, anti in row.groups.values():
+    for prem, anti in row.groups.items():
         if live & (anti | 1 << prem):
             break
     else:
@@ -132,11 +134,7 @@ def anti_implication_holds(row: Row, t: int, neighbors: int) -> bool:
         return True
     if live & (live - 1):   # more than one non-zero neighbor
         return False
-    # a position is the premise of at most one group
-    for prem, anti in row.groups.values():
-        if 1 << prem == live:
-            return bool(anti >> t & 1)
-    return False
+    return bool(row.groups.get(live.bit_length() - 1, 0) >> t & 1)
 
 
 def _order_violated(t: int, symbol: str) -> AssertionError:
@@ -146,28 +144,26 @@ def _order_violated(t: int, symbol: str) -> AssertionError:
     )
 
 
-def _drop_from_group(row: Row, t: int, g: int) -> Row:
-    """Force t out: zero it and detach it from its group ``g``.
+def _drop_from_group(row: Row, t: int, prem: int) -> Row:
+    """Force t out: zero it and detach it from the group of premise ``prem``.
 
     If that empties the group's anticonclusion, the group dissolves and its
     premise goes free.
     """
     son = row.clone()
     son.zero_mask |= 1 << t
-    prem, anti = son.groups[g]
-    anti &= ~(1 << t)
+    anti = son.groups[prem] & ~(1 << t)
     if anti:
-        son.groups[g] = (prem, anti)
+        son.groups[prem] = anti
     else:
-        del son.groups[g]
+        del son.groups[prem]
     return son
 
 
 def _new_group(row: Row, t: int, live: int) -> Row:
     """t becomes a fresh premise over its free neighbors ``live``."""
     son = row.clone()
-    son.groups[son.next_gid] = (t, live)
-    son.next_gid += 1
+    son.groups[t] = live
     return son
 
 
@@ -175,9 +171,9 @@ def _take(row: Row, t: int, live: int, owner: int | None) -> Row:
     """The t-in son: t := 1 and the whole neighborhood ``live`` zeroed.
 
     Callers guarantee no live neighbor holds a 1.  Group repercussions: the
-    group ``owner`` holding t (if any) dissolves with its premise zeroed;
-    groups losing their premise to the zeroing dissolve; groups whose
-    anticonclusion empties dissolve.  A dissolved group's remaining
+    group of premise ``owner`` holding t (if any) dissolves with its premise
+    zeroed; groups losing their premise to the zeroing dissolve; groups
+    whose anticonclusion empties dissolve.  A dissolved group's remaining
     positions go free.
     """
     ones = row.one_mask | 1 << t
@@ -185,9 +181,9 @@ def _take(row: Row, t: int, live: int, owner: int | None) -> Row:
         raise AssertionError(f"a live neighbor of {t} holds 1 in a split branch")
     zeros = row.zero_mask | live
     groups = {}
-    for g, (prem, anti) in row.groups.items():
-        if g == owner:
+    for prem, anti in row.groups.items():
+        if prem == owner:
             zeros |= 1 << prem
         elif not live >> prem & 1 and (rest := anti & ~live):
-            groups[g] = (prem, rest)
-    return Row(row.v, zeros, ones, groups, row.pa, row.next_gid)
+            groups[prem] = rest
+    return Row(row.v, zeros, ones, groups, row.pa)

@@ -16,8 +16,9 @@ member count, size spectrum and largest member are all available in closed
 form without expanding it.
 
 A ``Row`` stores only what the symbols say: a mask of the ``0`` positions, a
-mask of the ``1`` positions and its groups as ``(premise, anticonclusion
-mask)`` pairs.  Every other position is free.  Only this module and
+mask of the ``1`` positions and its groups as a table from each premise to
+its anticonclusion mask.  A position holds one symbol, so a premise names
+its group.  Every other position is free.  Only this module and
 imposition.py read that format; other modules ask a row for its sets
 (``decompose``, ``max_member``, ``expand``, ...).
 """
@@ -81,25 +82,22 @@ class Row:
     """One five-valued row over positions 1..v.
 
     Position p is bit p of every mask (bit 0 is never set).  ``zero_mask``
-    and ``one_mask`` hold the ``0`` and ``1`` positions; ``groups`` maps a
-    group id to its ``(premise, anticonclusion mask)`` pair; every position
-    in none of them is free.  Group ids only label groups in ``debug()``;
-    ``next_gid`` is the label the next new group gets.  ``pa`` counts the
-    anti-implications already imposed on this row, i.e. it indexes the next
-    pending one in the imposition order.  Engines clone a row before
+    and ``one_mask`` hold the ``0`` and ``1`` positions; ``groups`` maps
+    each premise to its anticonclusion mask; every position in none of them
+    is free.  ``pa`` counts the anti-implications already imposed on this
+    row, i.e. it indexes the next pending one in the imposition order.  Engines clone a row before
     changing it, so rows never share a group table.
     """
 
-    __slots__ = ("v", "zero_mask", "one_mask", "groups", "pa", "next_gid")
+    __slots__ = ("v", "zero_mask", "one_mask", "groups", "pa")
 
     def __init__(self, v: int, zero_mask: int, one_mask: int,
-                 groups: dict[int, tuple[int, int]], pa: int, next_gid: int):
+                 groups: dict[int, int], pa: int):
         self.v = v
         self.zero_mask = zero_mask
         self.one_mask = one_mask
         self.groups = groups
         self.pa = pa
-        self.next_gid = next_gid
 
     def clone(self) -> "Row":
         son = object.__new__(Row)
@@ -108,14 +106,13 @@ class Row:
         son.one_mask = self.one_mask
         son.groups = self.groups.copy()
         son.pa = self.pa
-        son.next_gid = self.next_gid
         return son
 
     # -- derived position sets --------------------------------------------
 
     def _free_mask(self) -> int:
         taken = self.zero_mask | self.one_mask
-        for prem, anti in self.groups.values():
+        for prem, anti in self.groups.items():
             taken |= anti | 1 << prem
         return ((1 << (self.v + 1)) - 2) & ~taken
 
@@ -123,7 +120,7 @@ class Row:
         return frozenset(_positions(self.one_mask))
 
     def premset(self) -> frozenset[int]:
-        return frozenset(prem for prem, _anti in self.groups.values())
+        return frozenset(self.groups)
 
     def decompose(self) -> tuple[frozenset[int], list[tuple[int, frozenset[int]]]]:
         """The base set (the ``1`` and free positions) and every group as
@@ -134,14 +131,14 @@ class Row:
         """
         base = frozenset(_positions(self.one_mask | self._free_mask()))
         groups = [(prem, frozenset(_positions(anti)))
-                  for prem, anti in sorted(self.groups.values())]
+                  for prem, anti in sorted(self.groups.items())]
         return base, groups
 
     # -- closed-form queries ----------------------------------------------
 
     def _sizes(self) -> tuple[int, int, list[int]]:
         """|ones|, |frees| and the anticonclusion sizes."""
-        betas = [anti.bit_count() for _prem, anti in self.groups.values()]
+        betas = [anti.bit_count() for anti in self.groups.values()]
         n_ones = self.one_mask.bit_count()
         n_twos = (self.v - self.zero_mask.bit_count() - n_ones
                   - len(betas) - sum(betas))
@@ -168,7 +165,7 @@ class Row:
         and the whole anticonclusion."""
         base = ((1 << (self.v + 1)) - 2) & ~self.zero_mask
         total = 0
-        for prem, anti in self.groups.values():
+        for prem, anti in self.groups.items():
             base &= ~(anti | 1 << prem)
             total += max(wt[prem], sum(map(wt.__getitem__, _positions(anti))))
         return total + sum(map(wt.__getitem__, _positions(base)))
@@ -227,7 +224,7 @@ class Row:
     def max_member(self) -> frozenset[int]:
         """A largest member: everything except zeros and premise positions."""
         out = self.zero_mask
-        for prem, _anti in self.groups.values():
+        for prem in self.groups:
             out |= 1 << prem
         return frozenset(_positions(((1 << (self.v + 1)) - 2) & ~out))
 
@@ -241,7 +238,7 @@ class Row:
         if xmask & self.zero_mask or self.one_mask & ~xmask:
             return False
         return not any(xmask >> prem & 1 and xmask & anti
-                       for prem, anti in self.groups.values())
+                       for prem, anti in self.groups.items())
 
     def expand(self, min_size: int = 0) -> Iterator[frozenset[int]]:
         """Yield every member of size >= min_size exactly once.
@@ -260,7 +257,7 @@ class Row:
             return
         ones = tuple(_positions(self.one_mask))
         twos = tuple(_positions(self._free_mask()))
-        groups = sorted(self.groups.values())
+        groups = sorted(self.groups.items())
         choice_lists = [[(prem,), *_subsets_lex(tuple(_positions(anti)))]
                         for prem, anti in groups]
         # reach[j]: the most positions groups j.. can add to a member, each
@@ -282,13 +279,14 @@ class Row:
     # -- diagnostics -------------------------------------------------------
 
     def debug(self) -> str:
-        """Compact rendering like ``(a1,0,2,b1,b1)``."""
+        """Compact rendering like ``(a1,0,2,b1,b1)``; groups are numbered
+        1, 2, ... in premise order, so equal rows print equally."""
         tokens = ["2"] * (self.v + 1)
         for p in _positions(self.zero_mask):
             tokens[p] = "0"
         for p in _positions(self.one_mask):
             tokens[p] = "1"
-        for g, (prem, anti) in self.groups.items():
+        for g, (prem, anti) in enumerate(sorted(self.groups.items()), start=1):
             tokens[prem] = f"a{g}"
             for q in _positions(anti):
                 tokens[q] = f"b{g}"
@@ -298,11 +296,11 @@ class Row:
         """Raise AssertionError unless every position lies in 1..v, no
         position has two roles, and no anticonclusion is empty."""
         parts = [self.zero_mask, self.one_mask]
-        for g, (prem, anti) in self.groups.items():
+        for prem, anti in self.groups.items():
             if not anti:
-                raise AssertionError(f"group {g} has an empty anticonclusion")
+                raise AssertionError(f"group of premise {prem} has an empty anticonclusion")
             if not 1 <= prem <= self.v:
-                raise AssertionError(f"group {g} premise {prem} out of range 1..{self.v}")
+                raise AssertionError(f"premise {prem} out of range 1..{self.v}")
             parts += [1 << prem, anti]
         full = (1 << (self.v + 1)) - 2
         seen = 0
@@ -316,8 +314,8 @@ class Row:
     def __eq__(self, other):
         if not isinstance(other, Row):
             return NotImplemented
-        return (self.v, self.zero_mask, self.one_mask, sorted(self.groups.values())) == (
-            other.v, other.zero_mask, other.one_mask, sorted(other.groups.values()))
+        return (self.v, self.zero_mask, self.one_mask, self.groups) == (
+            other.v, other.zero_mask, other.one_mask, other.groups)
 
     __hash__ = None
 
@@ -329,7 +327,7 @@ def full_row(v: int) -> Row:
     """The row (2, 2, ..., 2) encoding the whole powerset of 1..v."""
     if v < 1:
         raise ValueError(f"vertex count must be at least 1, got {v}")
-    return Row(v, 0, 0, {}, 0, 1)
+    return Row(v, 0, 0, {}, 0)
 
 
 def row_from_debug(text: str, pa: int = 0) -> Row:
@@ -356,8 +354,8 @@ def row_from_debug(text: str, pa: int = 0) -> Row:
             raise ValueError(f"bad row symbol {tok!r}")
     if set(prems) != set(antis):
         raise ValueError("every group needs one premise and a non-empty anticonclusion")
-    groups = {g: (prems[g], antis[g]) for g in prems}
-    row = Row(len(tokens), masks["0"], masks["1"], groups, pa, max(prems, default=0) + 1)
+    groups = {prems[g]: antis[g] for g in prems}
+    row = Row(len(tokens), masks["0"], masks["1"], groups, pa)
     row.validate()
     return row
 

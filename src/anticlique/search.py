@@ -25,6 +25,7 @@ from .enumerator import (
     _check_rule,
     _deadline,
     _exclusion_run,
+    _remaining,
     _resolve_order,
     cover_order,
     expand_rows,
@@ -208,10 +209,11 @@ def all_max_anticliques(
     """All maximum anticliques (maximum weight with ``opts.weights``), sorted.
 
     Phase 1 learns alpha with the currentmax search; phase 2 is
-    ``maximum_sets``.
+    ``maximum_sets``.  Both share the one budget of ``timeout_s``.
     """
+    deadline = _deadline(timeout_s)
     res = max_anticlique(g, opts, timeout_s=timeout_s)
-    sets, _stats = maximum_sets(g, res, opts, timeout_s=timeout_s)
+    sets, _stats = maximum_sets(g, res, opts, timeout_s=_remaining(deadline))
     return res.alpha, sets
 
 

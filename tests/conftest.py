@@ -82,7 +82,7 @@ def induced_subgraph(g: Graph, keep: set[int]) -> Graph:
 def row_masks(row: Row):
     """Bitmask view of the row's declared structure (bit p-1 = vertex p;
     the row's own masks use bit p)."""
-    groups = [(prem - 1, anti >> 1) for prem, anti in row.groups.values()]
+    groups = [(prem - 1, anti >> 1) for prem, anti in row.groups.items()]
     return row.zero_mask >> 1, row.one_mask >> 1, groups
 
 

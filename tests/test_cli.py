@@ -633,6 +633,18 @@ class TestTrace:
             "11",
         ]
 
+    def test_trace_grows_with_the_run_not_its_square(self, capsys):
+        # an impose event prints the working stack only; the finalized rows
+        # are printed once each as they come and once in the final stack
+        code, out, _ = run_cli(capsys, "count", "--trace", "--gen", "40,0.1,1")
+        assert code == 0
+        assert len(out.encode()) < 5_000_000
+        lines = out.splitlines()
+        tail = lines[lines.index("final output stack (top first):") + 1:-1]
+        assert len(tail) == sum(line.startswith("finalize ") for line in lines)
+        _, plain, _ = run_cli(capsys, "count", "--gen", "40,0.1,1")
+        assert lines[-1] == plain.strip()
+
     def test_paper_rule_prints_no_relabelling(self, capsys, g5_file):
         code, out, _ = run_cli(capsys, "poly", "--graph", str(g5_file), "--trace",
                                "--rule", "paper")

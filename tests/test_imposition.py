@@ -135,7 +135,7 @@ def _holds_by_walk(row, t, neighbors):
             live = p
     if not live:
         return True
-    for prem, anti in row.groups.values():
+    for prem, anti in row.groups.items():
         if prem == live:
             return bool(anti >> t & 1)
     return False

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -152,6 +153,9 @@ class TestRowEquality:
     def test_group_ids_do_not_matter(self):
         assert row_from_debug("(a1,0,2,b1,b1)") == row_from_debug("(a7,0,2,b7,b7)")
 
+    def test_debug_numbers_groups_in_premise_order(self):
+        assert row_from_debug("(a2,b2,a1,b1)").debug() == "(a1,b1,a2,b2)"
+
     def test_different_shape(self):
         assert row_from_debug("(a1,b1,2)") != row_from_debug("(a1,2,b1)")
 
@@ -159,14 +163,14 @@ class TestRowEquality:
 class TestValidate:
     # position p is bit p of a mask
     @pytest.mark.parametrize("row", [
-        Row(4, 0, 0, {1: (1, 1 << 3), 2: (2, 1 << 3 | 1 << 4)}, 0, 3),
-        Row(3, 1 << 2, 0, {1: (1, 1 << 2)}, 0, 2),
-        Row(3, 0, 1 << 1, {1: (1, 1 << 2)}, 0, 2),
-        Row(3, 0, 0, {1: (1, 0)}, 0, 2),
-        Row(3, 1 << 4, 0, {}, 0, 1),
-        Row(3, 1, 0, {}, 0, 1),
-        Row(3, 0, 0, {1: (4, 1 << 1)}, 0, 2),
-        Row(3, 0, 0, {1: (1, 1 << 5)}, 0, 2),
+        Row(4, 0, 0, {1: 1 << 3, 2: 1 << 3 | 1 << 4}, 0),
+        Row(3, 1 << 2, 0, {1: 1 << 2}, 0),
+        Row(3, 0, 1 << 1, {1: 1 << 2}, 0),
+        Row(3, 0, 0, {1: 0}, 0),
+        Row(3, 1 << 4, 0, {}, 0),
+        Row(3, 1, 0, {}, 0),
+        Row(3, 0, 0, {4: 1 << 1}, 0),
+        Row(3, 0, 0, {1: 1 << 5}, 0),
     ], ids=["two-groups", "zero-and-group", "one-and-premise", "empty-anti",
             "zero-out-of-range", "position-0", "premise-out-of-range",
             "anti-out-of-range"])
@@ -194,6 +198,19 @@ class TestRandomRowSweep:
             best = row.max_member()
             assert len(best) == largest
             assert row.contains(best)
+
+    def test_equal_rows_print_equally(self):
+        rng = random.Random(1729)
+        for _ in range(500):
+            row = random_row(rng, rng.randint(1, 14))
+            text = row.debug()
+            # the same row under shuffled group labels
+            labels = sorted(set(re.findall(r"[ab](\d+)", text)))
+            renamed = dict(zip(labels, rng.sample(labels, len(labels))))
+            other = row_from_debug(re.sub(r"([ab])(\d+)",
+                                          lambda m: m[1] + renamed[m[2]], text))
+            assert other == row
+            assert other.debug() == text
 
     def test_contains_matches_membership(self):
         rng = random.Random(99)

@@ -24,6 +24,7 @@ from anticlique import (
     threshold_alpha,
     threshold_search,
 )
+from anticlique import search
 from anticlique.search import _weighted_bound, _weighted_member, _weight_vector
 from conftest import (
     all_anticliques,
@@ -156,6 +157,18 @@ class TestAllMaxAnticliques:
 
 
 class TestCore:
+    def test_both_phases_share_one_budget(self, monkeypatch):
+        budgets = []
+
+        def spy(*args, timeout_s=None, **kwargs):
+            budgets.append(timeout_s)
+            return maximum_sets(*args, timeout_s=timeout_s, **kwargs)
+
+        monkeypatch.setattr(search, "maximum_sets", spy)
+        core(random_graph(40, 0.3, 1), timeout_s=5.0)
+        # phase 2 gets what phase 1 left of the 5 s, not 5 s of its own
+        assert len(budgets) == 1 and 0 < budgets[0] < 5.0
+
     def test_unique_maximum_is_its_own_core(self, g5):
         assert core(g5) == {2, 3, 5}
 
@@ -373,11 +386,11 @@ class TestTraceSchema:
             assert {"impose", "finalize", "done"} <= kinds, name
             for kind, keys in events:
                 assert keys == {
-                    "impose": {"t", "outcome", "working", "output"},
+                    "impose": {"t", "outcome", "working"},
                     "finalize": {"row", "count"},
                     "prune": {"row", "bound", "limit"},
                     "improve": {"row", "currentmax"},
-                    "done": {"output"},
+                    "done": set(),
                 }[kind], (name, kind)
         # the last run, currentmax, also prunes and improves
         assert {"prune", "improve"} <= {kind for kind, _keys in events}
