@@ -75,11 +75,13 @@ class SearchStats:
 class Prune:
     """Delete every row whose ``bound`` falls to ``limit`` or below.
 
-    The consumer of an exclusion run may raise ``limit`` between the rows it
-    receives; currentmax raises it to each finalized row's bound.
+    ``bound(row, L)`` need only lie on the same side of L as the full
+    bound ``bound(row)``.  The consumer of an exclusion run may raise
+    ``limit`` between the rows it receives; currentmax raises it to each
+    finalized row's value.
     """
 
-    bound: Callable[[Row], int]
+    bound: Callable[..., int]
     limit: int
 
 
@@ -216,9 +218,9 @@ def _exclusion_run(
 
     Anti-implications are imposed in ``seq`` order on the top row; a split
     pushes the t-out son below the t-in son.  With ``prune`` set, a row is
-    deleted once its bound is at most the limit: when it is popped (the
-    limit may have risen since it was pushed), after a Mutated outcome, and
-    for each son of a split.  ``deadline`` is absolute, on time.monotonic().
+    deleted once its bound is at most the limit: after a Mutated outcome,
+    for each son of a split, and when it is popped if the limit has risen
+    since it was pushed.  ``deadline`` is absolute, on time.monotonic().
     Under ``rule="own-premise"`` every imposition is preceded by
     ``anti_implication_holds`` (an Unchanged outcome when it holds), which
     makes the paper's pop-time test redundant, so it is skipped, and
@@ -231,12 +233,14 @@ def _exclusion_run(
     n = len(seq)
     nbr = {t: g.nbr_mask(t) for t in seq}
     stack = [full_row(g.v)]
+    kept_at = [-1]   # with prune set: the limit each stacked row was kept at
     stats.peak_stack = 1
     while stack:
         if deadline is not None and time.monotonic() > deadline:
             raise SearchTimeout("search exceeded its time budget")
         row = stack.pop()
-        if prune is not None and _kept(row, prune, stats, trace) is None:
+        if (prune is not None and kept_at.pop() < prune.limit
+                and _kept(row, prune, stats, trace) is None):
             continue
         # paper rule: a popped row's pending anti-implication may hold
         # already; test it once, then run the mechanical case analysis until
@@ -282,6 +286,8 @@ def _exclusion_run(
                     one = _kept(one, prune, stats, trace)
                 if zero is not None and one is not None:
                     stack.append(zero)
+                    if prune is not None:
+                        kept_at.append(prune.limit)
                     stats.peak_stack = max(stats.peak_stack, len(stack) + 1)
                     row = one
                 else:
@@ -307,11 +313,12 @@ def _exclusion_run(
 
 def _kept(row: Row, prune: Prune, stats: SearchStats, trace: TraceHook | None) -> Row | None:
     """The row if its bound beats the limit; otherwise None, counted as deleted."""
-    if prune.bound(row) > prune.limit:
+    limit = prune.limit
+    if prune.bound(row, limit) > limit:
         return row
     stats.deleted += 1
     if trace:
-        trace("prune", {"row": row.debug(), "bound": prune.bound(row), "limit": prune.limit})
+        trace("prune", {"row": row.debug(), "bound": prune.bound(row), "limit": limit})
     return None
 
 

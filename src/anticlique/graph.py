@@ -74,12 +74,17 @@ def make_graph(v: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if not (1 <= i <= v) or not (1 <= j <= v):
             raise ValueError(f"edge ({i}, {j}) out of range 1..{v}")
         normalized.add((i, j) if i < j else (j, i))
-    ordered = tuple(sorted(normalized))
-    adj: list[set[int]] = [set() for _ in range(v + 1)]
+    # drop each structure once the next is built: a dense graph's edge set,
+    # sorted edges and adjacency tables would not fit in memory together
+    ordered = sorted(normalized)
+    del normalized
+    adj: list = [[] for _ in range(v + 1)]
     for i, j in ordered:
-        adj[i].add(j)
-        adj[j].add(i)
-    return Graph(v, ordered, tuple(frozenset(s) for s in adj))
+        adj[i].append(j)
+        adj[j].append(i)
+    for y in range(v + 1):
+        adj[y] = frozenset(adj[y])
+    return Graph(v, tuple(ordered), tuple(adj))
 
 
 def parse_graph(text: str, format: str) -> Graph:
@@ -214,13 +219,12 @@ def serialize_graph(g: Graph, format: str) -> str:
 def to_complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges of g."""
     present = set(g.edges)
-    edges = [
+    return make_graph(g.v, (
         (i, j)
         for i in range(1, g.v + 1)
         for j in range(i + 1, g.v + 1)
         if (i, j) not in present
-    ]
-    return make_graph(g.v, edges)
+    ))
 
 
 def random_graph(v: int, d: float, seed: int) -> Graph:
@@ -234,13 +238,13 @@ def random_graph(v: int, d: float, seed: int) -> Graph:
         raise GuardExceeded(f"random graph of v={v} vertices ({pairs} pairs) refused "
                             f"above the size guard of {MAX_PAIRS} pairs")
     rng = random.Random(seed)
-    edges = [
+    labels = list(range(v + 1))   # one int object per label, shared by its edges
+    return make_graph(v, (
         (i, j)
-        for i in range(1, v + 1)
-        for j in range(i + 1, v + 1)
+        for i in labels[1:]
+        for j in labels[i + 1:]
         if rng.random() < d
-    ]
-    return make_graph(v, edges)
+    ))
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:

@@ -170,39 +170,76 @@ class Row:
             total += max(wt[prem], sum(map(wt.__getitem__, _positions(anti))))
         return total + sum(map(wt.__getitem__, _positions(base)))
 
-    def clique_bound(self, nbr: Sequence[int], wt: Sequence[int] | None = None) -> int:
-        """An upper bound on the size (with ``wt``, the weight) of the
-        members that are anticliques, ``nbr[p]`` being the neighbour mask of
-        position p.
+    def clique_bound(self, nbr: Sequence[int], limit: int | None = None) -> int:
+        """An upper bound on the size of the members that are anticliques,
+        ``nbr[p]`` being the neighbour mask of position p.
 
         The positions that are neither ``0`` nor ``1`` are split greedily
         into cliques: take the lowest remaining position, then keep adding
         the lowest remaining common neighbour.  An anticlique holds at most
         one vertex of each clique, so it has at most |ones| + (number of
-        cliques) vertices and weighs at most wt(ones) + the heaviest vertex
-        of each clique.  The bound is capped by ``w_max()`` (``max_weight``),
-        and equals it on a finalized row, whose members are all anticliques.
+        cliques) vertices.  The bound is capped by ``w_max()`` and equals it
+        on a finalized row, whose members are all anticliques.
+
+        With ``limit`` set, the partition stops once the total exceeds
+        ``limit``, or once it cannot, each clique to come taking at least
+        one unplaced position; the value returned then lies on the same
+        side of ``limit`` as the full bound.
         """
-        if wt is None:
-            cap, total = self.w_max(), self.one_mask.bit_count()
+        cap = self.w_max()
+        # stop once total > above (kept) or total + left <= floor (pruned);
+        # with no limit, only reaching the cap stops it
+        if limit is None:
+            above, floor = cap - 1, -1
+        elif cap <= limit:
+            return cap
         else:
-            cap = self.max_weight(wt)
-            total = sum(map(wt.__getitem__, _positions(self.one_mask)))
+            above = floor = limit
+        total = self.one_mask.bit_count()
         rest = ((1 << (self.v + 1)) - 2) & ~(self.zero_mask | self.one_mask)
-        while rest and total < cap:
+        left = rest.bit_count()   # positions not yet placed in a clique
+        while rest and total <= above and total + left > floor:
             low = rest & -rest
-            p = low.bit_length() - 1
             rest ^= low
-            heaviest = 1 if wt is None else wt[p]
-            common = rest & nbr[p]
+            left -= 1
+            common = rest & nbr[low.bit_length() - 1]
             while common:
                 low = common & -common
-                q = low.bit_length() - 1
                 rest ^= low
-                common &= nbr[q]
-                if wt is not None and wt[q] > heaviest:
-                    heaviest = wt[q]
-            total += heaviest
+                left -= 1
+                common &= nbr[low.bit_length() - 1]
+            total += 1
+        return min(total, cap)
+
+    def weighted_clique_bound(self, ranks: "WeightRanks", limit: int | None = None) -> int:
+        """``clique_bound`` by weight, position p weighing ``ranks.wt[p]``.
+
+        Each clique starts at the heaviest remaining position and grows by
+        the heaviest remaining common neighbour (the order of ``ranks``), so
+        its weight is its first position's: the bound is wt(ones) plus that
+        weight per clique, capped by ``max_weight``.  With ``limit`` set,
+        the partition stops once the total exceeds ``limit``.
+        """
+        wt = ranks.wt
+        cap = self.max_weight(wt)
+        if limit is None:
+            limit = cap - 1
+        elif cap <= limit:
+            return cap
+        total = sum(map(wt.__getitem__, _positions(self.one_mask)))
+        live = ((1 << (self.v + 1)) - 2) & ~(self.zero_mask | self.one_mask)
+        rest = sum(map(ranks.bit.__getitem__, _positions(live)))
+        nbr, weight = ranks.nbr, ranks.weight
+        while rest and total <= limit:
+            low = rest & -rest
+            r = low.bit_length() - 1
+            rest ^= low
+            total += weight[r]
+            common = rest & nbr[r]
+            while common:
+                low = common & -common
+                rest ^= low
+                common &= nbr[low.bit_length() - 1]
         return min(total, cap)
 
     def member_count(self) -> int:
@@ -321,6 +358,26 @@ class Row:
 
     def __repr__(self):
         return f"Row{self.debug()} pa={self.pa}"
+
+
+class WeightRanks:
+    """The positions by descending weight, ties by the lower label.
+
+    Position p has rank bit ``bit[p]``; ``nbr[r]`` and ``weight[r]`` are
+    the neighbour mask (in rank bits) and the weight of rank r, and ``wt``
+    the weights by position.  A search builds it once.
+    """
+
+    __slots__ = ("wt", "bit", "nbr", "weight")
+
+    def __init__(self, nbr: Sequence[int], wt: Sequence[int]):
+        ranked = sorted(range(1, len(wt)), key=lambda p: -wt[p])   # stable: ties by label
+        self.wt = wt
+        self.bit = [0] * len(wt)
+        for r, p in enumerate(ranked):
+            self.bit[p] = 1 << r
+        self.nbr = [sum(map(self.bit.__getitem__, _positions(nbr[p]))) for p in ranked]
+        self.weight = [wt[p] for p in ranked]
 
 
 def full_row(v: int) -> Row:

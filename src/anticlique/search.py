@@ -6,16 +6,19 @@ finalized.  ``bound="clique"`` (the default) is ``Row.clique_bound``, a greedy
 clique-cover bound (the colouring bound of Carraghan & Pardalos, 1990, and
 Tomita & Seki's MCQ, 2003, applied to anticliques) capped by w_max;
 ``bound="w_max"`` is the paper's w_max = v - |zeros| - |premises|.  With
-weights, each takes its weighted form.  Both equal w_max (the heaviest
-member's weight) on a finalized row, so answers and witnesses do not depend
-on the choice; the rows visited and the counters do.
+weights, each takes its weighted form, whose cliques start at their
+heaviest vertex (Kumlander's weight-ordered colouring, 2004).  Both equal
+w_max (the heaviest member's weight) on a finalized row, so answers and
+witnesses do not depend on the choice; the rows visited and the counters do.
+A prune check calls ``bound(row, limit)``, which may stop as soon as it
+knows on which side of the limit the full bound ``bound(row)`` lies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .enumerator import (
     ImpositionOrder,
@@ -34,7 +37,7 @@ from .enumerator import (
 from .errors import ConfigurationError
 from .graph import Graph, bipartition
 from .imposition import anti_implication_holds, impose  # noqa: F401  wrapped by perfbench/tracer.py
-from .rows import Row
+from .rows import Row, WeightRanks
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ def threshold_search(
         raise ConfigurationError(f"unknown threshold mode {mode!r}")
     _check_rule(rule)
     seq = _resolve_order(g, order).order
-    row_bound, _extract = _objective(g, bound, None)
+    row_bound, _member = _objective(g, bound, None)
     stats = SearchStats()
     rows = _exclusion_run(g, seq, stats, Prune(row_bound, k), trace, _deadline(timeout_s),
                           rule)
@@ -112,7 +115,7 @@ def threshold_alpha(
     probe at k = alpha certifies maximality.  One deadline bounds them all.
     """
     seq = full_order(g.v).order
-    row_bound, _extract = _objective(g, bound, None)
+    row_bound, _member = _objective(g, bound, None)
     deadline = _deadline(timeout_s)
     total = SearchStats()
     k = 0
@@ -144,14 +147,15 @@ def max_anticlique(
     wt = _weight_vector(g, opts.weights) if opts.weights is not None else None
     best, best_set = _initial_state(g, opts, wt)
     seq = _resolve_order(g, opts.order).order
-    bound, extract = _objective(g, opts.bound, wt)
+    bound, member = _objective(g, opts.bound, wt)
     stats = SearchStats()
     prune = Prune(bound, best)
     for row in _exclusion_run(g, seq, stats, prune, trace, _deadline(timeout_s)):
-        # every check kept the bound strictly above currentmax, so a
+        # every check kept the bound strictly above currentmax, and on a
+        # finalized row it equals its heaviest member's value, so a
         # finalized row always improves it
-        best = prune.limit = bound(row)
-        best_set = extract(row)
+        best_set = member(row)
+        best = prune.limit = _value(best_set, wt)
         if trace:
             trace("improve", {"row": row.debug(), "currentmax": best})
     assert best_set is not None, "search ended without any witness"
@@ -190,7 +194,7 @@ def maximum_sets(
     opts = opts or SearchOptions()
     wt = _weight_vector(g, opts.weights) if opts.weights is not None else None
     seq = _resolve_order(g, opts.order).order
-    bound, _extract = _objective(g, opts.bound, wt)
+    bound, _member = _objective(g, opts.bound, wt)
     stats = SearchStats()
     deadline = _deadline(timeout_s)
     rows = _exclusion_run(g, seq, stats, Prune(bound, res.alpha - 1), trace, deadline)
@@ -198,7 +202,7 @@ def maximum_sets(
         sets = list(expand_rows(rows, res.alpha, deadline))
     else:
         sets = [X for X in expand_rows(rows, 0, deadline)
-                if sum(wt[p] for p in X) == res.alpha]
+                if _value(X, wt) == res.alpha]
     sets.sort(key=sorted)
     return sets, stats
 
@@ -258,9 +262,12 @@ def _weight_vector(g: Graph, weights: Mapping[int, int]) -> list[int]:
     return wt
 
 
-def _weighted_bound(row: Row, wt: list[int], nbr: Sequence[int] | None = None) -> int:
+def _weighted_bound(row: Row, wt: list[int], ranks: WeightRanks | None = None,
+                    limit: int | None = None) -> int:
     # a module function only because perfbench/tracer.py wraps it by name
-    return row.max_weight(wt) if nbr is None else row.clique_bound(nbr, wt)
+    if ranks is None:
+        return row.max_weight(wt)
+    return row.weighted_clique_bound(ranks, limit)
 
 
 def _weighted_member(row: Row, wt: list[int]) -> frozenset[int]:
@@ -277,17 +284,25 @@ def _weighted_member(row: Row, wt: list[int]) -> frozenset[int]:
 
 def _objective(
     g: Graph, bound: str, wt: list[int] | None,
-) -> tuple[Callable[[Row], int], Callable[[Row], frozenset[int]]]:
-    """The row bound to prune by and a member of a finalized row achieving
-    it: cardinality without weights, total weight with them."""
+) -> tuple[Callable[..., int], Callable[[Row], frozenset[int]]]:
+    """The row bound to prune by, ``bound(row, limit=None)``, and a member of
+    a finalized row achieving it: cardinality without weights, total weight
+    with them."""
     if bound not in ("clique", "w_max"):
         raise ConfigurationError(f"unknown bound {bound!r}; use 'clique' or 'w_max'")
     nbr = g.nbr_masks if bound == "clique" else None
     if wt is not None:
-        return partial(_weighted_bound, wt=wt, nbr=nbr), partial(_weighted_member, wt=wt)
+        ranks = None if nbr is None else WeightRanks(nbr, wt)
+        return (lambda row, limit=None: _weighted_bound(row, wt, ranks, limit),
+                partial(_weighted_member, wt=wt))
     if nbr is None:
-        return Row.w_max, Row.max_member
-    return partial(Row.clique_bound, nbr=nbr), Row.max_member
+        return lambda row, limit=None: row.w_max(), Row.max_member
+    return lambda row, limit=None: row.clique_bound(nbr, limit), Row.max_member
+
+
+def _value(X: frozenset[int], wt: list[int] | None) -> int:
+    """The size of X, or its total weight."""
+    return len(X) if wt is None else sum(map(wt.__getitem__, X))
 
 
 def _is_anticlique(g: Graph, X: frozenset[int]) -> bool:
@@ -304,4 +319,4 @@ def _initial_state(
         raise ConfigurationError("initial witness out of range")
     if not _is_anticlique(g, witness):
         raise ConfigurationError("initial witness is not an anticlique")
-    return sum(wt[p] for p in witness) if wt is not None else len(witness), witness
+    return _value(witness, wt), witness

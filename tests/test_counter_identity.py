@@ -121,9 +121,13 @@ CURRENTMAX_CLIQUE = [
     (8, 18, 5, 2, 7), (26, 51, 6, 3, 24), (21, 53, 9, 3, 19),
     (197, 256, 8, 3, 195), (323, 450, 9, 5, 319),
 ]
+# Re-recorded when the weighted clique bound began to seed each clique at its
+# heaviest vertex; under the lowest-label partition the last four read
+# (57, 84, 5, 7, 51), (97, 160, 9, 9, 89), (462, 578, 8, 4, 459) and
+# (1384, 2682, 9, 16, 1369).
 WEIGHTED_CLIQUE = [
-    (19, 34, 4, 6, 14), (57, 84, 5, 7, 51), (97, 160, 9, 9, 89),
-    (462, 578, 8, 4, 459), (1384, 2682, 9, 16, 1369),
+    (19, 34, 4, 6, 14), (51, 81, 5, 7, 45), (68, 126, 9, 9, 60),
+    (303, 422, 8, 4, 300), (708, 1405, 9, 16, 693),
 ]
 BIPARTITE_CLIQUE = [(4, 1, 1, 0, 5), (0, 0, 1, 0, 1), (18, 13, 4, 2, 17), (2, 3, 1, 0, 3)]
 THRESHOLD_FIRST_CLIQUE = [

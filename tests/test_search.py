@@ -12,6 +12,7 @@ from anticlique import (
     bipartite_options,
     core,
     cover_order,
+    full_row,
     independence_polynomial,
     make_graph,
     max_anticlique,
@@ -25,6 +26,8 @@ from anticlique import (
     threshold_search,
 )
 from anticlique import search
+from anticlique.enumerator import Prune, _exclusion_run, full_order
+from anticlique.rows import WeightRanks
 from anticlique.search import _weighted_bound, _weighted_member, _weight_vector
 from conftest import (
     all_anticliques,
@@ -239,25 +242,27 @@ class TestWeighted:
 
 
 class TestCliqueBound:
-    """Row.clique_bound and its weighted twin bound a row's anticliques."""
+    """Row.clique_bound and its weighted twin, heaviest vertex first, bound a
+    row's anticliques."""
 
     @staticmethod
     def _case(rng, v):
         g = random_graph(v, rng.choice((0.2, 0.5, 0.8)), rng.randint(0, 10**6))
         wt = _weight_vector(g, {y: rng.randint(1, 6) for y in range(1, v + 1)})
-        return g, wt, [sum(1 << q for q in adj) for adj in g.adjacency]
+        nbr = [sum(1 << q for q in adj) for adj in g.adjacency]
+        return g, wt, nbr, WeightRanks(nbr, wt)
 
     def test_between_largest_anticlique_member_and_w_max(self):
         rng = random.Random(57)
         for _ in range(300):
             v = rng.randint(1, 10)
-            g, wt, nbr = self._case(rng, v)
+            g, wt, nbr, ranks = self._case(rng, v)
             row = random_row(rng, v)
             members = [X for X in row.expand() if is_anticlique(g, X)]
             size = max(map(len, members), default=0)
             weight = max((sum(wt[p] for p in X) for X in members), default=0)
             assert size <= row.clique_bound(nbr) <= row.w_max()
-            assert weight <= _weighted_bound(row, wt, nbr) <= row.max_weight(wt)
+            assert weight <= _weighted_bound(row, wt, ranks) <= row.max_weight(wt)
             assert _weighted_bound(row, wt) == row.max_weight(wt)
 
     def test_edgeless_and_complete_graphs(self):
@@ -271,22 +276,35 @@ class TestCliqueBound:
             live = [p for p in range(1, v + 1) if not (row.zero_mask | row.one_mask) >> p & 1]
             edgeless = [0] * (v + 1)
             assert row.clique_bound(edgeless) == row.w_max()
-            assert row.clique_bound(edgeless, wt) == row.max_weight(wt)
+            assert row.weighted_clique_bound(WeightRanks(edgeless, wt)) == row.max_weight(wt)
             complete = [((1 << (v + 1)) - 2) & ~(1 << p) for p in range(v + 1)]
             assert row.clique_bound(complete) == min(row.w_max(), len(ones) + bool(live))
             heaviest = max((wt[p] for p in live), default=0)
-            assert row.clique_bound(complete, wt) == min(
+            assert row.weighted_clique_bound(WeightRanks(complete, wt)) == min(
                 row.max_weight(wt), sum(wt[p] for p in ones) + heaviest)
+
+    def test_cliques_start_at_the_heaviest_vertex(self):
+        # the path 1-2-3 weighing 1, 9, 9: heaviest first, the cliques are
+        # {2, 3} and {1}, 9 + 1 = alpha; by lowest label they would be
+        # {1, 2} and {3}, 9 + 9
+        wt = [0, 1, 9, 9]
+        ranks = WeightRanks(path_graph(3).nbr_masks, wt)
+        assert [ranks.bit[p] for p in (1, 2, 3)] == [4, 1, 2]
+        assert ranks.weight == [9, 9, 1]
+        row = full_row(3)
+        assert row.max_weight(wt) == 19
+        assert row.weighted_clique_bound(ranks) == 10
+        assert row.weighted_clique_bound(ranks, 9) > 9
 
     @pytest.mark.filterwarnings("ignore::anticlique.errors.StackBoundWarning")
     def test_equals_w_max_on_finalized_rows(self):
         rng = random.Random(58)
         for _ in range(60):
-            g, wt, nbr = self._case(rng, rng.randint(1, 16))
+            g, wt, nbr, ranks = self._case(rng, rng.randint(1, 16))
             rows, _stats = run_standard(g)
             for row in rows:
                 assert row.clique_bound(nbr) == row.w_max()
-                assert _weighted_bound(row, wt, nbr) == row.max_weight(wt)
+                assert _weighted_bound(row, wt, ranks) == row.max_weight(wt)
 
     def test_unknown_bound_rejected(self, g5):
         for call in (lambda: max_anticlique(g5, SearchOptions(bound="greedy")),
@@ -309,6 +327,47 @@ class TestCliqueBound:
                 assert maximum_sets(g, res, opts)[0] == maximum_sets(g, res, paper)[0]
             alpha = max_anticlique(g).alpha
             assert threshold_alpha(g)[0] == threshold_alpha(g, bound="w_max")[0] == alpha
+
+
+# The seeded oracle sweep's graphs at v <= 16 (test_enumerator.SWEEP).
+SWEEP = [(v, d, seed * 1000 + v)
+         for seed in range(4) for v in (8, 12, 16) for d in (0.1, 0.3, 0.5, 0.7, 0.9)]
+
+
+class TestLimitContract:
+    """``bound(row, limit)`` lies on the same side of ``limit`` as the full
+    bound ``bound(row)``, for every row a full run checks and every limit
+    from 0 to the row's cap."""
+
+    @staticmethod
+    def _rows(g):
+        # a run at limit -1 prunes nothing and checks every son and every
+        # mutated row; the recording bound sees them all
+        seen = {}
+
+        def record(row, limit=None):
+            seen.setdefault(row.debug(), row)
+            return row.w_max()
+
+        rows = _exclusion_run(g, full_order(g.v).order, SearchStats(), Prune(record, -1),
+                              None, None)
+        for row in rows:
+            seen.setdefault(row.debug(), row)
+        return [full_row(g.v), *seen.values()]
+
+    @pytest.mark.parametrize("v,d,seed", SWEEP)
+    def test_same_side_of_every_limit(self, v, d, seed):
+        g = random_graph(v, d, seed)
+        rng = random.Random(seed)
+        wt = _weight_vector(g, {y: rng.randint(1, 9) for y in range(1, v + 1)})
+        ranks = WeightRanks(g.nbr_masks, wt)
+        for row in self._rows(g):
+            full = row.clique_bound(g.nbr_masks)
+            for limit in range(row.w_max() + 1):
+                assert (row.clique_bound(g.nbr_masks, limit) > limit) == (full > limit)
+            full = row.weighted_clique_bound(ranks)
+            for limit in range(row.max_weight(wt) + 1):
+                assert (row.weighted_clique_bound(ranks, limit) > limit) == (full > limit)
 
 
 class TestBipartite:
