@@ -8,7 +8,8 @@ vertex by descending degree except a greedy maximal anticlique, whose
 vertices are never imposed.  On ``random_graph(60, 0.1, 3)`` ``count``
 finalizes 133,689 rows (179,719 with every vertex imposed).  ``count`` and
 ``poly`` run the paper's rule in vertex order with ``--rule paper``;
-``alpha`` runs the paper's rule in vertex order.
+``alpha`` runs the paper's rule and still imposes in vertex order; only its
+bound's clique partition follows search.py's rank space.
 
 Exit codes: 0 success, 2 usage or input error, 3 size-guard refusal,
 4 time budget (--timeout) exceeded.

@@ -35,7 +35,7 @@ import warnings
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ConfigurationError, SearchTimeout, StackBoundWarning
 from .graph import Graph
@@ -213,6 +213,8 @@ def _exclusion_run(
     trace: TraceHook | None,
     deadline: float | None,
     rule: str = "paper",
+    nbr: Sequence[int] | None = None,
+    labels: Sequence[int] | None = None,
 ) -> Iterator[Row]:
     """The row-stack loop behind every engine; yields the finalized rows.
 
@@ -226,12 +228,15 @@ def _exclusion_run(
     makes the paper's pop-time test redundant, so it is skipped, and
     vertices already 0 in the row are stepped past inline first, with or
     without ``trace``.  The test and ``impose`` get the imposed vertex's
-    neighbour mask, built once per run for the vertices of ``seq`` only, and
-    both stay calls to this module's names, which perfbench/tracer.py wraps.
+    neighbour mask ``nbr[t]`` (by default built once per run for the
+    vertices of ``seq`` only), and both stay calls to this module's names,
+    which perfbench/tracer.py wraps.  A search passes g's relabelled masks
+    and ``labels``, the vertex of g at each position, for the trace.
     """
     own_premise = rule == "own-premise"
     n = len(seq)
-    nbr = {t: g.nbr_mask(t) for t in seq}
+    if nbr is None:
+        nbr = {t: g.nbr_mask(t) for t in seq}
     stack = [full_row(g.v)]
     kept_at = [-1]   # with prune set: the limit each stacked row was kept at
     stats.peak_stack = 1
@@ -240,7 +245,7 @@ def _exclusion_run(
             raise SearchTimeout("search exceeded its time budget")
         row = stack.pop()
         if (prune is not None and kept_at.pop() < prune.limit
-                and _kept(row, prune, stats, trace) is None):
+                and _kept(row, prune, stats, trace, labels) is None):
             continue
         # paper rule: a popped row's pending anti-implication may hold
         # already; test it once, then run the mechanical case analysis until
@@ -276,14 +281,14 @@ def _exclusion_run(
                 row = outcome.row
                 row.pa += 1
                 if prune is not None:
-                    row = _kept(row, prune, stats, trace)
+                    row = _kept(row, prune, stats, trace, labels)
             else:
                 stats.rsp += 1
                 zero, one = outcome.zero_son, outcome.one_son
                 zero.pa = one.pa = row.pa + 1
                 if prune is not None:
-                    zero = _kept(zero, prune, stats, trace)
-                    one = _kept(one, prune, stats, trace)
+                    zero = _kept(zero, prune, stats, trace, labels)
+                    one = _kept(one, prune, stats, trace, labels)
                 if zero is not None and one is not None:
                     stack.append(zero)
                     if prune is not None:
@@ -293,12 +298,12 @@ def _exclusion_run(
                 else:
                     row = zero if one is None else one
             if trace:
-                trace("impose", _snapshot(t, outcome, row, stack, seq))
+                trace("impose", _snapshot(t, outcome, row, stack, seq, labels))
         if row is None:
             continue
         stats.finalized += 1
         if trace:
-            trace("finalize", {"row": row.debug(), "count": row.member_count()})
+            trace("finalize", {"row": _shown(row, labels), "count": row.member_count()})
         yield row
     if prune is None and stats.peak_stack > max(g.w, 1):
         warnings.warn(
@@ -311,27 +316,36 @@ def _exclusion_run(
         trace("done", {})
 
 
-def _kept(row: Row, prune: Prune, stats: SearchStats, trace: TraceHook | None) -> Row | None:
+def _kept(row: Row, prune: Prune, stats: SearchStats, trace: TraceHook | None,
+          labels: Sequence[int] | None) -> Row | None:
     """The row if its bound beats the limit; otherwise None, counted as deleted."""
     limit = prune.limit
     if prune.bound(row, limit) > limit:
         return row
     stats.deleted += 1
     if trace:
-        trace("prune", {"row": row.debug(), "bound": prune.bound(row), "limit": limit})
+        trace("prune", {"row": _shown(row, labels), "bound": prune.bound(row), "limit": limit})
     return None
 
 
-def _snapshot(t, outcome, current, stack, seq) -> dict:
+def _shown(row: Row, labels: Sequence[int] | None = None) -> str:
+    """``row.debug()``, with position p printed as vertex ``labels[p]``."""
+    return (row if labels is None else row.relabel([1 << p for p in labels])).debug()
+
+
+def _snapshot(t, outcome, current, stack, seq, labels) -> dict:
     """An ``impose`` event: the vertex, the outcome and the working stack,
     top first."""
+    def vertex(p: int) -> int:
+        return p if labels is None else labels[p]
+
     def label(r: Row) -> str:
-        pending = seq[r.pa] if r.pa < len(seq) else "-"
-        return f"{r.debug()} PA={pending}"
+        pending = vertex(seq[r.pa]) if r.pa < len(seq) else "-"
+        return f"{_shown(r, labels)} PA={pending}"
 
     working = [] if current is None else [label(current)]
     return {
-        "t": t,
+        "t": vertex(t),
         "outcome": type(outcome).__name__.lower(),
         "working": working + [label(r) for r in reversed(stack)],
     }

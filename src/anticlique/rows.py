@@ -108,6 +108,15 @@ class Row:
         son.pa = self.pa
         return son
 
+    def relabel(self, bit: Sequence[int]) -> "Row":
+        """This row with each position p moved to the position whose
+        one-bit mask is ``bit[p]``; ``bit`` permutes 1..v."""
+        def move(mask: int) -> int:
+            return sum(map(bit.__getitem__, _positions(mask)))
+
+        groups = {bit[prem].bit_length() - 1: move(anti) for prem, anti in self.groups.items()}
+        return Row(self.v, move(self.zero_mask), move(self.one_mask), groups, self.pa)
+
     # -- derived position sets --------------------------------------------
 
     def _free_mask(self) -> int:
@@ -211,30 +220,29 @@ class Row:
             total += 1
         return min(total, cap)
 
-    def weighted_clique_bound(self, ranks: "WeightRanks", limit: int | None = None) -> int:
-        """``clique_bound`` by weight, position p weighing ``ranks.wt[p]``.
+    def weighted_clique_bound(self, nbr: Sequence[int], wt: Sequence[int],
+                              limit: int | None = None) -> int:
+        """``clique_bound`` by weight, position p weighing ``wt[p]``.
 
-        Each clique starts at the heaviest remaining position and grows by
-        the heaviest remaining common neighbour (the order of ``ranks``), so
-        its weight is its first position's: the bound is wt(ones) plus that
-        weight per clique, capped by ``max_weight``.  With ``limit`` set,
-        the partition stops once the total exceeds ``limit``.
+        The positions must be numbered by descending weight, as a search's
+        rank space numbers them: each clique then starts at its heaviest
+        position, the lowest one left, so its weight is its first
+        position's.  The bound is wt(ones) plus that weight per clique,
+        capped by ``max_weight``.  With ``limit`` set, the partition stops
+        once the total exceeds ``limit``.
         """
-        wt = ranks.wt
         cap = self.max_weight(wt)
         if limit is None:
             limit = cap - 1
         elif cap <= limit:
             return cap
         total = sum(map(wt.__getitem__, _positions(self.one_mask)))
-        live = ((1 << (self.v + 1)) - 2) & ~(self.zero_mask | self.one_mask)
-        rest = sum(map(ranks.bit.__getitem__, _positions(live)))
-        nbr, weight = ranks.nbr, ranks.weight
+        rest = ((1 << (self.v + 1)) - 2) & ~(self.zero_mask | self.one_mask)
         while rest and total <= limit:
             low = rest & -rest
             r = low.bit_length() - 1
             rest ^= low
-            total += weight[r]
+            total += wt[r]
             common = rest & nbr[r]
             while common:
                 low = common & -common
@@ -358,26 +366,6 @@ class Row:
 
     def __repr__(self):
         return f"Row{self.debug()} pa={self.pa}"
-
-
-class WeightRanks:
-    """The positions by descending weight, ties by the lower label.
-
-    Position p has rank bit ``bit[p]``; ``nbr[r]`` and ``weight[r]`` are
-    the neighbour mask (in rank bits) and the weight of rank r, and ``wt``
-    the weights by position.  A search builds it once.
-    """
-
-    __slots__ = ("wt", "bit", "nbr", "weight")
-
-    def __init__(self, nbr: Sequence[int], wt: Sequence[int]):
-        ranked = sorted(range(1, len(wt)), key=lambda p: -wt[p])   # stable: ties by label
-        self.wt = wt
-        self.bit = [0] * len(wt)
-        for r, p in enumerate(ranked):
-            self.bit[p] = 1 << r
-        self.nbr = [sum(map(self.bit.__getitem__, _positions(nbr[p]))) for p in ranked]
-        self.weight = [wt[p] for p in ranked]
 
 
 def full_row(v: int) -> Row:

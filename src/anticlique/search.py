@@ -6,19 +6,27 @@ finalized.  ``bound="clique"`` (the default) is ``Row.clique_bound``, a greedy
 clique-cover bound (the colouring bound of Carraghan & Pardalos, 1990, and
 Tomita & Seki's MCQ, 2003, applied to anticliques) capped by w_max;
 ``bound="w_max"`` is the paper's w_max = v - |zeros| - |premises|.  With
-weights, each takes its weighted form, whose cliques start at their
-heaviest vertex (Kumlander's weight-ordered colouring, 2004).  Both equal
-w_max (the heaviest member's weight) on a finalized row, so answers and
-witnesses do not depend on the choice; the rows visited and the counters do.
-A prune check calls ``bound(row, limit)``, which may stop as soon as it
-knows on which side of the limit the full bound ``bound(row)`` lies.
+weights, each takes its weighted form.  Both equal w_max (the heaviest
+member's weight) on a finalized row, so answers do not depend on the
+choice; the rows visited, the counters and possibly the witnesses do.  A
+prune check calls ``bound(row, limit)``, which may stop as soon as it knows
+on which side of the limit the full bound ``bound(row)`` lies.
+
+Every search runs in rank space: on g's neighbour masks relabelled once
+per search by ascending degree (with weights: descending weight, then
+ascending degree), ties by the lower label.  The greedy partition takes
+the lowest position left, so its cliques grow from the vertices of fewest
+neighbours, MCQ's initial order; with weights each starts at its heaviest
+vertex (Kumlander's order, 2004).  The caller's imposition order is kept,
+mapped into ranks; witnesses, hits, rows, sets and the trace are mapped
+back to g's labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .enumerator import (
     ImpositionOrder,
@@ -30,6 +38,7 @@ from .enumerator import (
     _exclusion_run,
     _remaining,
     _resolve_order,
+    _shown,
     cover_order,
     expand_rows,
     full_order,
@@ -37,7 +46,7 @@ from .enumerator import (
 from .errors import ConfigurationError
 from .graph import Graph, bipartition
 from .imposition import anti_implication_holds, impose  # noqa: F401  wrapped by perfbench/tracer.py
-from .rows import Row, WeightRanks
+from .rows import Row
 
 
 @dataclass(frozen=True)
@@ -96,14 +105,15 @@ def threshold_search(
         raise ConfigurationError(f"unknown threshold mode {mode!r}")
     _check_rule(rule)
     seq = _resolve_order(g, order).order
-    row_bound, _member = _objective(g, bound, None)
+    ranks = _Ranks(g)
+    row_bound, _member = _objective(ranks, bound)
     stats = SearchStats()
-    rows = _exclusion_run(g, seq, stats, Prune(row_bound, k), trace, _deadline(timeout_s),
-                          rule)
+    rows = ranks.run(g, seq, stats, Prune(row_bound, k), trace, _deadline(timeout_s), rule)
     if mode == "all":
-        return list(rows), stats
+        bit = [1 << p for p in ranks.label]
+        return [row.relabel(bit) for row in rows], stats
     row = next(rows, None)
-    return (None if row is None else row.max_member()), stats
+    return (None if row is None else ranks.vertices(row.max_member())), stats
 
 
 def threshold_alpha(
@@ -115,13 +125,14 @@ def threshold_alpha(
     probe at k = alpha certifies maximality.  One deadline bounds them all.
     """
     seq = full_order(g.v).order
-    row_bound, _member = _objective(g, bound, None)
+    ranks = _Ranks(g)
+    row_bound, _member = _objective(ranks, bound)
     deadline = _deadline(timeout_s)
     total = SearchStats()
     k = 0
     while True:
         stats = SearchStats()
-        hit = next(_exclusion_run(g, seq, stats, Prune(row_bound, k), None, deadline), None)
+        hit = next(ranks.run(g, seq, stats, Prune(row_bound, k), None, deadline), None)
         total += stats
         if hit is None:
             return k, total
@@ -147,19 +158,22 @@ def max_anticlique(
     wt = _weight_vector(g, opts.weights) if opts.weights is not None else None
     best, best_set = _initial_state(g, opts, wt)
     seq = _resolve_order(g, opts.order).order
-    bound, member = _objective(g, opts.bound, wt)
+    ranks = _Ranks(g, wt)
+    bound, member = _objective(ranks, opts.bound)
+    if best_set is not None:
+        best_set = frozenset(map(ranks.rank.__getitem__, best_set))
     stats = SearchStats()
     prune = Prune(bound, best)
-    for row in _exclusion_run(g, seq, stats, prune, trace, _deadline(timeout_s)):
+    for row in ranks.run(g, seq, stats, prune, trace, _deadline(timeout_s)):
         # every check kept the bound strictly above currentmax, and on a
         # finalized row it equals its heaviest member's value, so a
         # finalized row always improves it
         best_set = member(row)
-        best = prune.limit = _value(best_set, wt)
+        best = prune.limit = _value(best_set, ranks.wt)
         if trace:
-            trace("improve", {"row": row.debug(), "currentmax": best})
+            trace("improve", {"row": _shown(row, ranks.label), "currentmax": best})
     assert best_set is not None, "search ended without any witness"
-    return MaxResult(alpha=best, witness=best_set, stats=stats)
+    return MaxResult(alpha=best, witness=ranks.vertices(best_set), stats=stats)
 
 
 def max_weight_anticlique(
@@ -194,17 +208,17 @@ def maximum_sets(
     opts = opts or SearchOptions()
     wt = _weight_vector(g, opts.weights) if opts.weights is not None else None
     seq = _resolve_order(g, opts.order).order
-    bound, _member = _objective(g, opts.bound, wt)
+    ranks = _Ranks(g, wt)
+    bound, _member = _objective(ranks, opts.bound)
     stats = SearchStats()
     deadline = _deadline(timeout_s)
-    rows = _exclusion_run(g, seq, stats, Prune(bound, res.alpha - 1), trace, deadline)
+    rows = ranks.run(g, seq, stats, Prune(bound, res.alpha - 1), trace, deadline)
     if wt is None:
-        sets = list(expand_rows(rows, res.alpha, deadline))
+        sets = expand_rows(rows, res.alpha, deadline)
     else:
-        sets = [X for X in expand_rows(rows, 0, deadline)
-                if _value(X, wt) == res.alpha]
-    sets.sort(key=sorted)
-    return sets, stats
+        sets = (X for X in expand_rows(rows, 0, deadline)
+                if _value(X, ranks.wt) == res.alpha)
+    return sorted(map(ranks.vertices, sets), key=sorted), stats
 
 
 def all_max_anticliques(
@@ -262,12 +276,46 @@ def _weight_vector(g: Graph, weights: Mapping[int, int]) -> list[int]:
     return wt
 
 
-def _weighted_bound(row: Row, wt: list[int], ranks: WeightRanks | None = None,
+class _Ranks:
+    """g's rank space for one search (see the module docstring).
+
+    ``label[r]`` is the vertex of rank r and ``rank[p]`` the rank of vertex
+    p (both 0 at 0); ``nbr[r]`` is rank r's neighbour mask in ranks and
+    ``wt[r]`` its weight, None without weights.
+    """
+
+    __slots__ = ("label", "rank", "nbr", "wt")
+
+    def __init__(self, g: Graph, wt: list[int] | None = None):
+        adj = g.adjacency
+        key = (lambda p: len(adj[p])) if wt is None else (lambda p: (-wt[p], len(adj[p])))
+        self.label = label = [0, *sorted(range(1, g.v + 1), key=key)]   # stable: ties by label
+        self.rank = rank = [0] * len(label)
+        for r, p in enumerate(label):
+            rank[p] = r
+        bit = [1 << r for r in rank]
+        self.nbr = [sum(map(bit.__getitem__, adj[p])) for p in label]
+        self.wt = None if wt is None else [wt[p] for p in label]
+
+    def run(self, g: Graph, seq: tuple[int, ...], stats: SearchStats, prune: Prune,
+            trace: TraceHook | None, deadline: float | None,
+            rule: str = "paper") -> Iterator[Row]:
+        """The exclusion run imposing ``seq``, vertices of g, in rank space;
+        it yields rows in ranks and traces in g's labels."""
+        return _exclusion_run(g, tuple(map(self.rank.__getitem__, seq)), stats, prune,
+                              trace, deadline, rule, self.nbr, self.label)
+
+    def vertices(self, X: frozenset[int]) -> frozenset[int]:
+        """The vertices of a set of ranks."""
+        return frozenset(map(self.label.__getitem__, X))
+
+
+def _weighted_bound(row: Row, wt: list[int], nbr: list[int] | None = None,
                     limit: int | None = None) -> int:
     # a module function only because perfbench/tracer.py wraps it by name
-    if ranks is None:
+    if nbr is None:
         return row.max_weight(wt)
-    return row.weighted_clique_bound(ranks, limit)
+    return row.weighted_clique_bound(nbr, wt, limit)
 
 
 def _weighted_member(row: Row, wt: list[int]) -> frozenset[int]:
@@ -283,17 +331,17 @@ def _weighted_member(row: Row, wt: list[int]) -> frozenset[int]:
 
 
 def _objective(
-    g: Graph, bound: str, wt: list[int] | None,
+    ranks: _Ranks, bound: str,
 ) -> tuple[Callable[..., int], Callable[[Row], frozenset[int]]]:
-    """The row bound to prune by, ``bound(row, limit=None)``, and a member of
-    a finalized row achieving it: cardinality without weights, total weight
-    with them."""
+    """The row bound to prune by in rank space, ``bound(row, limit=None)``,
+    and a member of a finalized row achieving it: cardinality without
+    weights, total weight with them."""
     if bound not in ("clique", "w_max"):
         raise ConfigurationError(f"unknown bound {bound!r}; use 'clique' or 'w_max'")
-    nbr = g.nbr_masks if bound == "clique" else None
+    nbr = ranks.nbr if bound == "clique" else None
+    wt = ranks.wt
     if wt is not None:
-        ranks = None if nbr is None else WeightRanks(nbr, wt)
-        return (lambda row, limit=None: _weighted_bound(row, wt, ranks, limit),
+        return (lambda row, limit=None: _weighted_bound(row, wt, nbr, limit),
                 partial(_weighted_member, wt=wt))
     if nbr is None:
         return lambda row, limit=None: row.w_max(), Row.max_member

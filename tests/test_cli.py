@@ -17,6 +17,7 @@ from anticlique import (
     max_anticlique,
     maximum_sets,
     random_graph,
+    row_from_debug,
     rows_polynomial,
     run_standard,
     serialize_graph,
@@ -24,6 +25,7 @@ from anticlique import (
 )
 from anticlique.cli import _build_parser, main
 from anticlique.maximal import maximal_family
+from anticlique.search import _Ranks
 from conftest import G5_DIMACS, all_anticliques, random_bipartite
 
 
@@ -208,7 +210,7 @@ class TestListingRun:
 
     @pytest.mark.parametrize("argv, stats", [
         ("enum --gen 20,0.2,1 --min-size 3", (24, 84, 4, 25, 0)),
-        ("threshold --gen 30,0.25,1 --k 6", (298, 845, 5, 262, 37)),
+        ("threshold --gen 30,0.25,1 --k 6", (296, 846, 5, 262, 35)),
         ("maximal --gen 24,0.3,1", (103, 223, 5, 104, 0)),
         ("chromatic --gen 14,0.5,1", (15, 40, 3, 16, 0)),
     ])
@@ -218,7 +220,7 @@ class TestListingRun:
 
     @pytest.mark.parametrize("command, stats", [
         ("enum", (24, 275, 4, 25, 0)),
-        ("threshold", (313, 2795, 5, 276, 38)),
+        ("threshold", (311, 2796, 5, 276, 36)),
         ("maximal", (101, 832, 5, 102, 0)),
         ("chromatic", (17, 107, 3, 18, 0)),
     ])
@@ -295,10 +297,10 @@ class TestListingTimeout:
         # are listed by the second phase
         "alpha --graph MATCHING --bipartite --all",
         "alpha --graph MATCHING --bipartite --all --weights WEIGHTS",   # all 3**20 members
-        "threshold --gen 100,0.05,1 --k 43",          # about 3 s
-        "threshold --gen 100,0.05,1 --k 44 --first",  # about 0.7 s
+        "threshold --gen 150,0.03,1 --k 64",          # past 60 s
+        "threshold --gen 150,0.03,1 --k 65 --first",  # about 2.6 s
         "maximal --gen 60,0.1,3",
-        "alpha --gen 100,0.05,1",                     # about 2.4 s
+        "alpha --gen 150,0.03,1",                     # about 16 s
         # its candidates take 0.02 s; the cover search runs past 30 s
         "chromatic --graph MYCIELSKI",
     ])
@@ -657,6 +659,31 @@ class TestTrace:
         assert code == 0
         assert "working stack (top first):" in out
         assert "improve currentmax=3" in out
+
+    @pytest.mark.parametrize("argv", ["alpha --gen 14,0.3,2", "threshold --gen 14,0.3,2 --k 3"])
+    def test_searches_trace_in_the_graph_labels(self, capsys, argv):
+        g = random_graph(14, 0.3, 2)
+        # the searches run on g relabelled by ascending degree, not the identity
+        assert _Ranks(g).label != list(range(g.v + 1))
+        code, out, _ = run_cli(capsys, *argv.split(), "--trace")
+        assert code == 0
+        # alpha imposes in vertex order, threshold in cover_degree_order
+        order = (list(range(1, g.v + 1)) if argv.startswith("alpha")
+                 else list(cover_degree_order(g).order))
+        imposed = [int(t) for t in re.findall(r"^impose (\d+):", out, re.M)]
+        assert imposed[0] == order[0] and set(imposed) <= set(order)
+        pending = {int(t) for t in re.findall(r" PA=(\d+)$", out, re.M)}
+        assert pending <= set(order)
+
+        def anticlique(X):
+            return not any(g.adjacency[y] & X for y in X)
+
+        finalized = re.findall(r"^finalize (\(\S+\))", out, re.M)
+        assert finalized
+        for text in finalized:
+            assert all(map(anticlique, row_from_debug(text).expand()))
+        for text in re.findall(r"^improve currentmax=\d+ via (\(\S+\))", out, re.M):
+            assert anticlique(row_from_debug(text).max_member())
 
 
 class TestBench:

@@ -7,9 +7,10 @@ enumerator.py).  Any change to the loop that alters a counter (``rsp``,
 a witness fails here.  Stats are tuples in ``SearchStats.as_dict()`` order.
 
 The searches prune by the paper's w_max here, asked for with
-``bound="w_max"``.  The ``*_CLIQUE`` tables pin the same runs under the
-default clique bound, recorded when it became the default: the answers and
-witnesses are the same, only the counters differ.
+``bound="w_max"``; w_max does not depend on labels, so these runs are the
+same in the searches' rank space.  The ``*_CLIQUE`` tables pin the same runs
+under the default clique bound: the answers and witnesses are the same,
+only the counters differ.
 
 ``STANDARD_OWN_PREMISE`` pins the standard run under the own-premise rule,
 in vertex order and in ``degree_order`` (recorded when that rule was added),
@@ -116,28 +117,27 @@ THRESHOLD_ALL = [
 ]
 
 
-# Stats of the same runs under the default clique bound, row for row.
+# Stats of the same runs under the default clique bound, row for row,
+# re-recorded when the searches moved to rank space (the clique partition by
+# ascending degree, with weights by descending weight): answers and
+# witnesses stayed, most counters fell.
 CURRENTMAX_CLIQUE = [
-    (8, 18, 5, 2, 7), (26, 51, 6, 3, 24), (21, 53, 9, 3, 19),
-    (197, 256, 8, 3, 195), (323, 450, 9, 5, 319),
+    (8, 18, 5, 2, 7), (11, 42, 6, 3, 9), (14, 39, 9, 3, 12),
+    (193, 229, 8, 3, 191), (283, 459, 9, 5, 279),
 ]
-# Re-recorded when the weighted clique bound began to seed each clique at its
-# heaviest vertex; under the lowest-label partition the last four read
-# (57, 84, 5, 7, 51), (97, 160, 9, 9, 89), (462, 578, 8, 4, 459) and
-# (1384, 2682, 9, 16, 1369).
 WEIGHTED_CLIQUE = [
-    (19, 34, 4, 6, 14), (51, 81, 5, 7, 45), (68, 126, 9, 9, 60),
-    (303, 422, 8, 4, 300), (708, 1405, 9, 16, 693),
+    (19, 34, 4, 6, 14), (51, 81, 5, 7, 45), (57, 117, 9, 9, 49),
+    (245, 390, 8, 4, 242), (689, 1392, 9, 16, 674),
 ]
-BIPARTITE_CLIQUE = [(4, 1, 1, 0, 5), (0, 0, 1, 0, 1), (18, 13, 4, 2, 17), (2, 3, 1, 0, 3)]
+BIPARTITE_CLIQUE = [(0, 0, 1, 0, 1), (0, 0, 1, 0, 1), (13, 10, 3, 2, 12), (0, 0, 1, 0, 1)]
 THRESHOLD_FIRST_CLIQUE = [
-    (6, 8, 2, 1, 5), (0, 0, 1, 0, 1), (9, 13, 6, 1, 4), (19, 12, 3, 0, 20),
-    (11, 34, 7, 1, 6), (14, 17, 3, 0, 15), (60, 121, 5, 1, 56), (154, 106, 5, 0, 155),
-    (63, 88, 5, 1, 59), (251, 149, 5, 0, 252),
+    (6, 8, 3, 1, 4), (0, 0, 1, 0, 1), (9, 13, 6, 1, 4), (2, 2, 1, 0, 3),
+    (7, 21, 5, 1, 3), (7, 3, 3, 0, 8), (70, 116, 5, 1, 67), (138, 79, 4, 0, 139),
+    (52, 87, 5, 1, 48), (195, 107, 4, 0, 196),
 ]
 THRESHOLD_ALL_CLIQUE = [
-    (8, 11, 2, 1, 8), (93, 135, 6, 25, 69), (107, 239, 7, 10, 98),
-    (430, 572, 7, 11, 420), (732, 1010, 6, 9, 724),
+    (9, 12, 3, 1, 9), (85, 128, 6, 25, 61), (40, 124, 6, 10, 31),
+    (366, 517, 6, 11, 356), (598, 814, 6, 9, 590),
 ]
 
 

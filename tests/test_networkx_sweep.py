@@ -32,6 +32,11 @@ CASES = [
     (80, 0.3, 16),
 ]
 
+# sparse graphs beyond CASES, alpha only: their complements' maximal cliques
+# are too many to list, and (120, 0.05, 1) alone takes max_anticlique about
+# 3 s (alpha = 48)
+SPARSE = [(100, 0.05, 1), (100, 0.05, 3), (120, 0.05, 1)]
+
 
 def _complement(g):
     h = nx.Graph()
@@ -71,4 +76,14 @@ def test_weighted_alpha_matches_networkx(v, d, seed):
 
     res = max_weight_anticlique(g, weights)
     assert res.alpha == sum(weights[p] for p in res.witness) == best
+    assert is_anticlique(g, res.witness)
+
+
+@pytest.mark.parametrize("v, d, seed", SPARSE)
+def test_sparse_alpha_matches_networkx(v, d, seed):
+    g = random_graph(v, d, seed)
+    _clique, alpha = nx.max_weight_clique(_complement(g), weight=None)
+
+    res = max_anticlique(g)
+    assert res.alpha == len(res.witness) == alpha
     assert is_anticlique(g, res.witness)

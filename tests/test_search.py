@@ -27,8 +27,7 @@ from anticlique import (
 )
 from anticlique import search
 from anticlique.enumerator import Prune, _exclusion_run, full_order
-from anticlique.rows import WeightRanks
-from anticlique.search import _weighted_bound, _weighted_member, _weight_vector
+from anticlique.search import _Ranks, _weighted_bound, _weighted_member, _weight_vector
 from conftest import (
     all_anticliques,
     complete_graph,
@@ -241,16 +240,21 @@ class TestWeighted:
             assert sum(wt[p] for p in best) == bound
 
 
+def _in_ranks(row, ranks):
+    """``row`` moved into the rank space of ``ranks``."""
+    return row.relabel([1 << r for r in ranks.rank])
+
+
 class TestCliqueBound:
-    """Row.clique_bound and its weighted twin, heaviest vertex first, bound a
-    row's anticliques."""
+    """Row.clique_bound and its weighted twin, heaviest vertex first in the
+    weighted rank space, bound a row's anticliques."""
 
     @staticmethod
     def _case(rng, v):
         g = random_graph(v, rng.choice((0.2, 0.5, 0.8)), rng.randint(0, 10**6))
         wt = _weight_vector(g, {y: rng.randint(1, 6) for y in range(1, v + 1)})
         nbr = [sum(1 << q for q in adj) for adj in g.adjacency]
-        return g, wt, nbr, WeightRanks(nbr, wt)
+        return g, wt, nbr, _Ranks(g, wt)
 
     def test_between_largest_anticlique_member_and_w_max(self):
         rng = random.Random(57)
@@ -262,7 +266,11 @@ class TestCliqueBound:
             size = max(map(len, members), default=0)
             weight = max((sum(wt[p] for p in X) for X in members), default=0)
             assert size <= row.clique_bound(nbr) <= row.w_max()
-            assert weight <= _weighted_bound(row, wt, ranks) <= row.max_weight(wt)
+            plain = _Ranks(g)
+            assert size <= _in_ranks(row, plain).clique_bound(plain.nbr) <= row.w_max()
+            ranked = _in_ranks(row, ranks)
+            assert (weight <= _weighted_bound(ranked, ranks.wt, ranks.nbr)
+                    <= ranked.max_weight(ranks.wt) == row.max_weight(wt))
             assert _weighted_bound(row, wt) == row.max_weight(wt)
 
     def test_edgeless_and_complete_graphs(self):
@@ -270,31 +278,32 @@ class TestCliqueBound:
         for _ in range(100):
             v = rng.randint(1, 10)
             row = random_row(rng, v)
-            wt = [0] + [rng.randint(1, 6) for _ in range(v)]
+            # by descending weight, as in rank space
+            wt = [0] + sorted((rng.randint(1, 6) for _ in range(v)), reverse=True)
             ones = row.ones()
             # the positions that are neither 0 nor 1
             live = [p for p in range(1, v + 1) if not (row.zero_mask | row.one_mask) >> p & 1]
             edgeless = [0] * (v + 1)
             assert row.clique_bound(edgeless) == row.w_max()
-            assert row.weighted_clique_bound(WeightRanks(edgeless, wt)) == row.max_weight(wt)
+            assert row.weighted_clique_bound(edgeless, wt) == row.max_weight(wt)
             complete = [((1 << (v + 1)) - 2) & ~(1 << p) for p in range(v + 1)]
             assert row.clique_bound(complete) == min(row.w_max(), len(ones) + bool(live))
             heaviest = max((wt[p] for p in live), default=0)
-            assert row.weighted_clique_bound(WeightRanks(complete, wt)) == min(
+            assert row.weighted_clique_bound(complete, wt) == min(
                 row.max_weight(wt), sum(wt[p] for p in ones) + heaviest)
 
     def test_cliques_start_at_the_heaviest_vertex(self):
         # the path 1-2-3 weighing 1, 9, 9: heaviest first, the cliques are
-        # {2, 3} and {1}, 9 + 1 = alpha; by lowest label they would be
+        # {3, 2} and {1}, 9 + 1 = alpha; by lowest label they would be
         # {1, 2} and {3}, 9 + 9
         wt = [0, 1, 9, 9]
-        ranks = WeightRanks(path_graph(3).nbr_masks, wt)
-        assert [ranks.bit[p] for p in (1, 2, 3)] == [4, 1, 2]
-        assert ranks.weight == [9, 9, 1]
+        ranks = _Ranks(path_graph(3), wt)
+        assert ranks.label == [0, 3, 2, 1]   # 3 and 2 tie on weight; 3 has degree 1
+        assert ranks.wt == [0, 9, 9, 1]
         row = full_row(3)
-        assert row.max_weight(wt) == 19
-        assert row.weighted_clique_bound(ranks) == 10
-        assert row.weighted_clique_bound(ranks, 9) > 9
+        assert row.max_weight(ranks.wt) == 19
+        assert row.weighted_clique_bound(ranks.nbr, ranks.wt) == 10
+        assert row.weighted_clique_bound(ranks.nbr, ranks.wt, 9) > 9
 
     @pytest.mark.filterwarnings("ignore::anticlique.errors.StackBoundWarning")
     def test_equals_w_max_on_finalized_rows(self):
@@ -304,7 +313,8 @@ class TestCliqueBound:
             rows, _stats = run_standard(g)
             for row in rows:
                 assert row.clique_bound(nbr) == row.w_max()
-                assert _weighted_bound(row, wt, ranks) == row.max_weight(wt)
+                ranked = _in_ranks(row, ranks)
+                assert _weighted_bound(ranked, ranks.wt, ranks.nbr) == row.max_weight(wt)
 
     def test_unknown_bound_rejected(self, g5):
         for call in (lambda: max_anticlique(g5, SearchOptions(bound="greedy")),
@@ -360,14 +370,16 @@ class TestLimitContract:
         g = random_graph(v, d, seed)
         rng = random.Random(seed)
         wt = _weight_vector(g, {y: rng.randint(1, 9) for y in range(1, v + 1)})
-        ranks = WeightRanks(g.nbr_masks, wt)
+        ranks = _Ranks(g, wt)
         for row in self._rows(g):
             full = row.clique_bound(g.nbr_masks)
             for limit in range(row.w_max() + 1):
                 assert (row.clique_bound(g.nbr_masks, limit) > limit) == (full > limit)
-            full = row.weighted_clique_bound(ranks)
-            for limit in range(row.max_weight(wt) + 1):
-                assert (row.weighted_clique_bound(ranks, limit) > limit) == (full > limit)
+            row = _in_ranks(row, ranks)
+            full = row.weighted_clique_bound(ranks.nbr, ranks.wt)
+            for limit in range(row.max_weight(ranks.wt) + 1):
+                assert ((row.weighted_clique_bound(ranks.nbr, ranks.wt, limit) > limit)
+                        == (full > limit))
 
 
 class TestBipartite:
