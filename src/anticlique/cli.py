@@ -27,8 +27,9 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .enumerator import (
     SearchStats,
@@ -259,7 +260,8 @@ def _fmt_set(X) -> str:
 
 
 def _emit(args, descriptor: dict, payload: dict, stats: SearchStats | None,
-          wall_ms: float, text_lines: list[str]) -> None:
+          wall_ms: float, text_lines: Iterable[str]) -> None:
+    # text_lines is read only without --json, so callers pass it lazily
     if args.json:
         record: dict[str, Any] = dict(payload)
         record["command"] = args.command
@@ -334,7 +336,7 @@ def _cmd_enum(args) -> int:
     sets = sorted(expand_rows(rows, args.min_size, deadline), key=sorted)
     wall = (time.perf_counter() - t0) * 1000
     payload = {"anticliques": [sorted(X) for X in sets], "count": len(sets)}
-    _emit(args, desc, payload, stats, wall, [_fmt_set(X) for X in sets])
+    _emit(args, desc, payload, stats, wall, map(_fmt_set, sets))
     return 0
 
 
@@ -365,7 +367,7 @@ def _cmd_alpha(args) -> int:
     res = max_anticlique(g, opts, trace=trace, timeout_s=_remaining(deadline))
     stats = res.stats
     payload: dict[str, Any] = {"alpha": res.alpha, "witness": sorted(res.witness)}
-    lines = [f"alpha = {res.alpha}", f"witness = {_fmt_set(res.witness)}"]
+    lines = [[f"alpha = {res.alpha}", f"witness = {_fmt_set(res.witness)}"]]
     if args.all or args.core:
         # the second phase gets what is left of the one budget
         sets, phase2 = maximum_sets(g, res, opts, trace=trace,
@@ -373,13 +375,13 @@ def _cmd_alpha(args) -> int:
         stats = stats + phase2
     if args.all:
         payload["maximum_sets"] = [sorted(X) for X in sets]
-        lines += [f"maximum sets ({len(sets)}):"] + [f"  {_fmt_set(X)}" for X in sets]
+        lines += [f"maximum sets ({len(sets)}):"], (f"  {_fmt_set(X)}" for X in sets)
     if args.core:
         core_set = frozenset.intersection(*sets)
         payload["core"] = sorted(core_set)
-        lines.append(f"core = {_fmt_set(core_set)}")
+        lines.append([f"core = {_fmt_set(core_set)}"])
     wall = (time.perf_counter() - t0) * 1000
-    _emit(args, desc, payload, stats, wall, lines)
+    _emit(args, desc, payload, stats, wall, chain.from_iterable(lines))
     return 0
 
 
@@ -401,7 +403,7 @@ def _cmd_threshold(args) -> int:
     sets = sorted(expand_rows(rows, args.k + 1, deadline), key=sorted)
     wall = (time.perf_counter() - t0) * 1000
     payload = {"k": args.k, "anticliques": [sorted(X) for X in sets], "count": len(sets)}
-    _emit(args, desc, payload, stats, wall, [_fmt_set(X) for X in sets])
+    _emit(args, desc, payload, stats, wall, map(_fmt_set, sets))
     return 0
 
 
@@ -419,12 +421,11 @@ def _cmd_maximal(args) -> int:
             "removed": fam.removed,
         },
     }
-    lines = [_fmt_set(X) for X in fam.sets]
-    lines.append(f"count = {len(fam.sets)}")
-    lines.append(
+    lines = chain(map(_fmt_set, fam.sets), [
+        f"count = {len(fam.sets)}",
         f"sieve: {fam.candidates} candidates, {fam.dominated} dominated, "
-        f"{fam.removed} removed"
-    )
+        f"{fam.removed} removed",
+    ])
     _emit(args, desc, payload, fam.stats, wall, lines)
     return 0
 
@@ -435,7 +436,7 @@ def _cmd_chromatic(args) -> int:
     chi, cover, stats = chromatic_with_stats(g, timeout_s=args.timeout)
     wall = (time.perf_counter() - t0) * 1000
     payload = {"chi": chi, "cover": [sorted(X) for X in cover]}
-    lines = [f"chi = {chi}"] + [f"  {_fmt_set(X)}" for X in cover]
+    lines = chain([f"chi = {chi}"], (f"  {_fmt_set(X)}" for X in cover))
     _emit(args, desc, payload, stats, wall, lines)
     return 0
 

@@ -3,8 +3,8 @@
 Every finalized row contributes its row-wise maximal members (one choice per
 group: premise or full anticonclusion).  Each is an anticlique, so it is
 inclusion-maximal exactly when every vertex lies in it or next to it;
-``maximal_family`` keeps the members that pass that test, and the chromatic
-cover search branches over them alone.  ``ContainIndex`` and
+``maximal_family`` builds only the members that pass that test, and the
+chromatic cover search branches over them alone.  ``ContainIndex`` and
 ``sieve_maximal`` sieve an arbitrary family of sets down to its maximal ones.
 """
 
@@ -14,7 +14,7 @@ import os
 import time
 from dataclasses import dataclass
 from math import ceil
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .enumerator import (
     ImpositionOrder,
@@ -27,7 +27,7 @@ from .enumerator import (
 )
 from .errors import GuardExceeded, SearchTimeout
 from .graph import Graph, to_complement
-from .rows import Row
+from .rows import Row, _positions
 from . import search   # called by module name, so a wrapper on search.max_anticlique sees it
 
 CHROMATIC_GUARD_ENV = "ANTICLIQUE_CHROMATIC_MAX_V"
@@ -129,33 +129,74 @@ def maximal_family(
 
     Every maximal anticlique is a row-wise maximal member of its own row, and
     every such member is an anticlique, so a member is kept exactly when its
-    closed neighbourhood X | N(X) is all of V (Tsukiyama et al., 1977).  Each
-    candidate is judged on its own.  Most are not maximal on denser graphs:
-    2,335 of 3,996 on ``random_graph(40, 0.3, 3)``.  The run is the
-    own-premise rule in ``order``, by default ``cover_degree_order(g)``.  One
-    budget of ``timeout_s`` covers it and the candidates (SearchTimeout),
-    checked every DEADLINE_EVERY candidates; a row's 2^s candidates are
-    built whole.
+    closed neighbourhood X | N(X) is all of V (Tsukiyama et al., 1977).  The
+    members are tested on bitmasks (``_maximal_masks``) and only the kept
+    ones are built; most are not kept on denser graphs: 2,335 of 3,996 on
+    ``random_graph(40, 0.3, 3)``.  The run is the own-premise rule in
+    ``order``, by default ``cover_degree_order(g)``.  One budget of
+    ``timeout_s`` covers the run and the members (SearchTimeout), checked
+    per group as a row's members are chosen and every DEADLINE_EVERY sets.
     """
     deadline = _deadline(timeout_s)
     rows, stats = run_standard(g, _default_order(g, order), rule="own-premise",
                                timeout_s=_remaining(deadline))
-    members = (X for row in rows for X in row_maximal_members(row))
-    if deadline is not None:
-        members = _until(members, deadline)
+    nbr = g.nbr_masks
     candidates = 0
-    sets = []
-    for X in members:
-        candidates += 1
-        if _dominates(g, X):
-            sets.append(X)
-    sets.sort(key=sorted)
+    members = []   # ascending position tuples, which sort like sorted sets
+    for row in rows:
+        candidates += 1 << len(row.groups)
+        found = iter(_maximal_masks(row, nbr, deadline))
+        if deadline is not None:
+            found = _until(found, deadline)
+        members += map(tuple, map(_positions, found))
+    members.sort()
+    sets = list(map(frozenset, members))
     return MaximalFamily(sets, candidates, candidates - len(sets), 0, stats)
 
 
-def _dominates(g: Graph, X: frozenset[int]) -> bool:
-    """True iff every vertex lies in X or next to it (X | N(X) = V)."""
-    return len(X.union(*map(g.adjacency.__getitem__, X))) == g.v
+def _maximal_masks(row: Row, nbr: Sequence[int], deadline: float | None) -> list[int]:
+    """The masks of a finalized row's row-wise maximal members that are
+    maximal anticliques, ``nbr[p]`` being p's neighbour mask.
+
+    A member leaves out a group's premise, next to its whole anticonclusion,
+    or the anticonclusion, which lies in the premise's neighbourhood; so it
+    is maximal iff each ``0`` position has a neighbour in it.  Groups are
+    chosen in turn, and a choice is dropped once the groups left cannot
+    cover the ``0`` positions it leaves uncovered.
+    """
+    base = ((1 << (row.v + 1)) - 2) & ~row.zero_mask
+    for prem, anti in row.groups.items():
+        base &= ~(anti | 1 << prem)
+    need = row.zero_mask & ~_nbr_union(base, nbr)   # the 0s base leaves uncovered
+    if not row.groups:   # base is the row's only member
+        return [] if need else [base]
+    # each group's two choices: (positions added, part of need covered)
+    groups = [((1 << prem, need & nbr[prem]), (anti, need and need & _nbr_union(anti, nbr)))
+              for prem, anti in row.groups.items()]
+    reach = [0] * (len(groups) + 1)   # reach[j]: what groups j.. can cover
+    for j in range(len(groups) - 1, -1, -1):
+        reach[j] = reach[j + 1] | groups[j][0][1] | groups[j][1][1]
+    picks = [(base, need)]
+    for options, rest in zip(groups, reach[1:]):
+        picks = [(mask | add, left & ~cov) for mask, left in picks for add, cov in options
+                 if not left & ~cov & ~rest]
+        _check_deadline(deadline)
+    return [mask for mask, _left in picks]
+
+
+def _nbr_union(mask: int, nbr: Sequence[int]) -> int:
+    """The union of the neighbour masks of the positions in ``mask``."""
+    union = 0
+    while mask:
+        low = mask & -mask
+        union |= nbr[low.bit_length() - 1]
+        mask ^= low
+    return union
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise SearchTimeout("search exceeded its time budget")
 
 
 def maximal_anticliques(g: Graph, order: ImpositionOrder | None = None) -> list[frozenset[int]]:
@@ -215,8 +256,7 @@ def chromatic_with_stats(
 
     def descend(uncovered: frozenset[int], chosen: list[int]) -> None:
         nonlocal best
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchTimeout("search exceeded its time budget")
+        _check_deadline(deadline)
         if best is not None and len(best) == omega:
             return
         if not uncovered:

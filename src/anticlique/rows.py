@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # (|ones|, |frees|, ascending anticonclusion sizes); see Row.shape
@@ -229,16 +229,12 @@ class Row:
         position, the lowest one left, so its weight is its first
         position's.  The bound is wt(ones) plus that weight per clique,
         capped by ``max_weight``.  With ``limit`` set, the partition stops
-        once the total exceeds ``limit``.
+        once the total exceeds ``limit``, and the cap is computed only then.
         """
-        cap = self.max_weight(wt)
-        if limit is None:
-            limit = cap - 1
-        elif cap <= limit:
-            return cap
+        above = inf if limit is None else limit
         total = sum(map(wt.__getitem__, _positions(self.one_mask)))
         rest = ((1 << (self.v + 1)) - 2) & ~(self.zero_mask | self.one_mask)
-        while rest and total <= limit:
+        while rest and total <= above:
             low = rest & -rest
             r = low.bit_length() - 1
             rest ^= low
@@ -248,7 +244,9 @@ class Row:
                 low = common & -common
                 rest ^= low
                 common &= nbr[low.bit_length() - 1]
-        return min(total, cap)
+        if limit is not None and total <= limit:
+            return total
+        return min(total, self.max_weight(wt))
 
     def member_count(self) -> int:
         """Exact number of member sets: 2^|twos| * prod(1 + 2^|anti_g|)."""

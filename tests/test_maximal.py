@@ -10,6 +10,7 @@ from anticlique import (
     ContainIndex,
     GuardExceeded,
     chromatic_number,
+    cover_degree_order,
     cover_order,
     full_order,
     max_anticlique,
@@ -161,6 +162,25 @@ class TestMaximalAnticliques:
         g = graph_from_edges(32, [(2 * i + 1, 2 * i + 2) for i in range(16)])
         with pytest.raises(SearchTimeout):
             maximal_family(g, timeout_s=0.02)
+
+    @pytest.mark.filterwarnings("ignore::anticlique.errors.StackBoundWarning")
+    def test_anticonclusions_lie_in_their_premises_neighbourhood(self):
+        """maximal_family tests only a member's 0 positions for cover: the
+        premise or the anticonclusion it leaves out is covered by the other,
+        because every anticonclusion lies in its premise's neighbourhood."""
+        groups = 0
+        for v in range(3, 21):
+            for d in (0.15, 0.3, 0.5, 0.8):
+                g = random_graph(v, d, 100 * v + int(100 * d))
+                for order, rule in itertools.product(
+                    (full_order(v), cover_degree_order(g)), ("own-premise", "paper")
+                ):
+                    rows, _stats = run_standard(g, order, rule=rule)
+                    for row in rows:
+                        for prem, anti in row.groups.items():
+                            assert anti & ~g.nbr_mask(prem) == 0, (v, d, rule, row)
+                            groups += 1
+        assert groups == 3438
 
     def test_closed_neighbourhood_matches_sieve_and_oracle(self):
         """The neighbourhood test keeps exactly what the contain-index sieve

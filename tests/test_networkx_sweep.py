@@ -15,6 +15,7 @@ from anticlique import (
     all_max_anticliques,
     max_anticlique,
     max_weight_anticlique,
+    maximal_anticliques,
     random_graph,
     threshold_alpha,
     threshold_search,
@@ -63,6 +64,14 @@ def test_searches_match_networkx(v, d, seed):
     assert got_alpha == alpha
     assert [sorted(X) for X in sets] == sorted(
         sorted(c) for c in nx.find_cliques(h) if len(c) == alpha)
+
+
+@pytest.mark.parametrize("v, d, seed", [case for case in CASES if case[0] <= 60])
+def test_maximal_matches_networkx(v, d, seed):
+    # the maximal anticliques are the maximal cliques of the complement
+    g = random_graph(v, d, seed)
+    expected = sorted(sorted(c) for c in nx.find_cliques(_complement(g)))
+    assert [sorted(X) for X in maximal_anticliques(g)] == expected
 
 
 @pytest.mark.parametrize("v, d, seed", CASES)
