@@ -1,4 +1,4 @@
-"""Command-line front end: every solver operation plus a benchmark harness.
+"""Command-line front end: every solver operation.
 
 Machine-readable output with --json emits one JSON object per run, carrying
 the result payload, a graph descriptor, the solver counters and the wall
@@ -19,20 +19,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import functools
-import io
 import json
 import sys
 import time
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable
 
 from .enumerator import (
     SearchStats,
+    _check_deadline,
     _deadline,
     _remaining,
     cover_degree_order,
@@ -49,7 +47,6 @@ from .search import (
     bipartite_options,
     max_anticlique,
     maximum_sets,
-    threshold_alpha,
     threshold_search,
 )
 # Not called here any more; kept because perfbench/tracer.py wraps them by name.
@@ -58,41 +55,13 @@ from .search import all_max_anticliques, core, max_weight_anticlique  # noqa: F4
 _EXTENSION_FORMATS = {".col": "dimacs", ".dimacs": "dimacs", ".json": "json"}
 
 
-@dataclass
-class RunRecord:
-    """One benchmark cell: what ran, on which graph, and what came out."""
-
-    method: str
-    v: int
-    w: int
-    d: float
-    seed: int
-    status: str                 # ok | timeout | refused
-    alpha: int | None
-    stats: SearchStats | None
-    wall_ms: float
-
-    def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "v": self.v,
-            "w": self.w,
-            "d": self.d,
-            "seed": self.seed,
-            "status": self.status,
-            "alpha": self.alpha,
-            "stats": self.stats.as_dict() if self.stats else None,
-            "wall_ms": round(self.wall_ms, 3),
-        }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:
-        # covers GraphFormatError, ConfigurationError, bad JSON specs, bad files
+        # covers GraphFormatError, ConfigurationError, bad files
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardExceeded as exc:
@@ -184,13 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMATS, default="json")
     p.add_argument("--out", type=Path, help="write here instead of stdout")
     p.set_defaults(handler=_cmd_gen)
-
-    p = sub.add_parser("bench", help="run a benchmark spec")
-    p.add_argument("--spec", type=Path, required=True,
-                   help="JSON spec: cells of v, d, seeds, method, timeout_s")
-    p.add_argument("--csv", type=Path, help="also write records as CSV")
-    p.add_argument("--json", action="store_true", help="JSON records to stdout")
-    p.set_defaults(handler=_cmd_bench)
 
     return parser
 
@@ -295,49 +257,63 @@ def _all_digits():
         sys.set_int_max_str_digits(old)
 
 
-def _standard_rows(args, g: Graph):
-    """count's and poly's run under ``--rule``, with ``--timeout`` and
-    ``--trace``."""
+def _graph_command(solve):
+    """A graph command's handler around ``solve(args, g, deadline)``, which
+    returns ``(payload, stats, text lines)`` for the loaded graph.
+
+    The ``--timeout`` budget starts before the graph is loaded and is checked
+    once more after the solve, so it covers the load and the sort of listed
+    sets; ``wall_ms`` times the solve alone.  The output is printed under
+    ``_all_digits``, so ``solve`` passes its text lines lazily: an int is
+    turned into text only there, while the graph and ``--weights`` are
+    still parsed under the interpreter's limit.
+    """
+
+    @functools.wraps(solve)
+    def run(args) -> int:
+        deadline = _deadline(getattr(args, "timeout", None))   # oracle has none
+        g, desc = _load_graph(args)
+        t0 = time.perf_counter()
+        payload, stats, lines = solve(args, g, deadline)
+        _check_deadline(deadline)
+        wall = (time.perf_counter() - t0) * 1000
+        with _all_digits():
+            _emit(args, desc, payload, stats, wall, lines)
+        return 0
+
+    return run
+
+
+def _standard_rows(args, g: Graph, deadline: float | None):
+    """count's and poly's run under ``--rule``, with ``--trace``."""
     order = None if args.rule == "paper" else cover_degree_order(g)
     return run_standard(g, order, rule=args.rule, trace=_trace_printer(args),
-                        timeout_s=args.timeout)
+                        timeout_s=_remaining(deadline))
 
 
-def _cmd_count(args) -> int:
-    g, desc = _load_graph(args)
-    t0 = time.perf_counter()
-    rows, stats = _standard_rows(args, g)
+@_graph_command
+def _cmd_count(args, g: Graph, deadline: float | None):
+    rows, stats = _standard_rows(args, g, deadline)
     f = sum(row.member_count() for row in rows)
-    wall = (time.perf_counter() - t0) * 1000
-    with _all_digits():
-        _emit(args, desc, {"f": f}, stats, wall, [str(f)])
-    return 0
+    return {"f": f}, stats, map(str, [f])
 
 
-def _cmd_poly(args) -> int:
-    g, desc = _load_graph(args)
-    t0 = time.perf_counter()
-    rows, stats = _standard_rows(args, g)
+@_graph_command
+def _cmd_poly(args, g: Graph, deadline: float | None):
+    rows, stats = _standard_rows(args, g, deadline)
     poly = rows_polynomial(rows)
-    wall = (time.perf_counter() - t0) * 1000
     coeffs = list(poly.coeffs)
     payload = {"coefficients": coeffs, "degree": poly.degree, "f": poly.evaluate(1)}
-    with _all_digits():
-        _emit(args, desc, payload, stats, wall, [" ".join(map(str, coeffs))])
-    return 0
+    return payload, stats, map(" ".join, [map(str, coeffs)])
 
 
-def _cmd_enum(args) -> int:
-    g, desc = _load_graph(args)
-    t0 = time.perf_counter()
-    deadline = _deadline(args.timeout)
+@_graph_command
+def _cmd_enum(args, g: Graph, deadline: float | None):
     rows, stats = run_standard(g, cover_degree_order(g), rule="own-premise",
                                trace=_trace_printer(args), timeout_s=_remaining(deadline))
     sets = sorted(expand_rows(rows, args.min_size, deadline), key=sorted)
-    wall = (time.perf_counter() - t0) * 1000
     payload = {"anticliques": [sorted(X) for X in sets], "count": len(sets)}
-    _emit(args, desc, payload, stats, wall, map(_fmt_set, sets))
-    return 0
+    return payload, stats, map(_fmt_set, sets)
 
 
 def _read_weights(path: Path) -> dict[int, int]:
@@ -356,18 +332,17 @@ def _read_weights(path: Path) -> dict[int, int]:
     return weights
 
 
-def _cmd_alpha(args) -> int:
-    g, desc = _load_graph(args)
+@_graph_command
+def _cmd_alpha(args, g: Graph, deadline: float | None):
     trace = _trace_printer(args)
-    t0 = time.perf_counter()
     opts = bipartite_options(g) if args.bipartite else SearchOptions()
     if args.weights:
         opts = dataclasses.replace(opts, weights=_read_weights(args.weights))
-    deadline = _deadline(args.timeout)
     res = max_anticlique(g, opts, trace=trace, timeout_s=_remaining(deadline))
     stats = res.stats
     payload: dict[str, Any] = {"alpha": res.alpha, "witness": sorted(res.witness)}
-    lines = [[f"alpha = {res.alpha}", f"witness = {_fmt_set(res.witness)}"]]
+    # a weighted alpha can pass 4,300 digits, so it becomes text only when printed
+    lines = [map("alpha = {}".format, [res.alpha]), [f"witness = {_fmt_set(res.witness)}"]]
     if args.all or args.core:
         # the second phase gets what is left of the one budget
         sets, phase2 = maximum_sets(g, res, opts, trace=trace,
@@ -380,38 +355,26 @@ def _cmd_alpha(args) -> int:
         core_set = frozenset.intersection(*sets)
         payload["core"] = sorted(core_set)
         lines.append([f"core = {_fmt_set(core_set)}"])
-    wall = (time.perf_counter() - t0) * 1000
-    _emit(args, desc, payload, stats, wall, chain.from_iterable(lines))
-    return 0
+    return payload, stats, chain.from_iterable(lines)
 
 
-def _cmd_threshold(args) -> int:
-    g, desc = _load_graph(args)
-    trace = _trace_printer(args)
-    t0 = time.perf_counter()
-    deadline = _deadline(args.timeout)
-    run = dict(order=cover_degree_order(g), rule="own-premise", trace=trace,
+@_graph_command
+def _cmd_threshold(args, g: Graph, deadline: float | None):
+    run = dict(order=cover_degree_order(g), rule="own-premise", trace=_trace_printer(args),
                timeout_s=_remaining(deadline))
     if args.first:
         found, stats = threshold_search(g, args.k, "first", **run)
-        wall = (time.perf_counter() - t0) * 1000
         payload = {"k": args.k, "found": sorted(found) if found is not None else None}
-        lines = [f"found {_fmt_set(found)}" if found is not None else "none"]
-        _emit(args, desc, payload, stats, wall, lines)
-        return 0
+        return payload, stats, [f"found {_fmt_set(found)}" if found is not None else "none"]
     rows, stats = threshold_search(g, args.k, "all", **run)
     sets = sorted(expand_rows(rows, args.k + 1, deadline), key=sorted)
-    wall = (time.perf_counter() - t0) * 1000
     payload = {"k": args.k, "anticliques": [sorted(X) for X in sets], "count": len(sets)}
-    _emit(args, desc, payload, stats, wall, map(_fmt_set, sets))
-    return 0
+    return payload, stats, map(_fmt_set, sets)
 
 
-def _cmd_maximal(args) -> int:
-    g, desc = _load_graph(args)
-    t0 = time.perf_counter()
-    fam = maximal_family(g, timeout_s=args.timeout)
-    wall = (time.perf_counter() - t0) * 1000
+@_graph_command
+def _cmd_maximal(args, g: Graph, deadline: float | None):
+    fam = maximal_family(g, timeout_s=_remaining(deadline))
     payload = {
         "maximal": [sorted(X) for X in fam.sets],
         "count": len(fam.sets),
@@ -426,26 +389,19 @@ def _cmd_maximal(args) -> int:
         f"sieve: {fam.candidates} candidates, {fam.dominated} dominated, "
         f"{fam.removed} removed",
     ])
-    _emit(args, desc, payload, fam.stats, wall, lines)
-    return 0
+    return payload, fam.stats, lines
 
 
-def _cmd_chromatic(args) -> int:
-    g, desc = _load_graph(args)
-    t0 = time.perf_counter()
-    chi, cover, stats = chromatic_with_stats(g, timeout_s=args.timeout)
-    wall = (time.perf_counter() - t0) * 1000
+@_graph_command
+def _cmd_chromatic(args, g: Graph, deadline: float | None):
+    chi, cover, stats = chromatic_with_stats(g, timeout_s=_remaining(deadline))
     payload = {"chi": chi, "cover": [sorted(X) for X in cover]}
-    lines = chain([f"chi = {chi}"], (f"  {_fmt_set(X)}" for X in cover))
-    _emit(args, desc, payload, stats, wall, lines)
-    return 0
+    return payload, stats, chain([f"chi = {chi}"], (f"  {_fmt_set(X)}" for X in cover))
 
 
-def _cmd_oracle(args) -> int:
-    g, desc = _load_graph(args)
-    t0 = time.perf_counter()
+@_graph_command
+def _cmd_oracle(args, g: Graph, deadline: None):
     report = oracle_report(g)
-    wall = (time.perf_counter() - t0) * 1000
     payload = {
         "f": report.f,
         "spectrum": list(report.spectrum.coeffs),
@@ -462,8 +418,7 @@ def _cmd_oracle(args) -> int:
         f"maximal sets: {' '.join(_fmt_set(X) for X in report.maximal_sets)}",
         f"chi = {report.chi}",
     ]
-    _emit(args, desc, payload, None, wall, lines)
-    return 0
+    return payload, None, lines
 
 
 def _cmd_gen(args) -> int:
@@ -474,96 +429,6 @@ def _cmd_gen(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-# -- benchmark harness ---------------------------------------------------------
-
-
-def _cmd_bench(args) -> int:
-    spec = json.loads(args.spec.read_text())
-    cells = spec["cells"] if isinstance(spec, dict) else spec
-    if not isinstance(cells, list):
-        raise ConfigurationError("bench spec must be a list of cells or {'cells': [...]}")
-    records: list[RunRecord] = []
-    for k, cell in enumerate(cells):
-        try:
-            v = int(cell["v"])
-            d = float(cell["d"])
-            method = cell["method"]
-            seeds = cell.get("seeds") or [cell["seed"]]
-            timeout_s = cell.get("timeout_s")
-        except (KeyError, TypeError, ValueError):
-            raise ConfigurationError(
-                f"bench cell #{k} needs v, d, method and seed(s)"
-            ) from None
-        if method not in ("currentmax", "threshold", "oracle"):
-            raise ConfigurationError(f"bench cell #{k}: unknown method {method!r}")
-        for seed in seeds:
-            records.append(_bench_cell(v, d, int(seed), method, timeout_s))
-    if args.json:
-        for rec in records:
-            print(json.dumps(rec.as_dict()))
-    else:
-        print(_markdown_table(records))
-    if args.csv:
-        args.csv.write_text(_csv_table(records))
-    return 0
-
-
-def _bench_cell(v: int, d: float, seed: int, method: str,
-                timeout_s: float | None) -> RunRecord:
-    g = random_graph(v, d, seed)
-    t0 = time.perf_counter()
-    alpha: int | None = None
-    stats: SearchStats | None = None
-    status = "ok"
-    try:
-        if method == "currentmax":
-            res = max_anticlique(g, timeout_s=timeout_s)
-            alpha, stats = res.alpha, res.stats
-        elif method == "threshold":
-            alpha, stats = threshold_alpha(g, timeout_s=timeout_s)
-        else:
-            report = oracle_report(g)
-            alpha = report.alpha
-    except SearchTimeout:
-        status = "timeout"
-    except GuardExceeded:
-        status = "refused"
-    wall = (time.perf_counter() - t0) * 1000
-    return RunRecord(method, g.v, g.w, d, seed, status, alpha, stats, wall)
-
-
-_BENCH_COLUMNS = ("method", "v", "w", "d", "seed", "status", "alpha",
-                  "rsp", "trivial_changes", "peak_stack", "deleted", "wall_ms")
-
-
-def _record_values(rec: RunRecord) -> list:
-    stats = rec.stats.as_dict() if rec.stats else {}
-    return [
-        rec.method, rec.v, rec.w, rec.d, rec.seed, rec.status,
-        "" if rec.alpha is None else rec.alpha,
-        stats.get("rsp", ""), stats.get("trivial_changes", ""),
-        stats.get("peak_stack", ""), stats.get("deleted", ""),
-        f"{rec.wall_ms:.1f}",
-    ]
-
-
-def _markdown_table(records: list[RunRecord]) -> str:
-    lines = ["| " + " | ".join(_BENCH_COLUMNS) + " |",
-             "|" + "---|" * len(_BENCH_COLUMNS)]
-    for rec in records:
-        lines.append("| " + " | ".join(str(x) for x in _record_values(rec)) + " |")
-    return "\n".join(lines)
-
-
-def _csv_table(records: list[RunRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_BENCH_COLUMNS)
-    for rec in records:
-        writer.writerow(_record_values(rec))
-    return buf.getvalue()
 
 
 if __name__ == "__main__":

@@ -189,9 +189,14 @@ def _until(items: Iterator[_T], deadline: float) -> Iterator[_T]:
     """``items`` as they come; raises SearchTimeout once ``deadline`` (on
     time.monotonic()) has passed, checked every DEADLINE_EVERY items."""
     while chunk := list(islice(items, DEADLINE_EVERY)):
-        if time.monotonic() > deadline:
-            raise SearchTimeout("search exceeded its time budget")
+        _check_deadline(deadline)
         yield from chunk
+
+
+def _check_deadline(deadline: float | None) -> None:
+    """Raise SearchTimeout if ``deadline`` (on time.monotonic()) has passed."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SearchTimeout("search exceeded its time budget")
 
 
 def _remaining(deadline: float | None) -> float | None:

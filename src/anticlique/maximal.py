@@ -11,7 +11,6 @@ chromatic cover search branches over them alone.  ``ContainIndex`` and
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from math import ceil
 from typing import Iterable, Sequence
@@ -19,13 +18,14 @@ from typing import Iterable, Sequence
 from .enumerator import (
     ImpositionOrder,
     SearchStats,
+    _check_deadline,
     _deadline,
     _default_order,
     _remaining,
     _until,
     run_standard,
 )
-from .errors import GuardExceeded, SearchTimeout
+from .errors import GuardExceeded
 from .graph import Graph, to_complement
 from .rows import Row, _positions
 from . import search   # called by module name, so a wrapper on search.max_anticlique sees it
@@ -192,11 +192,6 @@ def _nbr_union(mask: int, nbr: Sequence[int]) -> int:
         union |= nbr[low.bit_length() - 1]
         mask ^= low
     return union
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise SearchTimeout("search exceeded its time budget")
 
 
 def maximal_anticliques(g: Graph, order: ImpositionOrder | None = None) -> list[frozenset[int]]:

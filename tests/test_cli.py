@@ -23,6 +23,7 @@ from anticlique import (
     serialize_graph,
     threshold_search,
 )
+from anticlique import cli
 from anticlique.cli import _build_parser, main
 from anticlique.maximal import maximal_family
 from anticlique.search import _Ranks
@@ -320,6 +321,26 @@ class TestListingTimeout:
         assert out == ""
         assert err.startswith("timeout: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("name, argv", [
+        ("random_graph", "count --gen 5,0.5,1"),      # the load
+        ("maximal_family", "maximal --gen 8,0.3,1"),  # what follows the solve
+    ])
+    def test_budget_covers_the_load_and_the_end(self, capsys, monkeypatch, name, argv):
+        # the budget starts before the graph is loaded and is checked once
+        # more after the solve
+        original = getattr(cli, name)
+
+        def slow(*args, **kwargs):
+            result = original(*args, **kwargs)
+            time.sleep(0.3)
+            return result
+
+        monkeypatch.setattr(cli, name, slow)
+        code, out, err = run_cli(capsys, *argv.split(), "--timeout", "0.1")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("timeout: ") and err.count("\n") == 1
+
     def test_alpha_all_shares_the_budget(self, capsys, tmp_path):
         # alpha = 20 comes at once, and the 2**20 maximum sets make the
         # second phase the long one
@@ -365,6 +386,21 @@ class TestBigAnswers:
         with _all_digits():
             assert out.strip() == str(3 * 2**14998)
             assert json.loads(out_json)["f"] == 3 * 2**14998
+
+    def test_weighted_alpha_beyond_4300_digits(self, capsys, tmp_path):
+        # 20 isolated vertices of 4,299-digit weights: alpha has 4,301 digits
+        graph, weights = tmp_path / "isolated.txt", tmp_path / "weights.txt"
+        graph.write_text("20\n")
+        weights.write_text("".join(f"{y} {'9' * 4299}\n" for y in range(1, 21)))
+        argv = ["alpha", "--graph", str(graph), "--format", "edgelist", "--weights", str(weights)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out_json, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        with _all_digits():
+            alpha = 20 * (10**4299 - 1)
+            assert out.splitlines()[0] == f"alpha = {alpha}"
+            assert json.loads(out_json)["alpha"] == alpha
 
     def test_overlong_header_number_is_input_error(self, capsys, tmp_path):
         # input is parsed under the limit, so a vertex count of more digits
@@ -684,62 +720,3 @@ class TestTrace:
             assert all(map(anticlique, row_from_debug(text).expand()))
         for text in re.findall(r"^improve currentmax=\d+ via (\(\S+\))", out, re.M):
             assert anticlique(row_from_debug(text).max_member())
-
-
-class TestBench:
-    def test_cells_with_oracle_crosscheck(self, capsys, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({
-            "cells": [
-                {"v": 12, "d": 0.5, "seeds": [1, 2, 3], "method": "currentmax"},
-                {"v": 12, "d": 0.5, "seeds": [1, 2, 3], "method": "oracle"},
-                {"v": 12, "d": 0.5, "seeds": [1, 2, 3], "method": "threshold"},
-            ]
-        }))
-        code, out, _ = run_cli(capsys, "bench", "--spec", str(spec), "--json")
-        assert code == 0
-        records = [json.loads(line) for line in out.splitlines()]
-        assert len(records) == 9
-        by_method = {}
-        for rec in records:
-            assert rec["status"] == "ok"
-            by_method.setdefault(rec["method"], []).append(rec["alpha"])
-        assert by_method["currentmax"] == by_method["oracle"] == by_method["threshold"]
-
-    def test_timeout_recorded(self, capsys, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps([
-            {"v": 90, "d": 0.1, "seed": 1, "method": "currentmax",
-             "timeout_s": 0.001},
-        ]))
-        code, out, _ = run_cli(capsys, "bench", "--spec", str(spec), "--json")
-        assert code == 0
-        rec = json.loads(out.strip())
-        assert rec["status"] == "timeout"
-        assert rec["alpha"] is None
-
-    def test_empty_spec(self, capsys, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text("[]")
-        code, out, _ = run_cli(capsys, "bench", "--spec", str(spec))
-        assert code == 0
-
-    def test_csv_output(self, capsys, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps([
-            {"v": 8, "d": 0.5, "seed": 1, "method": "currentmax"},
-        ]))
-        csv_path = tmp_path / "records.csv"
-        code, out, _ = run_cli(capsys, "bench", "--spec", str(spec),
-                               "--csv", str(csv_path))
-        assert code == 0
-        assert out.startswith("| method |")
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0].startswith("method,")
-        assert len(lines) == 2
-
-    def test_malformed_spec(self, capsys, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps([{"v": 8}]))
-        code, _, err = run_cli(capsys, "bench", "--spec", str(spec))
-        assert code == 2
