@@ -51,6 +51,7 @@ from .search import (
     SearchOptions,
     all_max_anticliques,
     bipartite_options,
+    clique_order,
     core,
     max_anticlique,
     max_weight_anticlique,
@@ -85,6 +86,7 @@ __all__ = [
     "bipartition",
     "chromatic_number",
     "chromatic_with_stats",
+    "clique_order",
     "core",
     "cover_degree_order",
     "cover_order",

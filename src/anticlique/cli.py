@@ -7,9 +7,9 @@ time.  ``count``, ``poly``, ``enum``, ``threshold``, ``maximal`` and
 vertex by descending degree except a greedy maximal anticlique, whose
 vertices are never imposed.  On ``random_graph(60, 0.1, 3)`` ``count``
 finalizes 133,689 rows (179,719 with every vertex imposed).  ``count`` and
-``poly`` run the paper's rule in vertex order with ``--rule paper``;
-``alpha`` runs the paper's rule and still imposes in vertex order; only its
-bound's clique partition follows search.py's rank space.
+``poly`` run the paper's rule in vertex order with ``--rule paper``.
+``alpha`` runs the paper's rule in ``clique_order``: the cliques of its
+bound's greedy partition, last first, less that maximal anticlique.
 
 Exit codes: 0 success, 2 usage or input error, 3 size-guard refusal,
 4 time budget (--timeout) exceeded.
@@ -45,6 +45,7 @@ from .oracle import oracle_report
 from .search import (
     SearchOptions,
     bipartite_options,
+    clique_order,
     max_anticlique,
     maximum_sets,
     threshold_search,
@@ -222,15 +223,19 @@ def _fmt_set(X) -> str:
 
 
 def _emit(args, descriptor: dict, payload: dict, stats: SearchStats | None,
-          wall_ms: float, text_lines: Iterable[str]) -> None:
-    # text_lines is read only without --json, so callers pass it lazily
+          wall_ms: float, text_lines: Iterable[str], deadline: float | None) -> None:
+    # text_lines is read only without --json, so callers pass it lazily; a
+    # listing's --json record can be megabytes, so the budget is checked
+    # once it is built, before anything is printed
     if args.json:
         record: dict[str, Any] = dict(payload)
         record["command"] = args.command
         record["graph"] = descriptor
         record["stats"] = stats.as_dict() if stats else None
         record["wall_ms"] = round(wall_ms, 3)
-        print(json.dumps(record))
+        text = json.dumps(record)
+        _check_deadline(deadline)
+        print(text)
     else:
         for line in text_lines:
             print(line)
@@ -262,8 +267,9 @@ def _graph_command(solve):
     returns ``(payload, stats, text lines)`` for the loaded graph.
 
     The ``--timeout`` budget starts before the graph is loaded and is checked
-    once more after the solve, so it covers the load and the sort of listed
-    sets; ``wall_ms`` times the solve alone.  The output is printed under
+    once more after the solve and, with ``--json``, after the record is
+    built, so it covers the load, the sort of listed sets and the record;
+    ``wall_ms`` times the solve alone.  The output is printed under
     ``_all_digits``, so ``solve`` passes its text lines lazily: an int is
     turned into text only there, while the graph and ``--weights`` are
     still parsed under the interpreter's limit.
@@ -278,7 +284,7 @@ def _graph_command(solve):
         _check_deadline(deadline)
         wall = (time.perf_counter() - t0) * 1000
         with _all_digits():
-            _emit(args, desc, payload, stats, wall, lines)
+            _emit(args, desc, payload, stats, wall, lines, deadline)
         return 0
 
     return run
@@ -335,7 +341,7 @@ def _read_weights(path: Path) -> dict[int, int]:
 @_graph_command
 def _cmd_alpha(args, g: Graph, deadline: float | None):
     trace = _trace_printer(args)
-    opts = bipartite_options(g) if args.bipartite else SearchOptions()
+    opts = bipartite_options(g) if args.bipartite else SearchOptions(order=clique_order(g))
     if args.weights:
         opts = dataclasses.replace(opts, weights=_read_weights(args.weights))
     res = max_anticlique(g, opts, trace=trace, timeout_s=_remaining(deadline))

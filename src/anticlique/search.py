@@ -19,7 +19,9 @@ the lowest position left, so its cliques grow from the vertices of fewest
 neighbours, MCQ's initial order; with weights each starts at its heaviest
 vertex (Kumlander's order, 2004).  The caller's imposition order is kept,
 mapped into ranks; witnesses, hits, rows, sets and the trace are mapped
-back to g's labels.
+back to g's labels.  The searches default to vertex order; the CLI's
+``alpha`` imposes ``clique_order(g)``, MCQ's branching order: the cliques
+of the unweighted partition of a full row, last first.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .enumerator import (
     _remaining,
     _resolve_order,
     _shown,
+    cover_degree_order,
     cover_order,
     expand_rows,
     full_order,
@@ -308,6 +311,26 @@ class _Ranks:
     def vertices(self, X: frozenset[int]) -> frozenset[int]:
         """The vertices of a set of ranks."""
         return frozenset(map(self.label.__getitem__, X))
+
+
+def clique_order(g: Graph) -> ImpositionOrder:
+    """MCQ's branching order as a vertex cover: the CLI's ``alpha`` order.
+
+    V is split into cliques as ``Row.clique_bound`` splits a full row in
+    rank space without weights; the cliques are listed last first, each in
+    ascending rank, less the anticlique ``cover_degree_order(g)`` leaves out.
+    """
+    ranks, cover = _Ranks(g), set(cover_degree_order(g).order)
+    rest, cliques = (1 << (g.v + 1)) - 2, []
+    while rest:
+        clique, common = [], rest
+        while common:
+            r = (common & -common).bit_length() - 1
+            clique.append(ranks.label[r])
+            rest ^= 1 << r
+            common &= ranks.nbr[r]
+        cliques.append(clique)
+    return ImpositionOrder(tuple(p for clique in reversed(cliques) for p in clique if p in cover))
 
 
 def _weighted_bound(row: Row, wt: list[int], nbr: list[int] | None = None,

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -10,7 +11,9 @@ import time
 import pytest
 
 from anticlique import (
+    SearchOptions,
     bipartite_options,
+    clique_order,
     cover_degree_order,
     degree_order,
     independence_polynomial,
@@ -301,7 +304,7 @@ class TestListingTimeout:
         "threshold --gen 150,0.03,1 --k 64",          # past 60 s
         "threshold --gen 150,0.03,1 --k 65 --first",  # about 2.6 s
         "maximal --gen 60,0.1,3",
-        "alpha --gen 150,0.03,1",                     # about 16 s
+        "alpha --gen 150,0.03,1",                     # about 5 s
         # its candidates take 0.02 s; the cover search runs past 30 s
         "chromatic --graph MYCIELSKI",
     ])
@@ -324,18 +327,19 @@ class TestListingTimeout:
     @pytest.mark.parametrize("name, argv", [
         ("random_graph", "count --gen 5,0.5,1"),      # the load
         ("maximal_family", "maximal --gen 8,0.3,1"),  # what follows the solve
+        ("json.dumps", "enum --gen 5,0.5,1 --json"),  # building the record
     ])
     def test_budget_covers_the_load_and_the_end(self, capsys, monkeypatch, name, argv):
         # the budget starts before the graph is loaded and is checked once
-        # more after the solve
-        original = getattr(cli, name)
+        # more after the solve and after the --json record is built
+        original = functools.reduce(getattr, name.split("."), cli)
 
         def slow(*args, **kwargs):
             result = original(*args, **kwargs)
             time.sleep(0.3)
             return result
 
-        monkeypatch.setattr(cli, name, slow)
+        monkeypatch.setattr(f"anticlique.cli.{name}", slow)
         code, out, err = run_cli(capsys, *argv.split(), "--timeout", "0.1")
         assert code == 4
         assert out == ""
@@ -508,8 +512,10 @@ class TestAlpha:
     def test_all_and_core_count_both_runs(self, capsys):
         _, out, _ = run_cli(capsys, "alpha", "--gen", "30,0.2,5", "--all", "--core", "--json")
         g = random_graph(30, 0.2, 5)
-        res = max_anticlique(g)
-        _rows, phase2 = threshold_search(g, res.alpha - 1, "all")
+        # both phases impose in clique_order
+        opts = SearchOptions(order=clique_order(g))
+        res = max_anticlique(g, opts)
+        _rows, phase2 = threshold_search(g, res.alpha - 1, "all", order=opts.order)
         assert json.loads(out)["stats"] == (res.stats + phase2).as_dict()
 
     def test_bipartite_on_nonbipartite_is_usage_error(self, capsys, g5_file):
@@ -703,9 +709,9 @@ class TestTrace:
         assert _Ranks(g).label != list(range(g.v + 1))
         code, out, _ = run_cli(capsys, *argv.split(), "--trace")
         assert code == 0
-        # alpha imposes in vertex order, threshold in cover_degree_order
-        order = (list(range(1, g.v + 1)) if argv.startswith("alpha")
-                 else list(cover_degree_order(g).order))
+        # alpha imposes in clique_order, threshold in cover_degree_order
+        order = list((clique_order(g) if argv.startswith("alpha")
+                      else cover_degree_order(g)).order)
         imposed = [int(t) for t in re.findall(r"^impose (\d+):", out, re.M)]
         assert imposed[0] == order[0] and set(imposed) <= set(order)
         pending = {int(t) for t in re.findall(r" PA=(\d+)$", out, re.M)}

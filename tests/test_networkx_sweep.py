@@ -7,15 +7,19 @@ are its largest maximal cliques.  The module is skipped when networkx is
 missing; CI runs it on its own and fails if anything here is skipped.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from anticlique import (
+    SearchOptions,
     all_max_anticliques,
+    clique_order,
     max_anticlique,
     max_weight_anticlique,
     maximal_anticliques,
+    maximum_sets,
     random_graph,
     threshold_alpha,
     threshold_search,
@@ -84,6 +88,27 @@ def test_weighted_alpha_matches_networkx(v, d, seed):
     _clique, best = nx.max_weight_clique(h, weight="weight")
 
     res = max_weight_anticlique(g, weights)
+    assert res.alpha == sum(weights[p] for p in res.witness) == best
+    assert is_anticlique(g, res.witness)
+
+
+@pytest.mark.parametrize("v, d, seed", CASES)
+def test_clique_order_matches_networkx(v, d, seed):
+    # the CLI's alpha order; the plain searches above run in vertex order
+    g = random_graph(v, d, seed)
+    rng = random.Random(seed)
+    weights = {y: rng.randint(1, 9) for y in range(1, v + 1)}
+    h = _complement(g)
+    _clique, alpha = nx.max_weight_clique(h, weight=None)
+    nx.set_node_attributes(h, weights, "weight")
+    _clique, best = nx.max_weight_clique(h, weight="weight")
+
+    opts = SearchOptions(order=clique_order(g))
+    res = max_anticlique(g, opts)
+    assert res.alpha == len(res.witness) == alpha
+    assert is_anticlique(g, res.witness)
+    assert maximum_sets(g, res, opts)[0] == maximum_sets(g, max_anticlique(g))[0]
+    res = max_anticlique(g, dataclasses.replace(opts, weights=weights))
     assert res.alpha == sum(weights[p] for p in res.witness) == best
     assert is_anticlique(g, res.witness)
 

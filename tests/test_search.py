@@ -10,7 +10,9 @@ from anticlique import (
     SearchTimeout,
     all_max_anticliques,
     bipartite_options,
+    clique_order,
     core,
+    cover_degree_order,
     cover_order,
     full_row,
     independence_polynomial,
@@ -380,6 +382,62 @@ class TestLimitContract:
             for limit in range(row.max_weight(ranks.wt) + 1):
                 assert ((row.weighted_clique_bound(ranks.nbr, ranks.wt, limit) > limit)
                         == (full > limit))
+
+
+class TestCliqueOrder:
+    """clique_order: a vertex cover imposed clique by clique, the cliques of
+    the greedy partition in reverse, as the CLI's alpha runs."""
+
+    @staticmethod
+    def _partition(g):
+        # by ascending degree, ties by label: take the first vertex left,
+        # then every later one adjacent to all taken so far
+        left = sorted(range(1, g.v + 1), key=lambda p: (len(g.adjacency[p]), p))
+        cliques = []
+        while left:
+            clique = []
+            for p in left:
+                if all(q in g.adjacency[p] for q in clique):
+                    clique.append(p)
+            left = [p for p in left if p not in clique]
+            cliques.append(clique)
+        return cliques
+
+    @pytest.mark.parametrize("v,d,seed", SWEEP)
+    def test_cover_in_cliques_last_first(self, v, d, seed):
+        g = random_graph(v, d, seed)
+        order = clique_order(g).order
+        assert sorted(order) == sorted(cover_degree_order(g).order)
+        partition = self._partition(g)
+        # Row.clique_bound splits a full row in rank space the same way
+        assert len(partition) == full_row(v).clique_bound(_Ranks(g).nbr)
+        runs = [[p for p in clique if p in order] for clique in reversed(partition)]
+        assert list(order) == [p for run in runs for p in run]
+        for run in runs:
+            assert all(q in g.adjacency[p] for p in run for q in run if q != p)
+
+    def test_small_graphs(self):
+        assert clique_order(empty_graph(4)).order == ()
+        assert clique_order(complete_graph(4)).order == (1, 2, 3)
+        # the path 1-2-3-4: cliques {1, 2} then {4, 3}; the anticlique {1, 4}
+        # is left out
+        assert clique_order(path_graph(4)).order == (3, 2)
+
+    @pytest.mark.parametrize("v,d,seed", SWEEP)
+    def test_searches_under_it_match_the_oracle(self, v, d, seed):
+        g = random_graph(v, d, seed)
+        rng = random.Random(seed)
+        weights = {y: rng.randint(1, 9) for y in range(1, v + 1)}
+        anticliques = all_anticliques(g)
+        order = clique_order(g)
+        for w in (None, weights):
+            value = {X: len(X) if w is None else sum(w[p] for p in X) for X in anticliques}
+            opts = SearchOptions(order=order, weights=w)
+            res = max_anticlique(g, opts)
+            assert res.alpha == value[res.witness] == max(value.values())
+            reference = SearchOptions(weights=w)
+            assert (maximum_sets(g, res, opts)[0]
+                    == maximum_sets(g, max_anticlique(g, reference), reference)[0])
 
 
 class TestBipartite:
