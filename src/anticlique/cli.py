@@ -2,14 +2,16 @@
 
 Machine-readable output with --json emits one JSON object per run, carrying
 the result payload, a graph descriptor, the solver counters and the wall
-time.  ``count``, ``poly``, ``enum``, ``threshold``, ``maximal`` and
-``chromatic`` run the own-premise rule in ``cover_degree_order``: every
-vertex by descending degree except a greedy maximal anticlique, whose
-vertices are never imposed.  On ``random_graph(60, 0.1, 3)`` ``count``
-finalizes 133,689 rows (179,719 with every vertex imposed).  ``count`` and
+time.  ``count``, ``poly``, ``enum``, ``threshold`` and ``maximal`` run
+the own-premise rule in ``cover_degree_order``: every vertex by descending
+degree except a greedy maximal anticlique, whose vertices are never
+imposed.  On ``random_graph(60, 0.1, 3)`` ``count`` finalizes 133,689 rows
+(179,719 with every vertex imposed).  ``count`` and
 ``poly`` run the paper's rule in vertex order with ``--rule paper``.
 ``alpha`` runs the paper's rule in ``clique_order``: the cliques of its
 bound's greedy partition, last first, less that maximal anticlique.
+``chromatic`` colours the graph by DSatur, stopping at the clique number
+that currentmax finds on the complement.
 
 Exit codes: 0 success, 2 usage or input error, 3 size-guard refusal,
 4 time budget (--timeout) exceeded.
@@ -140,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     timeout(p)
     p.set_defaults(handler=_cmd_maximal)
 
-    p = solver("chromatic", "chromatic number via minimum anticlique cover")
+    p = solver("chromatic", "chromatic number via DSatur colouring")
     timeout(p)
     p.set_defaults(handler=_cmd_chromatic)
 

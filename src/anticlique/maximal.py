@@ -1,18 +1,19 @@
-"""Inclusion-maximal anticliques and chromatic number via minimum cover.
+"""Inclusion-maximal anticliques, and the chromatic number by DSatur.
 
 Every finalized row contributes its row-wise maximal members (one choice per
 group: premise or full anticonclusion).  Each is an anticlique, so it is
 inclusion-maximal exactly when every vertex lies in it or next to it;
-``maximal_family`` builds only the members that pass that test, and the
-chromatic cover search branches over them alone.  ``ContainIndex`` and
-``sieve_maximal`` sieve an arbitrary family of sets down to its maximal ones.
+``maximal_family`` builds only the members that pass that test.
+``ContainIndex`` and ``sieve_maximal`` sieve an arbitrary family of sets down
+to its maximal ones.  ``chromatic_number`` colours the graph directly, by a
+DSatur branch and bound that stops at the clique number, which the paper's
+currentmax finds on the complement.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import ceil
 from typing import Iterable, Sequence
 
 from .enumerator import (
@@ -31,7 +32,7 @@ from .rows import Row, _positions
 from . import search   # called by module name, so a wrapper on search.max_anticlique sees it
 
 CHROMATIC_GUARD_ENV = "ANTICLIQUE_CHROMATIC_MAX_V"
-DEFAULT_CHROMATIC_MAX_V = 30
+DEFAULT_CHROMATIC_MAX_V = 50
 
 
 def row_maximal_members(row: Row) -> list[frozenset[int]]:
@@ -202,18 +203,13 @@ def maximal_anticliques(g: Graph, order: ImpositionOrder | None = None) -> list[
 def chromatic_number(
     g: Graph, *, max_v: int | None = None, timeout_s: float | None = None
 ) -> tuple[int, list[frozenset[int]]]:
-    """Exact chromatic number as a minimum cover of V by anticliques.
+    """Exact chromatic number and a colouring: its colour classes, a
+    partition of V into that many anticliques.
 
-    Candidates are the maximal anticliques (the row-wise maximal members of
-    a standard run that pass ``maximal_family``'s test): every set of a
-    minimum cover can be grown to a maximal one, so no other set is needed.
-    Branch and bound: branch on the covering sets of the most constrained
-    uncovered vertex, largest uncovered-coverage first with lexicographic
-    tie-break, pruned by the larger of ceil(uncovered / largest set size)
-    and a greedy clique among the uncovered vertices, and stopped once a
-    cover reaches the clique number.  Desk scale only: refuses above the
-    guard (ANTICLIQUE_CHROMATIC_MAX_V, default 30); raises SearchTimeout
-    after ``timeout_s``.
+    DSatur branch and bound (Brélaz, 1979), stopped once a colouring reaches
+    the clique number.  Desk scale only: refuses above the guard
+    (ANTICLIQUE_CHROMATIC_MAX_V, default 50); raises SearchTimeout after
+    ``timeout_s``.
     """
     chi, cover, _stats = chromatic_with_stats(g, max_v=max_v, timeout_s=timeout_s)
     return chi, cover
@@ -222,11 +218,11 @@ def chromatic_number(
 def chromatic_with_stats(
     g: Graph, *, max_v: int | None = None, timeout_s: float | None = None
 ) -> tuple[int, list[frozenset[int]], SearchStats]:
-    """chromatic_number plus the counters of the candidate-collection run,
-    ``maximal_family``'s own-premise run in ``cover_degree_order(g)``.
+    """chromatic_number plus the counters of the clique number's search,
+    ``search.max_anticlique`` on the complement.
 
-    One budget, ``timeout_s`` from this call, covers ``maximal_family``'s
-    run, the clique number's search and the cover search (SearchTimeout).
+    One budget, ``timeout_s`` from this call, covers the clique number's
+    search and the colouring's (SearchTimeout).
     """
     guard = max_v if max_v is not None else int(
         os.environ.get(CHROMATIC_GUARD_ENV, DEFAULT_CHROMATIC_MAX_V)
@@ -237,52 +233,42 @@ def chromatic_with_stats(
             f"raise {CHROMATIC_GUARD_ENV} to override"
         )
     deadline = _deadline(timeout_s)
-    family = maximal_family(g, timeout_s=_remaining(deadline))
-    candidates = family.sets
-    covering: dict[int, list[int]] = {y: [] for y in range(1, g.v + 1)}
-    for i, X in enumerate(candidates):
-        for y in X:
-            covering[y].append(i)
-    max_size = max(len(X) for X in candidates)
-    universe = frozenset(range(1, g.v + 1))
-    # no cover beats the clique number: once one reaches it, the search ends
-    omega = search.max_anticlique(to_complement(g), timeout_s=_remaining(deadline)).alpha
-    best: list[int] | None = None
+    # no colouring beats the clique number: once one reaches it, the search ends
+    res = search.max_anticlique(to_complement(g), timeout_s=_remaining(deadline))
+    classes = _dsatur(g, res.alpha, deadline)
+    return len(classes), [frozenset(_positions(c)) for c in classes], res.stats
 
-    def descend(uncovered: frozenset[int], chosen: list[int]) -> None:
-        nonlocal best
+
+def _dsatur(g: Graph, omega: int, deadline: float | None) -> tuple[int, ...]:
+    """The class masks of a colouring of g with fewest classes.
+
+    Depth first over tries (classes so far, uncoloured mask), on an explicit
+    stack since the depth is g.v.  The uncoloured vertex next coloured has
+    the most distinct neighbour colours, then the most uncoloured
+    neighbours, then the lowest label; it joins each class it may join, or
+    opens a new one while that can still beat the best colouring.  A try is
+    checked against the best again when taken, since the best may have
+    improved since it was queued.
+    """
+    nbr = g.nbr_masks
+    best: tuple[int, ...] = ()   # no colouring found yet
+    stack = [((), (1 << (g.v + 1)) - 2)]
+    while stack:
         _check_deadline(deadline)
-        if best is not None and len(best) == omega:
-            return
-        if not uncovered:
-            if best is None or len(chosen) < len(best):
-                best = list(chosen)
-            return
-        lower = len(chosen) + max(ceil(len(uncovered) / max_size),
-                                  _greedy_clique(g, uncovered))
-        if best is not None and lower >= len(best):
-            return
-        y = min(uncovered, key=lambda u: (len(covering[u]), u))
-        options = sorted(
-            covering[y],
-            key=lambda i: (-len(candidates[i] & uncovered), sorted(candidates[i])),
-        )
-        for i in options:
-            chosen.append(i)
-            descend(uncovered - candidates[i], chosen)
-            chosen.pop()
-
-    descend(universe, [])
-    assert best is not None, "every vertex lies in some maximal anticlique"
-    return len(best), [candidates[i] for i in best], family.stats
-
-
-def _greedy_clique(g: Graph, vertices: frozenset[int]) -> int:
-    """The size of a clique inside ``vertices``, grown greedily from the
-    vertices with the most neighbours there: each of its vertices needs a
-    cover set of its own."""
-    clique: set[int] = set()
-    for y in sorted(vertices, key=lambda u: (-len(g.adjacency[u] & vertices), u)):
-        if clique <= g.adjacency[y]:
-            clique.add(y)
-    return len(clique)
+        classes, left = stack.pop()
+        if best and len(classes) >= len(best):
+            continue
+        if not left:
+            best = classes
+            if len(best) == omega:
+                break
+            continue
+        y = max(_positions(left), key=lambda u: (
+            sum(1 for c in classes if c & nbr[u]), (nbr[u] & left).bit_count(), -u))
+        bit, mask = 1 << y, nbr[y]
+        tries = [classes[:i] + (c | bit,) + classes[i + 1:]
+                 for i, c in enumerate(classes) if not c & mask]
+        if not best or len(classes) + 1 < len(best):
+            tries.append(classes + (bit,))
+        stack += [(t, left ^ bit) for t in reversed(tries)]
+    return best

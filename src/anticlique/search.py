@@ -95,7 +95,7 @@ def threshold_search(
     imposition rule (see enumerator.py), and ``order`` is imposed as given.
     The defaults are the run that ``threshold_alpha`` probes with and
     ``maximum_sets`` repeats; the CLI's ``threshold`` passes
-    ``rule="own-premise"`` and ``degree_order(g)``.
+    ``rule="own-premise"`` and ``cover_degree_order(g)``.
 
     mode="all": returns (finalized rows, stats); the members of size > k of
     those rows are exactly the anticliques of size > k.  mode="first": stops

@@ -25,6 +25,7 @@ from anticlique import (
     run_standard,
     serialize_graph,
     threshold_search,
+    to_complement,
 )
 from anticlique import cli
 from anticlique.cli import _build_parser, main
@@ -179,7 +180,8 @@ class TestParserReuse:
 
 # sha256 of each command's --json record without wall_ms, stats and sieve
 # (keys sorted), as the paper's run in vertex order printed it before these
-# commands moved to the own-premise rule in degree order
+# commands moved to the own-premise rule in degree order; chromatic's is the
+# DSatur colouring's (chi = 5, as the cover search found)
 PARENT_ANSWERS = {
     "enum --gen 20,0.2,1 --min-size 3":
         "fe190a21e366ca306254d56c6105717a199b8bf5b6292cf2bc0febfeca1da256",
@@ -188,7 +190,7 @@ PARENT_ANSWERS = {
     "maximal --gen 24,0.3,1":
         "3341dcf1473479591a7a9468604824c256aa2cd03e6aba91999bd5c8e34cd44f",
     "chromatic --gen 14,0.5,1":
-        "c81157c190134dd1e6877001a4c94ca4db96d9c8033a99f96434c3fa0a749ad3",
+        "0ca05742dec8aa8e8998558032d63ccc3f97030fe09cdb1f0a62e1b5b3ad2988",
 }
 
 
@@ -216,7 +218,7 @@ class TestListingRun:
         ("enum --gen 20,0.2,1 --min-size 3", (24, 84, 4, 25, 0)),
         ("threshold --gen 30,0.25,1 --k 6", (296, 846, 5, 262, 35)),
         ("maximal --gen 24,0.3,1", (103, 223, 5, 104, 0)),
-        ("chromatic --gen 14,0.5,1", (15, 40, 3, 16, 0)),
+        ("chromatic --gen 14,0.5,1", (7, 19, 4, 2, 6)),   # the clique number's search
     ])
     def test_counters(self, capsys, argv, stats):
         fields = ("rsp", "trivial_changes", "peak_stack", "finalized", "deleted")
@@ -274,7 +276,7 @@ def _matching_file(tmp_path):
 
 def _mycielski_file(tmp_path):
     """The Mycielski graph M6: 47 vertices, triangle-free, chromatic number
-    6 (Mycielski, 1955).  Its clique bound stays at 2, so the cover search
+    6 (Mycielski, 1955).  Its clique number is 2, so the colouring search
     cannot stop early."""
     v, edges = 2, [(1, 2)]
     for _ in range(4):
@@ -305,13 +307,11 @@ class TestListingTimeout:
         "threshold --gen 150,0.03,1 --k 65 --first",  # about 2.6 s
         "maximal --gen 60,0.1,3",
         "alpha --gen 150,0.03,1",                     # about 5 s
-        # its candidates take 0.02 s; the cover search runs past 30 s
-        "chromatic --graph MYCIELSKI",
+        "chromatic --graph MYCIELSKI",                # DSatur runs about 20 s
     ])
-    def test_exits_4_quickly(self, capsys, tmp_path, monkeypatch, argv):
+    def test_exits_4_quickly(self, capsys, tmp_path, argv):
         argv = argv.replace("MATCHING", str(_matching_file(tmp_path)))
         if "MYCIELSKI" in argv:
-            monkeypatch.setenv("ANTICLIQUE_CHROMATIC_MAX_V", "47")
             argv = argv.replace("MYCIELSKI", str(_mycielski_file(tmp_path)))
         if "WEIGHTS" in argv:
             weights = tmp_path / "weights.txt"
@@ -584,10 +584,8 @@ class TestMaximalChromaticOracle:
         payload = json.loads(out)
         assert payload["chi"] == 3
         assert len(payload["cover"]) == 3
-        # the stats are those of the standard run that lists the candidates
-        rows, stats = run_standard(g5, cover_degree_order(g5), rule="own-premise")
-        list(rows)
-        assert payload["stats"] == stats.as_dict()
+        # the stats are those of the clique number's search
+        assert payload["stats"] == max_anticlique(to_complement(g5)).stats.as_dict()
 
     def test_oracle(self, capsys, g5_file):
         _, out, _ = run_cli(capsys, "oracle", "--graph", str(g5_file), "--json")

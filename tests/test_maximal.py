@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -186,8 +187,8 @@ class TestMaximalAnticliques:
         """The neighbourhood test keeps exactly what the contain-index sieve
         keeps, in the same counts, under the full and a greedy cover order,
         in the own-premise rows that maximal_family runs and in the paper's.
-        No row-wise maximal member repeats, which chromatic_with_stats relies
-        on instead of deduplicating."""
+        No row-wise maximal member repeats, which maximal_family relies on
+        instead of deduplicating."""
         checked = 0
         for v in range(4, 19, 2):
             for d in (0.15, 0.3, 0.5, 0.8):
@@ -259,10 +260,10 @@ class TestChromaticNumber:
         assert chromatic_number(complete_graph(6))[0] == 6
 
     def test_guard_refusal(self):
-        g = empty_graph(31)
+        g = empty_graph(51)
         with pytest.raises(GuardExceeded, match="size guard"):
             chromatic_number(g)
-        assert chromatic_number(g, max_v=40)[0] == 1
+        assert chromatic_number(g, max_v=60)[0] == 1
 
     def test_guard_env(self, monkeypatch):
         monkeypatch.setenv("ANTICLIQUE_CHROMATIC_MAX_V", "4")
@@ -280,24 +281,35 @@ class TestChromaticNumber:
             alpha = max_anticlique(g).alpha
             assert chi >= math.ceil(g.v / alpha)
 
-    def test_cover_of_maximal_anticliques_pinned(self):
-        # recorded when the search began to branch over maximal anticliques
-        # only (it returned another cover of the same size before)
+    def test_colouring_pinned(self):
+        # the DSatur colouring's classes, in the order they were opened
         g = random_graph(20, 0.5, 0)
         chi, cover = chromatic_number(g)
         assert chi == 6
         assert [sorted(X) for X in cover] == [
-            [3, 5, 14, 16], [1, 2, 6, 11, 13, 18], [4, 6, 8, 10, 13],
-            [4, 17, 19], [2, 7, 15, 20], [3, 5, 9, 12, 16],
+            [4, 10, 19], [3, 5, 14, 16], [7, 9, 17], [1, 2, 6, 11, 13, 18],
+            [8, 15, 20], [12],
         ]
         self._check_cover(g, cover, chi)
 
-    def test_cover_sets_are_maximal(self):
+    def test_colour_classes_partition_v(self):
         for seed in range(6):
             g = random_graph(12, (0.2, 0.5)[seed % 2], seed)
             chi, cover = chromatic_number(g)
             assert chi == oracle_report(g).chi
-            assert set(cover) <= set(maximal_anticliques(g))
+            self._check_cover(g, cover, chi)
+            assert all(cover)
+            assert sum(map(len, cover)) == g.v   # disjoint, as they cover V
+
+    def test_depth_is_not_bounded_by_recursion(self):
+        # the search's depth is v: 300 nested calls would pass this limit
+        g = empty_graph(300)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            assert chromatic_number(g, max_v=300) == (1, [frozenset(range(1, 301))])
+        finally:
+            sys.setrecursionlimit(limit)
 
     @staticmethod
     def _check_cover(g, cover, chi):
@@ -319,48 +331,58 @@ class TestChromaticNumber:
         assert chromatic_number(g5)[0] == 3
         assert seen == [g5.v]
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_heavy_tail_against_backtracking(self, seed):
-        # random_graph(30, 0.3, 1) (chi = 6) ran past 60 s before the search
-        # bounded by cliques and stopped at the clique number
-        g = random_graph(30, 0.3, seed)
+    @pytest.mark.parametrize("v, d, seed", [
+        *(pytest.param(30, 0.3, seed, id=str(seed)) for seed in range(6)),
+        *((40, 0.3, seed) for seed in range(10)),
+        (50, 0.5, 2),   # chi = 10 > omega = 8
+    ])
+    def test_heavy_tail_against_backtracking(self, v, d, seed):
+        # random_graph(30, 0.3, 1) (chi = 6) ran past 60 s, and most
+        # random_graph(40, 0.3, seed) past 5 s, under the cover search by
+        # maximal anticliques that DSatur replaced
+        g = random_graph(v, d, seed)
         chi, cover = chromatic_number(g, timeout_s=10)
         assert chi == next(k for k in range(1, g.v + 1) if _colourable(g, k))
         self._check_cover(g, cover, chi)
 
-    @pytest.mark.parametrize("seed, chi, omega, most", [(1, 6, 6, 1000), (4, 5, 4, 20000)])
-    def test_search_is_bounded_by_cliques(self, monkeypatch, seed, chi, omega, most):
-        """Nodes that reach the bound, counted by the greedy clique's calls.
-        Seed 1: the search ends at its first cover of omega sets, after 623
-        nodes (38,864 when it runs on).  Seed 4: chi > omega, and the greedy
-        clique bounds the 13,584 nodes (60 times the time without it)."""
+    @pytest.mark.parametrize("seed, chi, omega, steps", [(1, 6, 6, 31), (4, 5, 4, 62)])
+    def test_search_is_bounded_by_cliques(self, monkeypatch, seed, chi, omega, steps):
+        """Tries taken, counted by the deadline checks.  Seed 1: the search
+        ends at its first colouring, of omega classes.  Seed 4: chi > omega,
+        so every colouring of chi - 1 classes is ruled out."""
         g = random_graph(30, 0.3, seed)
         assert max_anticlique(to_complement(g)).alpha == omega
-        nodes = []
-        clique = maximal_module._greedy_clique
-        monkeypatch.setattr(maximal_module, "_greedy_clique",
-                            lambda g, vertices: nodes.append(1) or clique(g, vertices))
+        taken = []
+        check = maximal_module._check_deadline
+        monkeypatch.setattr(maximal_module, "_check_deadline",
+                            lambda deadline: taken.append(1) or check(deadline))
         assert chromatic_number(g)[0] == chi
-        assert 0 < len(nodes) < most
+        assert len(taken) == steps
 
 
 def _colourable(g, k) -> bool:
     """True iff g has a proper colouring with k colours, by backtracking in
     descending-degree order; a vertex opens at most one new colour."""
     order = sorted(range(1, g.v + 1), key=lambda y: (-len(g.adjacency[y]), y))
-    colour: dict[int, int] = {}
+    nbr = g.nbr_masks
+    classes: list[int] = []   # vertex mask per colour
 
     def place(i: int) -> bool:
         if i == len(order):
             return True
         y = order[i]
-        used = {colour[z] for z in g.adjacency[y] if z in colour}
-        for c in range(min(k, len(set(colour.values())) + 1)):
-            if c not in used:
-                colour[y] = c
+        bit = 1 << y
+        for c in range(len(classes)):
+            if not classes[c] & nbr[y]:
+                classes[c] |= bit
                 if place(i + 1):
                     return True
-                del colour[y]
+                classes[c] ^= bit
+        if len(classes) < k:
+            classes.append(bit)
+            if place(i + 1):
+                return True
+            classes.pop()
         return False
 
     return place(0)
