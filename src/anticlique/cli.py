@@ -374,8 +374,7 @@ def _cmd_threshold(args, g: Graph, deadline: float | None):
         found, stats = threshold_search(g, args.k, "first", **run)
         payload = {"k": args.k, "found": sorted(found) if found is not None else None}
         return payload, stats, [f"found {_fmt_set(found)}" if found is not None else "none"]
-    rows, stats = threshold_search(g, args.k, "all", **run)
-    sets = sorted(expand_rows(rows, args.k + 1, deadline), key=sorted)
+    sets, stats = threshold_search(g, args.k, "all", **run)
     payload = {"k": args.k, "anticliques": [sorted(X) for X in sets], "count": len(sets)}
     return payload, stats, map(_fmt_set, sets)
 

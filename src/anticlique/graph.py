@@ -6,7 +6,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import GraphFormatError, GuardExceeded
 
@@ -19,9 +19,10 @@ FORMATS = ("dimacs", "edgelist", "json")
 # 3.11 on a 2-core machine)
 MAX_V = 100_000
 
-# the most vertex pairs random_graph draws: C(2000, 2) = 1,999,000 pairs took
-# 0.84 s at d = 0.1, and 7.2 s and 0.8 GB at d = 1, where every pair becomes
-# an edge; C(3000, 2) took 2.1 s at d = 0.1 and 12.1 s at d = 0.5
+# the most vertex pairs random_graph draws, and the most distinct edges a
+# parsed graph may have: C(2000, 2) = 1,999,000 pairs took 0.84 s at d = 0.1,
+# and 7.2 s and 0.8 GB at d = 1, where every pair becomes an edge;
+# C(3000, 2) took 2.1 s at d = 0.1 and 12.1 s at d = 0.5
 MAX_PAIRS = 2_000_000
 
 
@@ -74,10 +75,16 @@ def make_graph(v: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if not (1 <= i <= v) or not (1 <= j <= v):
             raise ValueError(f"edge ({i}, {j}) out of range 1..{v}")
         normalized.add((i, j) if i < j else (j, i))
+    return _from_pairs(v, normalized)
+
+
+def _from_pairs(v: int, pairs: set[Edge]) -> Graph:
+    """The Graph on 1..v with the checked, normalized (i < j) edges
+    ``pairs``; empties ``pairs``."""
     # drop each structure once the next is built: a dense graph's edge set,
     # sorted edges and adjacency tables would not fit in memory together
-    ordered = sorted(normalized)
-    del normalized
+    ordered = sorted(pairs)
+    pairs.clear()
     adj: list = [[] for _ in range(v + 1)]
     for i, j in ordered:
         adj[i].append(j)
@@ -88,7 +95,13 @@ def make_graph(v: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def parse_graph(text: str, format: str) -> Graph:
-    """Parse ``text`` in the named format (dimacs, edgelist or json)."""
+    """Parse ``text`` in the named format (dimacs, edgelist or json).
+
+    Repeated edges collapse as they are read, and more than MAX_PAIRS
+    distinct edges, or more than MAX_V vertices, are refused
+    (GuardExceeded).  The line formats are read a block at a time, never as
+    one list of lines; JSON is decoded whole.
+    """
     if format == "dimacs":
         return _parse_dimacs(text)
     if format == "edgelist":
@@ -98,14 +111,23 @@ def parse_graph(text: str, format: str) -> Graph:
     raise ValueError(f"unknown graph format {format!r}")
 
 
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, split a block of about 64 KB at a time."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + 65536)
+        end = len(text) if end < 0 else end + 1
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def _parse_dimacs(text: str) -> Graph:
     v = None
-    edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    edges: set[Edge] = set()
+    for lineno, raw in enumerate(_lines(text), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
         if parts[0] == "p":
             if v is not None:
                 raise GraphFormatError("duplicate problem line", lineno)
@@ -117,6 +139,7 @@ def _parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError("non-integer counts in problem line", lineno) from None
             if v < 1:
                 raise GraphFormatError("vertex count must be at least 1", lineno)
+            _check_size(v)
         elif parts[0] == "e":
             if v is None:
                 raise GraphFormatError("edge before problem line", lineno)
@@ -126,23 +149,21 @@ def _parse_dimacs(text: str) -> Graph:
                 i, j = int(parts[1]), int(parts[2])
             except ValueError:
                 raise GraphFormatError("non-integer vertex in edge line", lineno) from None
-            _check_edge(v, i, j, lineno)
-            edges.append((i, j))
+            _add_edge(edges, v, i, j, lineno)
         else:
             raise GraphFormatError(f"unrecognized line type {parts[0]!r}", lineno)
     if v is None:
         raise GraphFormatError("missing 'p edge V E' problem line")
-    return make_graph(v, edges)
+    return _from_pairs(v, edges)
 
 
 def _parse_edgelist(text: str) -> Graph:
     v = None
-    edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+    edges: set[Edge] = set()
+    for lineno, raw in enumerate(_lines(text), start=1):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         if v is None:
             if len(parts) != 1:
                 raise GraphFormatError("first line must hold the vertex count", lineno)
@@ -152,6 +173,7 @@ def _parse_edgelist(text: str) -> Graph:
                 raise GraphFormatError("non-integer vertex count", lineno) from None
             if v < 1:
                 raise GraphFormatError("vertex count must be at least 1", lineno)
+            _check_size(v)
             continue
         if len(parts) != 2:
             raise GraphFormatError("malformed edge line, expected 'i j'", lineno)
@@ -159,11 +181,10 @@ def _parse_edgelist(text: str) -> Graph:
             i, j = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError("non-integer vertex in edge line", lineno) from None
-        _check_edge(v, i, j, lineno)
-        edges.append((i, j))
+        _add_edge(edges, v, i, j, lineno)
     if v is None:
         raise GraphFormatError("empty input, expected a vertex count line")
-    return make_graph(v, edges)
+    return _from_pairs(v, edges)
 
 
 def _parse_json(text: str) -> Graph:
@@ -171,29 +192,37 @@ def _parse_json(text: str) -> Graph:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc.msg}", exc.lineno) from None
-    if not isinstance(payload, dict) or "v" not in payload or "edges" not in payload:
-        raise GraphFormatError("expected an object with 'v' and 'edges' keys")
+    if not (isinstance(payload, dict) and "v" in payload
+            and isinstance(payload.get("edges"), list)):
+        raise GraphFormatError("expected an object with a 'v' key and an 'edges' list")
     v = payload["v"]
-    if not isinstance(v, int) or v < 1:
+    # type(...) is int: JSON's true and false decode to bools, which are ints
+    if type(v) is not int or v < 1:
         raise GraphFormatError("'v' must be a positive integer")
-    edges: list[Edge] = []
+    _check_size(v)
+    edges: set[Edge] = set()
     for k, pair in enumerate(payload["edges"]):
-        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, int) for x in pair)):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair)):
             raise GraphFormatError(f"edge #{k} must be a pair of integers")
         i, j = pair
         if i == j:
             raise GraphFormatError(f"edge #{k} is a self-loop at vertex {i}")
         if not (1 <= i <= v) or not (1 <= j <= v):
             raise GraphFormatError(f"edge #{k} ({i}, {j}) out of range 1..{v}")
-        edges.append((i, j))
-    return make_graph(v, edges)
+        _add_edge(edges, v, i, j, None)
+    return _from_pairs(v, edges)
 
 
-def _check_edge(v: int, i: int, j: int, lineno: int) -> None:
+def _add_edge(edges: set[Edge], v: int, i: int, j: int, lineno: int | None) -> None:
+    """Check edge (i, j) and add it to ``edges`` as (min, max); refuse more
+    than MAX_PAIRS distinct edges."""
     if i == j:
         raise GraphFormatError(f"self-loop at vertex {i}", lineno)
     if not (1 <= i <= v) or not (1 <= j <= v):
         raise GraphFormatError(f"edge ({i}, {j}) out of range 1..{v}", lineno)
+    edges.add((i, j) if i < j else (j, i))
+    if len(edges) > MAX_PAIRS:
+        raise GuardExceeded(f"more than {MAX_PAIRS} distinct edges refused above the size guard")
 
 
 def _check_size(v: int) -> None:

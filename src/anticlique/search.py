@@ -12,13 +12,14 @@ choice; the rows visited, the counters and possibly the witnesses do.  A
 prune check calls ``bound(row, limit)``, which may stop as soon as it knows
 on which side of the limit the full bound ``bound(row)`` lies.
 
-Every search runs in rank space: on g's neighbour masks relabelled once
-per search by ascending degree (with weights: descending weight, then
-ascending degree), ties by the lower label.  The greedy partition takes
-the lowest position left, so its cliques grow from the vertices of fewest
-neighbours, MCQ's initial order; with weights each starts at its heaviest
-vertex (Kumlander's order, 2004).  The caller's imposition order is kept,
-mapped into ranks; witnesses, hits, rows, sets and the trace are mapped
+Every search runs in rank space, a ``_Ranks``: g's neighbour masks
+relabelled once per search by ascending degree (with weights: descending
+weight, then ascending degree), ties by the lower label.  The greedy
+partition takes the lowest position left, so its cliques grow from the
+vertices of fewest neighbours, MCQ's initial order; with weights each
+starts at its heaviest vertex (Kumlander's order, 2004).  The rank space
+holds the bound, maps the caller's imposition order into ranks and lists
+the sets above a limit; sets, witnesses, hits and the trace are mapped
 back to g's labels.  The searches default to vertex order; the CLI's
 ``alpha`` imposes ``clique_order(g)``, MCQ's branching order: the cliques
 of the unweighted partition of a full row, last first.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .enumerator import (
     ImpositionOrder,
@@ -44,7 +45,6 @@ from .enumerator import (
     cover_degree_order,
     cover_order,
     expand_rows,
-    full_order,
 )
 from .errors import ConfigurationError
 from .graph import Graph, bipartition
@@ -97,24 +97,22 @@ def threshold_search(
     ``maximum_sets`` repeats; the CLI's ``threshold`` passes
     ``rule="own-premise"`` and ``cover_degree_order(g)``.
 
-    mode="all": returns (finalized rows, stats); the members of size > k of
-    those rows are exactly the anticliques of size > k.  mode="first": stops
-    at the first finalized row and returns (its largest member, stats), or
-    (None, stats) when no anticlique exceeds k.
+    mode="all": returns (the anticliques of size > k, each once, sorted;
+    stats), and one budget of ``timeout_s`` covers the run and the listing.
+    mode="first": stops at the first finalized row and returns (its largest
+    member, stats), or (None, stats) when no anticlique exceeds k.
     """
     if k < 0:
         raise ConfigurationError(f"threshold must be non-negative, got {k}")
     if mode not in ("all", "first"):
         raise ConfigurationError(f"unknown threshold mode {mode!r}")
     _check_rule(rule)
-    seq = _resolve_order(g, order).order
-    ranks = _Ranks(g)
-    row_bound, _member = _objective(ranks, bound)
+    ranks = _Ranks(g, bound=bound)
     stats = SearchStats()
-    rows = ranks.run(g, seq, stats, Prune(row_bound, k), trace, _deadline(timeout_s), rule)
+    deadline = _deadline(timeout_s)
+    rows = ranks.run(g, order, stats, Prune(ranks.bound, k), trace, deadline, rule)
     if mode == "all":
-        bit = [1 << p for p in ranks.label]
-        return [row.relabel(bit) for row in rows], stats
+        return ranks.above(rows, k, deadline), stats
     row = next(rows, None)
     return (None if row is None else ranks.vertices(row.max_member())), stats
 
@@ -127,19 +125,15 @@ def threshold_alpha(
     Each probe raises k to its hit's size until none is left; the final empty
     probe at k = alpha certifies maximality.  One deadline bounds them all.
     """
-    seq = full_order(g.v).order
-    ranks = _Ranks(g)
-    row_bound, _member = _objective(ranks, bound)
     deadline = _deadline(timeout_s)
     total = SearchStats()
     k = 0
     while True:
-        stats = SearchStats()
-        hit = next(ranks.run(g, seq, stats, Prune(row_bound, k), None, deadline), None)
+        hit, stats = threshold_search(g, k, "first", bound=bound, timeout_s=_remaining(deadline))
         total += stats
         if hit is None:
             return k, total
-        k = hit.w_max()
+        k = len(hit)
 
 
 def max_anticlique(
@@ -160,18 +154,16 @@ def max_anticlique(
     opts = opts or SearchOptions()
     wt = _weight_vector(g, opts.weights) if opts.weights is not None else None
     best, best_set = _initial_state(g, opts, wt)
-    seq = _resolve_order(g, opts.order).order
-    ranks = _Ranks(g, wt)
-    bound, member = _objective(ranks, opts.bound)
+    ranks = _Ranks(g, wt, opts.bound)
     if best_set is not None:
         best_set = frozenset(map(ranks.rank.__getitem__, best_set))
     stats = SearchStats()
-    prune = Prune(bound, best)
-    for row in ranks.run(g, seq, stats, prune, trace, _deadline(timeout_s)):
+    prune = Prune(ranks.bound, best)
+    for row in ranks.run(g, opts.order, stats, prune, trace, _deadline(timeout_s)):
         # every check kept the bound strictly above currentmax, and on a
         # finalized row it equals its heaviest member's value, so a
         # finalized row always improves it
-        best_set = member(row)
+        best_set = ranks.member(row)
         best = prune.limit = _value(best_set, ranks.wt)
         if trace:
             trace("improve", {"row": _shown(row, ranks.label), "currentmax": best})
@@ -205,23 +197,17 @@ def maximum_sets(
     ``res`` is ``max_anticlique(g, opts)``.  This reruns the exclusion run
     from scratch with the same bound and order at the fixed limit alpha - 1
     (currentmax pruning discards rows that still hold equal-valued maxima,
-    so the rows of ``res`` cannot be reused).  With weights, the sets are the
-    members whose total weight is alpha.
+    so the rows of ``res`` cannot be reused) and lists the members worth
+    more than alpha - 1: as alpha is the maximum, those worth alpha.
     """
     opts = opts or SearchOptions()
     wt = _weight_vector(g, opts.weights) if opts.weights is not None else None
-    seq = _resolve_order(g, opts.order).order
-    ranks = _Ranks(g, wt)
-    bound, _member = _objective(ranks, opts.bound)
+    ranks = _Ranks(g, wt, opts.bound)
     stats = SearchStats()
     deadline = _deadline(timeout_s)
-    rows = ranks.run(g, seq, stats, Prune(bound, res.alpha - 1), trace, deadline)
-    if wt is None:
-        sets = expand_rows(rows, res.alpha, deadline)
-    else:
-        sets = (X for X in expand_rows(rows, 0, deadline)
-                if _value(X, ranks.wt) == res.alpha)
-    return sorted(map(ranks.vertices, sets), key=sorted), stats
+    k = res.alpha - 1
+    rows = ranks.run(g, opts.order, stats, Prune(ranks.bound, k), trace, deadline)
+    return ranks.above(rows, k, deadline), stats
 
 
 def all_max_anticliques(
@@ -284,12 +270,17 @@ class _Ranks:
 
     ``label[r]`` is the vertex of rank r and ``rank[p]`` the rank of vertex
     p (both 0 at 0); ``nbr[r]`` is rank r's neighbour mask in ranks and
-    ``wt[r]`` its weight, None without weights.
+    ``wt[r]`` its weight, None without weights.  ``bound(row, limit=None)``
+    is the named row bound to prune by and ``member(row)`` a member of a
+    finalized row achieving it: cardinality without weights, total weight
+    with them.
     """
 
-    __slots__ = ("label", "rank", "nbr", "wt")
+    __slots__ = ("label", "rank", "nbr", "wt", "bound", "member")
 
-    def __init__(self, g: Graph, wt: list[int] | None = None):
+    def __init__(self, g: Graph, wt: list[int] | None = None, bound: str = "clique"):
+        if bound not in ("clique", "w_max"):
+            raise ConfigurationError(f"unknown bound {bound!r}; use 'clique' or 'w_max'")
         adj = g.adjacency
         key = (lambda p: len(adj[p])) if wt is None else (lambda p: (-wt[p], len(adj[p])))
         self.label = label = [0, *sorted(range(1, g.v + 1), key=key)]   # stable: ties by label
@@ -298,15 +289,33 @@ class _Ranks:
             rank[p] = r
         bit = [1 << r for r in rank]
         self.nbr = [sum(map(bit.__getitem__, adj[p])) for p in label]
-        self.wt = None if wt is None else [wt[p] for p in label]
+        self.wt = wt = None if wt is None else [wt[p] for p in label]
+        nbr = self.nbr if bound == "clique" else None
+        self.member = Row.max_member if wt is None else partial(_weighted_member, wt=wt)
+        if wt is not None:
+            self.bound = lambda row, limit=None: _weighted_bound(row, wt, nbr, limit)
+        elif nbr is None:
+            self.bound = lambda row, limit=None: row.w_max()
+        else:
+            self.bound = lambda row, limit=None: row.clique_bound(nbr, limit)
 
-    def run(self, g: Graph, seq: tuple[int, ...], stats: SearchStats, prune: Prune,
+    def run(self, g: Graph, order: ImpositionOrder | None, stats: SearchStats, prune: Prune,
             trace: TraceHook | None, deadline: float | None,
             rule: str = "paper") -> Iterator[Row]:
-        """The exclusion run imposing ``seq``, vertices of g, in rank space;
-        it yields rows in ranks and traces in g's labels."""
+        """The exclusion run imposing ``order`` (vertex order if None), in
+        rank space; it yields rows in ranks and traces in g's labels."""
+        seq = _resolve_order(g, order).order
         return _exclusion_run(g, tuple(map(self.rank.__getitem__, seq)), stats, prune,
                               trace, deadline, rule, self.nbr, self.label)
+
+    def above(self, rows: Iterator[Row], k: int,
+              deadline: float | None) -> list[frozenset[int]]:
+        """The members of ``rows`` worth more than k, as vertex sets, sorted."""
+        if self.wt is None:
+            sets = expand_rows(rows, k + 1, deadline)
+        else:
+            sets = (X for X in expand_rows(rows, 0, deadline) if _value(X, self.wt) > k)
+        return sorted(map(self.vertices, sets), key=sorted)
 
     def vertices(self, X: frozenset[int]) -> frozenset[int]:
         """The vertices of a set of ranks."""
@@ -351,24 +360,6 @@ def _weighted_member(row: Row, wt: list[int]) -> frozenset[int]:
         else:
             member |= anti
     return frozenset(member)
-
-
-def _objective(
-    ranks: _Ranks, bound: str,
-) -> tuple[Callable[..., int], Callable[[Row], frozenset[int]]]:
-    """The row bound to prune by in rank space, ``bound(row, limit=None)``,
-    and a member of a finalized row achieving it: cardinality without
-    weights, total weight with them."""
-    if bound not in ("clique", "w_max"):
-        raise ConfigurationError(f"unknown bound {bound!r}; use 'clique' or 'w_max'")
-    nbr = ranks.nbr if bound == "clique" else None
-    wt = ranks.wt
-    if wt is not None:
-        return (lambda row, limit=None: _weighted_bound(row, wt, nbr, limit),
-                partial(_weighted_member, wt=wt))
-    if nbr is None:
-        return lambda row, limit=None: row.w_max(), Row.max_member
-    return lambda row, limit=None: row.clique_bound(nbr, limit), Row.max_member
 
 
 def _value(X: frozenset[int], wt: list[int] | None) -> int:

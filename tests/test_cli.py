@@ -27,7 +27,7 @@ from anticlique import (
     threshold_search,
     to_complement,
 )
-from anticlique import cli
+from anticlique import cli, graph
 from anticlique.cli import _build_parser, main
 from anticlique.maximal import maximal_family
 from anticlique.search import _Ranks
@@ -424,6 +424,15 @@ class TestBigAnswers:
         assert code == 3
         assert out == ""
         assert err.startswith("refused: ") and "size guard" in err
+
+    def test_too_many_edges_are_refused(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_PAIRS", 3)
+        path = tmp_path / "many.col"
+        path.write_text("p edge 5 4\ne 1 2\ne 1 3\ne 1 4\ne 1 5\n")
+        code, out, err = run_cli(capsys, "count", "--graph", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("refused: ") and "3 distinct edges" in err
 
     def test_oversized_gen_is_refused_at_once(self, capsys):
         # --gen 100000,... passes the vertex guard but would draw for hours

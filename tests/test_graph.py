@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,54 @@ class TestParse:
     def test_duplicate_edges_collapse(self):
         g = parse_graph("p edge 3 2\ne 1 2\ne 2 1\n", "dimacs")
         assert g.w == 1
+
+    @pytest.mark.parametrize("text", ['{"v": 3, "edges": [[true, 3]]}',
+                                      '{"v": 3, "edges": [[1, false]]}'])
+    def test_json_bool_is_not_a_vertex(self, text):
+        with pytest.raises(GraphFormatError, match="edge #0 must be a pair of integers"):
+            parse_graph(text, "json")
+
+    @pytest.mark.parametrize("text", ['{"v": 3}', '{"v": 3, "edges": 5}', '[3]'])
+    def test_json_needs_an_edge_list(self, text):
+        with pytest.raises(GraphFormatError, match="an 'edges' list"):
+            parse_graph(text, "json")
+
+    def test_json_bool_is_not_a_vertex_count(self):
+        with pytest.raises(GraphFormatError, match="'v' must be a positive integer"):
+            parse_graph('{"v": true, "edges": []}', "json")
+
+    @pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+    def test_repeated_edge_lines_are_kept_once(self, fmt):
+        # each line is dropped once read, so the peak does not grow with
+        # the number of lines
+        head, lines = {"dimacs": ("p edge 5 1\n", "e 1 2\ne 2 1\n"),
+                       "edgelist": ("5\n", "1 2\n2 1\n")}[fmt]
+        text = head + lines * 50_000
+        tracemalloc.start()
+        try:
+            g = parse_graph(text, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edges == ((1, 2),)
+        assert peak < 5 * len(text)
+
+    def test_lines_in_blocks_are_splitlines(self):
+        rng = random.Random(3)
+        text = "".join(rng.choice(["e 1 2", "c x", "", "\n", "\r\n", "\r", "\x0c"])
+                       for _ in range(100_000))
+        assert list(graph._lines(text)) == text.splitlines()
+        assert list(graph._lines("")) == []
+
+    @pytest.mark.parametrize("fmt", ["dimacs", "edgelist", "json"])
+    def test_distinct_edge_limit(self, fmt, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_PAIRS", 3)
+        three = make_graph(5, [(1, 2), (1, 3), (1, 4)])
+        text = serialize_graph(three, fmt)
+        assert parse_graph(text, fmt) == three
+        four = serialize_graph(make_graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)]), fmt)
+        with pytest.raises(GuardExceeded, match="more than 3 distinct edges"):
+            parse_graph(four, fmt)
 
     @pytest.mark.parametrize("fmt", ["dimacs", "edgelist", "json"])
     def test_roundtrip(self, fmt):

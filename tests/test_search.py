@@ -52,17 +52,15 @@ class TestThresholdSearch:
         assert found is None
 
     def test_all_mode_on_triangle(self):
-        rows, _stats = threshold_search(complete_graph(3), 0, "all")
-        positive = {X for r in rows for X in r.expand(1)}
-        assert positive == {frozenset({1}), frozenset({2}), frozenset({3})}
+        sets, _stats = threshold_search(complete_graph(3), 0, "all")
+        assert sets == [frozenset({1}), frozenset({2}), frozenset({3})]
 
     def test_all_mode_members_above_k(self, g5):
-        rows, _stats = threshold_search(g5, 1, "all")
-        above = {X for r in rows for X in r.expand(2)}
-        assert above == {
-            frozenset({1, 3}), frozenset({2, 3}), frozenset({2, 5}),
-            frozenset({3, 5}), frozenset({2, 3, 5}),
-        }
+        sets, _stats = threshold_search(g5, 1, "all")
+        assert sets == [
+            frozenset({1, 3}), frozenset({2, 3}), frozenset({2, 3, 5}),
+            frozenset({2, 5}), frozenset({3, 5}),
+        ]
 
     def test_rejects_negative_threshold(self, g5):
         with pytest.raises(ConfigurationError):
@@ -71,6 +69,11 @@ class TestThresholdSearch:
     def test_rejects_unknown_mode(self, g5):
         with pytest.raises(ConfigurationError):
             threshold_search(g5, 1, "some")
+
+    def test_budget_covers_the_listing(self):
+        # one row of 2^30 members finalizes at once; listing it outruns the budget
+        with pytest.raises(SearchTimeout):
+            threshold_search(empty_graph(30), 0, "all", timeout_s=0.05)
 
     def test_prunes_are_counted(self, g5):
         _rows, stats = threshold_search(g5, 2, "all")
