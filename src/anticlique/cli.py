@@ -173,7 +173,7 @@ def _seconds(text: str) -> float:
 # -- graph input -------------------------------------------------------------
 
 
-def _load_graph(args) -> tuple[Graph, dict]:
+def _load_graph(args, deadline: float | None) -> tuple[Graph, dict]:
     if args.gen and args.graph:
         raise ConfigurationError("give either --graph or --gen, not both")
     if args.gen:
@@ -189,7 +189,7 @@ def _load_graph(args) -> tuple[Graph, dict]:
     if not args.graph:
         raise ConfigurationError("no input graph: use --graph FILE or --gen V,D,SEED")
     fmt = args.format or _EXTENSION_FORMATS.get(args.graph.suffix.lower(), "edgelist")
-    g = parse_graph(args.graph.read_text(), fmt)
+    g = parse_graph(args.graph.read_text(), fmt, deadline)
     return g, {"v": g.v, "w": g.w, "file": str(args.graph)}
 
 
@@ -268,9 +268,10 @@ def _graph_command(solve):
     """A graph command's handler around ``solve(args, g, deadline)``, which
     returns ``(payload, stats, text lines)`` for the loaded graph.
 
-    The ``--timeout`` budget starts before the graph is loaded and is checked
-    once more after the solve and, with ``--json``, after the record is
-    built, so it covers the load, the sort of listed sets and the record;
+    The ``--timeout`` budget starts before the graph is loaded.  It is
+    checked while a graph file is parsed, once more after the solve and,
+    with ``--json``, after the record is built, so it covers the load, the
+    sort of listed sets and the record;
     ``wall_ms`` times the solve alone.  The output is printed under
     ``_all_digits``, so ``solve`` passes its text lines lazily: an int is
     turned into text only there, while the graph and ``--weights`` are
@@ -280,7 +281,7 @@ def _graph_command(solve):
     @functools.wraps(solve)
     def run(args) -> int:
         deadline = _deadline(getattr(args, "timeout", None))   # oracle has none
-        g, desc = _load_graph(args)
+        g, desc = _load_graph(args, deadline)
         t0 = time.perf_counter()
         payload, stats, lines = solve(args, g, deadline)
         _check_deadline(deadline)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import GraphFormatError, GuardExceeded
+from .errors import GraphFormatError, GuardExceeded, SearchTimeout
 
 Edge = tuple[int, int]
 
@@ -68,21 +69,23 @@ def make_graph(v: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if v < 1:
         raise ValueError(f"vertex count must be at least 1, got {v}")
     _check_size(v)
-    normalized: set[Edge] = set()
+    normalized: dict[Edge, None] = {}
     for i, j in edges:
         if i == j:
             raise ValueError(f"self-loop at vertex {i}")
         if not (1 <= i <= v) or not (1 <= j <= v):
             raise ValueError(f"edge ({i}, {j}) out of range 1..{v}")
-        normalized.add((i, j) if i < j else (j, i))
+        normalized[(i, j) if i < j else (j, i)] = None
     return _from_pairs(v, normalized)
 
 
-def _from_pairs(v: int, pairs: set[Edge]) -> Graph:
+def _from_pairs(v: int, pairs: dict[Edge, None]) -> Graph:
     """The Graph on 1..v with the checked, normalized (i < j) edges
-    ``pairs``; empties ``pairs``."""
-    # drop each structure once the next is built: a dense graph's edge set,
-    # sorted edges and adjacency tables would not fit in memory together
+    ``pairs``, kept in the order they were first given; empties ``pairs``."""
+    # the edges keep their input order, so sorted input (every serialized
+    # graph and random_graph) sorts in one linear pass; drop each structure
+    # once the next is built: a dense graph's edge table, sorted edges and
+    # adjacency tables would not fit in memory together
     ordered = sorted(pairs)
     pairs.clear()
     adj: list = [[] for _ in range(v + 1)]
@@ -94,37 +97,48 @@ def _from_pairs(v: int, pairs: set[Edge]) -> Graph:
     return Graph(v, tuple(ordered), tuple(adj))
 
 
-def parse_graph(text: str, format: str) -> Graph:
+def parse_graph(text: str, format: str, deadline: float | None = None) -> Graph:
     """Parse ``text`` in the named format (dimacs, edgelist or json).
 
     Repeated edges collapse as they are read, and more than MAX_PAIRS
     distinct edges, or more than MAX_V vertices, are refused
     (GuardExceeded).  The line formats are read a block at a time, never as
-    one list of lines; JSON is decoded whole.
+    one list of lines; JSON is decoded whole.  Past ``deadline`` (absolute,
+    on time.monotonic()) SearchTimeout is raised: the line formats check it
+    before each block, JSON before and after decoding.
     """
     if format == "dimacs":
-        return _parse_dimacs(text)
+        return _parse_dimacs(text, deadline)
     if format == "edgelist":
-        return _parse_edgelist(text)
+        return _parse_edgelist(text, deadline)
     if format == "json":
-        return _parse_json(text)
+        return _parse_json(text, deadline)
     raise ValueError(f"unknown graph format {format!r}")
 
 
-def _lines(text: str) -> Iterator[str]:
-    """``text.splitlines()``, split a block of about 64 KB at a time."""
+def _check_deadline(deadline: float | None) -> None:
+    """Raise SearchTimeout if ``deadline`` has passed: enumerator's test,
+    which this module cannot import, enumerator importing it."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SearchTimeout("graph parsing exceeded its time budget")
+
+
+def _lines(text: str, deadline: float | None = None) -> Iterator[str]:
+    """``text.splitlines()``, split a block of about 64 KB at a time;
+    ``deadline`` is checked before each block."""
     start = 0
     while start < len(text):
+        _check_deadline(deadline)
         end = text.find("\n", start + 65536)
         end = len(text) if end < 0 else end + 1
         yield from text[start:end].splitlines()
         start = end
 
 
-def _parse_dimacs(text: str) -> Graph:
+def _parse_dimacs(text: str, deadline: float | None) -> Graph:
     v = None
-    edges: set[Edge] = set()
-    for lineno, raw in enumerate(_lines(text), start=1):
+    edges: dict[Edge, None] = {}
+    for lineno, raw in enumerate(_lines(text, deadline), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("c"):
             continue
@@ -157,10 +171,10 @@ def _parse_dimacs(text: str) -> Graph:
     return _from_pairs(v, edges)
 
 
-def _parse_edgelist(text: str) -> Graph:
+def _parse_edgelist(text: str, deadline: float | None) -> Graph:
     v = None
-    edges: set[Edge] = set()
-    for lineno, raw in enumerate(_lines(text), start=1):
+    edges: dict[Edge, None] = {}
+    for lineno, raw in enumerate(_lines(text, deadline), start=1):
         parts = raw.split()
         if not parts:
             continue
@@ -187,11 +201,13 @@ def _parse_edgelist(text: str) -> Graph:
     return _from_pairs(v, edges)
 
 
-def _parse_json(text: str) -> Graph:
+def _parse_json(text: str, deadline: float | None) -> Graph:
+    _check_deadline(deadline)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    _check_deadline(deadline)
     if not (isinstance(payload, dict) and "v" in payload
             and isinstance(payload.get("edges"), list)):
         raise GraphFormatError("expected an object with a 'v' key and an 'edges' list")
@@ -200,7 +216,7 @@ def _parse_json(text: str) -> Graph:
     if type(v) is not int or v < 1:
         raise GraphFormatError("'v' must be a positive integer")
     _check_size(v)
-    edges: set[Edge] = set()
+    edges: dict[Edge, None] = {}
     for k, pair in enumerate(payload["edges"]):
         if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair)):
             raise GraphFormatError(f"edge #{k} must be a pair of integers")
@@ -213,14 +229,14 @@ def _parse_json(text: str) -> Graph:
     return _from_pairs(v, edges)
 
 
-def _add_edge(edges: set[Edge], v: int, i: int, j: int, lineno: int | None) -> None:
+def _add_edge(edges: dict[Edge, None], v: int, i: int, j: int, lineno: int | None) -> None:
     """Check edge (i, j) and add it to ``edges`` as (min, max); refuse more
     than MAX_PAIRS distinct edges."""
     if i == j:
         raise GraphFormatError(f"self-loop at vertex {i}", lineno)
     if not (1 <= i <= v) or not (1 <= j <= v):
         raise GraphFormatError(f"edge ({i}, {j}) out of range 1..{v}", lineno)
-    edges.add((i, j) if i < j else (j, i))
+    edges[(i, j) if i < j else (j, i)] = None
     if len(edges) > MAX_PAIRS:
         raise GuardExceeded(f"more than {MAX_PAIRS} distinct edges refused above the size guard")
 

@@ -3,10 +3,12 @@
 ``impose(row, t, neighbors)`` restricts the family encoded by ``row`` to the
 member sets X with: t in X implies neighbors(t) and X are disjoint.  The
 result is either the same family unchanged, a single rewritten row, or a
-split into two disjoint rows (t forced out vs t forced in).  The input row is
-never mutated.  Engines impose each vertex at most once, and only the vertex
-being imposed becomes 1 or a premise, so the symbol at t is always 0, 2 or b
-when this is called.
+split into two disjoint rows (t forced out vs t forced in).  ``impose`` takes
+the row it is given: a rewritten row, and the t-out son of a split, are that
+row changed in place; only the t-in son is a new row, with its own group
+table.  Engines impose each vertex at most once, and only the vertex being
+imposed becomes 1 or a premise, so the symbol at t is always 0, 2 or b when
+this is called.
 
 ``neighbors`` is t's neighbour mask, bit p set for each neighbour p, as
 ``Graph.nbr_mask(t)`` gives it: the live neighbourhood is then one ``&`` with
@@ -65,8 +67,11 @@ UNCHANGED = Unchanged()
 def impose(row: Row, t: int, neighbors: int) -> ImpositionOutcome:
     """Impose the anti-implication t -> not-neighbors on ``row``.
 
-    ``neighbors`` is t's neighbour mask.  Dispatch on the symbol rho at t
-    and the live (non-zero) part of the neighborhood:
+    ``neighbors`` is t's neighbour mask.  ``row`` is taken: Unchanged leaves
+    it as it was, a Mutated outcome's row and a split's zero_son are ``row``
+    itself, changed, and the one_son is built before ``row`` changes.
+    Dispatch on the symbol rho at t and the live (non-zero) part of the
+    neighborhood:
 
     * rho = 0, or no live neighbor: already satisfied.
     * rho = 2 with a 1 among the neighbors: t is forced out.
@@ -97,21 +102,25 @@ def impose(row: Row, t: int, neighbors: int) -> ImpositionOutcome:
         return UNCHANGED
     if owner is not None:
         if live & row.one_mask:
-            return Mutated(_drop_from_group(row, t, owner))
-        return Split(_drop_from_group(row, t, owner), _take(row, t, live, owner))
+            _drop_from_group(row, t, owner)
+            return Mutated(row)
+        one_son = _take(row, t, live, owner)
+        _drop_from_group(row, t, owner)
+        return Split(row, one_son)
     # rho == 2
     if live & row.one_mask:
-        son = row.clone()
-        son.zero_mask |= bit
-        return Mutated(son)
+        row.zero_mask |= bit
+        return Mutated(row)
     for prem, anti in row.groups.items():
         if live & (anti | 1 << prem):
             break
     else:
-        return Mutated(_new_group(row, t, live))
-    zero_son = row.clone()
-    zero_son.zero_mask |= bit
-    return Split(zero_son, _take(row, t, live, None))
+        # t becomes a fresh premise over its free neighbors
+        row.groups[t] = live
+        return Mutated(row)
+    one_son = _take(row, t, live, None)
+    row.zero_mask |= bit
+    return Split(row, one_son)
 
 
 def anti_implication_holds(row: Row, t: int, neighbors: int) -> bool:
@@ -144,31 +153,24 @@ def _order_violated(t: int, symbol: str) -> AssertionError:
     )
 
 
-def _drop_from_group(row: Row, t: int, prem: int) -> Row:
-    """Force t out: zero it and detach it from the group of premise ``prem``.
+def _drop_from_group(row: Row, t: int, prem: int) -> None:
+    """Force t out of ``row`` in place: zero it and detach it from the group
+    of premise ``prem``.
 
     If that empties the group's anticonclusion, the group dissolves and its
     premise goes free.
     """
-    son = row.clone()
-    son.zero_mask |= 1 << t
-    anti = son.groups[prem] & ~(1 << t)
+    row.zero_mask |= 1 << t
+    anti = row.groups[prem] & ~(1 << t)
     if anti:
-        son.groups[prem] = anti
+        row.groups[prem] = anti
     else:
-        del son.groups[prem]
-    return son
-
-
-def _new_group(row: Row, t: int, live: int) -> Row:
-    """t becomes a fresh premise over its free neighbors ``live``."""
-    son = row.clone()
-    son.groups[t] = live
-    return son
+        del row.groups[prem]
 
 
 def _take(row: Row, t: int, live: int, owner: int | None) -> Row:
-    """The t-in son: t := 1 and the whole neighborhood ``live`` zeroed.
+    """The t-in son, a new row read off ``row``, which is left as it is:
+    t := 1 and the whole neighborhood ``live`` zeroed.
 
     Callers guarantee no live neighbor holds a 1.  Group repercussions: the
     group of premise ``owner`` holding t (if any) dissolves with its premise

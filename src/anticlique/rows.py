@@ -85,8 +85,9 @@ class Row:
     and ``one_mask`` hold the ``0`` and ``1`` positions; ``groups`` maps
     each premise to its anticonclusion mask; every position in none of them
     is free.  ``pa`` counts the anti-implications already imposed on this
-    row, i.e. it indexes the next pending one in the imposition order.  Engines clone a row before
-    changing it, so rows never share a group table.
+    row, i.e. it indexes the next pending one in the imposition order.
+    ``impose`` changes the row it is given in place and builds every new
+    row with a group table of its own, so rows never share a group table.
     """
 
     __slots__ = ("v", "zero_mask", "one_mask", "groups", "pa")
@@ -99,6 +100,8 @@ class Row:
         self.groups = groups
         self.pa = pa
 
+    # Not called in the package any more; kept because perfbench/tracer.py
+    # wraps it by name.
     def clone(self) -> "Row":
         son = object.__new__(Row)
         son.v = self.v
@@ -250,11 +253,14 @@ class Row:
 
     def member_count(self) -> int:
         """Exact number of member sets: 2^|twos| * prod(1 + 2^|anti_g|)."""
-        _n_ones, n_twos, betas = self._sizes()
-        count = 1 << n_twos
-        for beta in betas:
+        n_twos = (self.v - self.zero_mask.bit_count() - self.one_mask.bit_count()
+                  - len(self.groups))
+        count = 1
+        for anti in self.groups.values():
+            beta = anti.bit_count()
+            n_twos -= beta
             count *= (1 << beta) + 1
-        return count
+        return count << n_twos
 
     def spectrum(self) -> Polynomial:
         """Size distribution of the members, as an exact integer polynomial.

@@ -133,6 +133,26 @@ class TestRuleAndTimeout:
         assert out == ""
         assert err.startswith("timeout: ") and err.count("\n") == 1
 
+    def test_timeout_covers_parsing(self, capsys, tmp_path, monkeypatch):
+        # a million repeated edge lines take over a second to parse; the
+        # budget stops the parse after a few of its 64 KB blocks
+        lines = 1_000_000
+        path = tmp_path / "repeated.col"
+        path.write_text("p edge 2 1\n" + "e 1 2\n" * lines)
+        read = {"edges": 0}
+        add_edge = graph._add_edge
+
+        def counting(*args):
+            read["edges"] += 1
+            return add_edge(*args)
+
+        monkeypatch.setattr(graph, "_add_edge", counting)
+        code, out, err = run_cli(capsys, "count", "--graph", str(path), "--timeout", "0.05")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("timeout: ") and err.count("\n") == 1
+        assert read["edges"] < lines // 2
+
     @pytest.mark.parametrize("rule", ["paper", "own-premise"])
     def test_poly_timeout(self, capsys, rule):
         code, _, err = run_cli(capsys, "poly", "--rule", rule,

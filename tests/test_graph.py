@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from anticlique import (
     GraphFormatError,
     GuardExceeded,
+    SearchTimeout,
     bipartition,
     make_graph,
     parse_graph,
@@ -102,6 +103,19 @@ class TestParse:
             tracemalloc.stop()
         assert g.edges == ((1, 2),)
         assert peak < 5 * len(text)
+
+    @pytest.mark.parametrize("fmt", ["dimacs", "edgelist", "json"])
+    def test_passed_deadline_raises_before_any_edge(self, fmt, monkeypatch):
+        g = path_graph(4)
+        text = serialize_graph(g, fmt)
+        assert parse_graph(text, fmt, deadline=time.monotonic() + 60) == g
+
+        def no_edge(*args):
+            raise AssertionError("an edge was read past the deadline")
+
+        monkeypatch.setattr(graph, "_add_edge", no_edge)
+        with pytest.raises(SearchTimeout):
+            parse_graph(text, fmt, deadline=time.monotonic() - 1)
 
     def test_lines_in_blocks_are_splitlines(self):
         rng = random.Random(3)

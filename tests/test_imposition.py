@@ -248,18 +248,30 @@ class TestSoundnessSweep:
             B = {p for p in range(1, v + 1) if p != t and rng.random() < 0.4}
             clones["n"] = 0
             impose(row, t, nbr_mask(B))
-            assert clones["n"] <= 2
+            assert clones["n"] == 0
 
-    def test_input_row_never_mutated(self):
+    def test_impose_takes_its_row(self):
+        """Unchanged leaves the row as it was; a Mutated row and a split's
+        t-out son are the given row itself, and the t-in son is a new row
+        with a group table of its own."""
         rng = random.Random(8)
         for _ in range(200):
             v = rng.randint(2, 10)
             row = random_row(rng, v)
             before = (row.debug(), row.pa, row.zero_mask)
+            groups = row.groups
             candidates = [p for p in range(1, v + 1) if p not in row.ones() | row.premset()]
             if not candidates:
                 continue
             t = rng.choice(candidates)
             B = {p for p in range(1, v + 1) if p != t and rng.random() < 0.3}
-            impose(row, t, nbr_mask(B))
-            assert (row.debug(), row.pa, row.zero_mask) == before
+            out = impose(row, t, nbr_mask(B))
+            if isinstance(out, Unchanged):
+                assert (row.debug(), row.pa, row.zero_mask) == before
+            elif isinstance(out, Mutated):
+                assert out.row is row
+            else:
+                assert out.zero_son is row
+                assert type(out.one_son) is Row and out.one_son is not row
+                assert out.one_son.groups is not row.groups
+            assert row.groups is groups
