@@ -3,11 +3,14 @@
 Machine-readable output with --json emits one JSON object per run, carrying
 the result payload, a graph descriptor, the solver counters and the wall
 time.  ``count``, ``poly``, ``enum``, ``threshold`` and ``maximal`` run
-the own-premise rule in ``cover_degree_order``: every vertex by descending
-degree except a greedy maximal anticlique, whose vertices are never
-imposed.  On ``random_graph(60, 0.1, 3)`` ``count`` finalizes 133,689 rows
-(179,719 with every vertex imposed).  ``count`` and
-``poly`` run the paper's rule in vertex order with ``--rule paper``.
+the own-premise rule on ``cover_degree_order``: every vertex except a
+greedy maximal anticlique, whose vertices are never imposed.  ``count``,
+``poly``, ``enum`` and ``maximal`` impose on each row the pending cover
+vertex with the most live neighbours; ``threshold``, a pruned search, takes
+the cover by descending degree.  On ``random_graph(60, 0.1, 3)`` ``count``
+finalizes 60,357 rows (48,084 with every vertex pending, 133,689 in the
+fixed descending-degree sequence).  ``count`` and ``poly`` run the paper's
+rule in vertex order with ``--rule paper``.
 ``alpha`` runs the paper's rule in ``clique_order``: the cliques of its
 bound's greedy partition, last first, less that maximal anticlique.
 ``chromatic`` colours the graph by DSatur, stopping at the clique number
@@ -102,10 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def standard(p: argparse.ArgumentParser) -> None:
         p.add_argument("--rule", choices=("own-premise", "paper"), default="own-premise",
-                       help="own-premise (default): the own-premise rule, a vertex "
-                            "cover imposed by descending degree (all vertices but a "
-                            "greedy maximal anticlique); paper: the paper's run in "
-                            "vertex order")
+                       help="own-premise (default): the own-premise rule on a vertex "
+                            "cover (all vertices but a greedy maximal anticlique), "
+                            "each row imposing the pending cover vertex with the most "
+                            "live neighbours; paper: the paper's run in vertex order")
         timeout(p)
 
     p = solver("count", "number of anticliques f(G)")

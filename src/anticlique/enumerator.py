@@ -1,31 +1,36 @@
 """The exclusion run: a LIFO stack of rows, finalized rows streamed out.
 
-Starting from the all-free row, every vertex's anti-implication is imposed,
-one vertex at a time in the order given (vertex order by default), on the top
-row of a working stack.  The order may be any sequence of distinct vertices
-that covers every edge: a vertex not yet imposed never holds ``1`` or ``a``,
-because both are only created at the vertex being imposed.  Splits push the
-t-out son below the t-in son; rows whose pending anti-implications are
-exhausted are finalized and streamed to the caller.  In the standard run the
-finalized rows are pairwise disjoint families whose union is exactly the set
-of anticliques (independent sets) of the graph.  The searches in search.py
-run the same loop with a prune policy that deletes rows whose bound cannot
-beat a limit.
+Starting from the all-free row, the anti-implications of the vertices of an
+order (every vertex by default) are imposed, one vertex at a time, on the
+top row of a working stack.  The order may be any set of distinct vertices
+that covers every edge, and by the paper's cover theorem its vertices may be
+imposed in any sequence, even a different one on each row: a vertex not yet
+imposed never holds ``1`` or ``a``, because both are only created at the
+vertex being imposed.  Splits push the t-out son below the t-in son; rows
+whose pending anti-implications are exhausted are finalized and streamed to
+the caller.  In the standard run the finalized rows are pairwise disjoint
+families whose union is exactly the set of anticliques (independent sets) of
+the graph.  The searches in search.py run the same loop with a prune policy
+that deletes rows whose bound cannot beat a limit.
 
-Two imposition rules exist.  ``"paper"`` is the paper's literal run: the
-test ``anti_implication_holds`` runs once per popped row, and every other
-anti-implication goes through ``impose``.  ``"own-premise"`` runs that test
-before every imposition, so a vertex whose only live neighbour is its own
-group's premise is passed over instead of split on (the group's
-contrapositive already excludes the pair).  ``fibonacci_number``,
-``independence_polynomial``, ``enumerate_anticliques`` and maximal.py's
-engines run the own-premise rule in the order they are given, by default
-``cover_degree_order``: the vertices by descending degree, less a greedy
-maximal anticlique.  By the paper's cover theorem imposing a vertex cover
-alone yields every anticlique.  On ``random_graph(45, 0.08, 11)`` that
-finalizes 2,199 rows, where all vertices in degree order finalize 2,858 and
-the paper's run 180,154.  ``run_standard`` and the searches default to the
-paper's rule in vertex order.
+Two imposition rules exist.  ``"paper"`` is the paper's literal run in the
+order's sequence: the test ``anti_implication_holds`` runs once per popped
+row, and every other anti-implication goes through ``impose``.
+``"own-premise"`` passes over a vertex whose anti-implication already
+holds, also one whose only live neighbour is its own group's premise (the
+group's contrapositive already excludes the pair), instead of splitting on
+it.  Without a prune policy it also chooses each row's next vertex: of the
+order's vertices still pending on the row, the one with the most live
+neighbours, ties to the higher label, so the order gives the set and the
+run chooses within it.  A pruned own-premise run tests each vertex in the
+order's sequence.  ``fibonacci_number``, ``independence_polynomial``,
+``enumerate_anticliques`` and maximal.py's engines run the own-premise rule
+on the order they are given, by default ``cover_degree_order``: the vertices
+by descending degree, less a greedy maximal anticlique.  On
+``random_graph(45, 0.08, 11)`` that finalizes 2,121 rows, where all
+vertices finalize 1,802 and the paper's run 180,154; on
+``random_graph(45, 0.1, 13)``, 4,445.  ``run_standard`` and the searches
+default to the paper's rule in vertex order.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ConfigurationError, SearchTimeout, StackBoundWarning
 from .graph import Graph
-from .imposition import UNCHANGED, Mutated, Unchanged, anti_implication_holds, impose
-from .rows import Polynomial, Row, full_row, spectrum_of_shapes
+from .imposition import UNCHANGED, Mutated, Split, anti_implication_holds, impose
+from .rows import Polynomial, Row, _positions, full_row, spectrum_of_shapes
 
 TraceHook = Callable[[str, dict], None]
 
@@ -90,7 +95,8 @@ class ImpositionOrder:
     """The vertices whose anti-implications get imposed, in this order.
 
     Any sequence of distinct vertices is sound as long as it is a vertex
-    cover, which run_standard verifies.
+    cover, which run_standard verifies.  An unpruned own-premise run takes
+    only the set and chooses the sequence row by row.
     """
 
     order: tuple[int, ...]
@@ -164,7 +170,9 @@ def run_standard(
 
     Returns (row iterator, stats); the stats object fills in as the iterator
     is consumed and is complete once it is exhausted.  ``rule`` is
-    ``"paper"`` or ``"own-premise"`` (see the module docstring).  With
+    ``"paper"`` or ``"own-premise"`` (see the module docstring); the
+    own-premise run takes only the set of ``order`` and chooses each row's
+    next vertex within it.  With
     ``trace`` set, the hook receives an event per imposition and per
     finalized row, plus a final "done" event.  The iterator raises
     SearchTimeout once ``timeout_s`` seconds have passed since this call.
@@ -205,8 +213,8 @@ def _remaining(deadline: float | None) -> float | None:
 
 
 def _default_order(g: Graph, order: ImpositionOrder | None) -> ImpositionOrder:
-    """The order an own-premise engine imposes: ``order`` as given, by
-    default ``cover_degree_order(g)``."""
+    """The order an own-premise engine chooses within: ``order`` as given,
+    by default ``cover_degree_order(g)``."""
     return cover_degree_order(g) if order is None else order
 
 
@@ -223,26 +231,44 @@ def _exclusion_run(
 ) -> Iterator[Row]:
     """The row-stack loop behind every engine; yields the finalized rows.
 
-    Anti-implications are imposed in ``seq`` order on the top row; a split
-    pushes the t-out son below the t-in son.  With ``prune`` set, a row is
-    deleted once its bound is at most the limit: after a Mutated outcome,
-    for each son of a split, and when it is popped if the limit has risen
-    since it was pushed.  ``deadline`` is absolute, on time.monotonic().
-    Under ``rule="own-premise"`` every imposition is preceded by
-    ``anti_implication_holds`` (an Unchanged outcome when it holds), which
-    makes the paper's pop-time test redundant, so it is skipped, and
-    vertices already 0 in the row are stepped past inline first, with or
-    without ``trace``.  The test and ``impose`` get the imposed vertex's
-    neighbour mask ``nbr[t]`` (by default built once per run for the
-    vertices of ``seq`` only), and both stay calls to this module's names,
-    which perfbench/tracer.py wraps.  A search passes g's relabelled masks
-    and ``labels``, the vertex of g at each position, for the trace.
+    Anti-implications of the vertices of ``seq`` are imposed on the top row;
+    a split pushes the t-out son below the t-in son.  ``row.pa`` is set
+    before each ``impose``, so the t-out son, which is the row itself, and
+    the t-in son, which copies it, leave t out.  It has two meanings:
+
+    * under the paper's rule, and in every run with ``prune`` set, it is an
+      index into ``seq``: the next vertex to impose, stepped in sequence;
+    * in an unpruned own-premise run, a *chosen* run, it is the mask of the
+      vertices of ``seq`` not yet imposed on the row.  Each step scans the
+      pending vertices that are not 0, from the highest label down, and
+      imposes the one with the most live neighbours, ties to the higher
+      label.  A pending vertex with no live neighbour, or whose only one is
+      its own group's premise, holds its anti-implication and is dropped
+      from the mask as an Unchanged outcome, tested inline without a call.
+      A row is finalized once no pending vertex is left.
+
+    With ``prune`` set, a row is deleted once its bound is at most the
+    limit: after a Mutated outcome, for each son of a split, and when it is
+    popped if the limit has risen since it was pushed.  ``deadline`` is
+    absolute, on time.monotonic().  Under ``rule="own-premise"`` a pruned
+    run precedes every imposition by ``anti_implication_holds`` (an
+    Unchanged outcome when it holds), after stepping past vertices already 0
+    inline, with or without ``trace``; this makes the paper's pop-time test
+    redundant, so it is skipped.  The test and ``impose`` get the imposed
+    vertex's neighbour mask ``nbr[t]`` (by default built once per run for
+    the vertices of ``seq`` only), and both stay calls to this module's
+    names, which perfbench/tracer.py wraps.  A search passes g's relabelled
+    masks and ``labels``, the vertex of g at each position, for the trace.
     """
     own_premise = rule == "own-premise"
+    chosen = own_premise and prune is None   # pa is the pending mask
+    pretest = own_premise and not chosen     # anti_implication_holds first
     n = len(seq)
     if nbr is None:
         nbr = {t: g.nbr_mask(t) for t in seq}
     stack = [full_row(g.v)]
+    if chosen:
+        stack[0].pa = sum(1 << t for t in seq)
     kept_at = [-1]   # with prune set: the limit each stacked row was kept at
     stats.peak_stack = 1
     while stack:
@@ -260,37 +286,54 @@ def _exclusion_run(
             stats.trivial_changes += 1
             row.pa += 1
         while row is not None:
-            pa = row.pa
-            if own_premise:
-                # a vertex already 0 holds its anti-implication: step past
-                # it as an Unchanged outcome, without a call
-                zeros = row.zero_mask
-                while pa < n and zeros >> seq[pa] & 1:
-                    pa += 1
-                stats.trivial_changes += pa - row.pa
-                row.pa = pa
-            if pa >= n:
-                break
-            t = seq[pa]
+            if chosen:
+                # choose t and drop the pending vertices that hold
+                notz = ~row.zero_mask
+                groups = row.groups
+                pend = rest = row.pa & notz
+                t = most = 0
+                while rest:
+                    q = rest.bit_length() - 1
+                    bit = 1 << q
+                    rest ^= bit
+                    live = nbr[q] & notz
+                    if live & (live - 1):
+                        d = live.bit_count()
+                        if d > most:
+                            t, most = q, d
+                    elif not live or groups.get(live.bit_length() - 1, 0) & bit:
+                        pend ^= bit
+                    elif not most:
+                        t, most = q, 1
+                stats.trivial_changes += (row.pa ^ pend).bit_count()
+                if not pend:
+                    row.pa = 0
+                    break
+                row.pa = pend ^ 1 << t
+            else:
+                pa = row.pa
+                if own_premise:
+                    # a vertex already 0 holds its anti-implication: step
+                    # past it as an Unchanged outcome, without a call
+                    zeros = row.zero_mask
+                    while pa < n and zeros >> seq[pa] & 1:
+                        pa += 1
+                    stats.trivial_changes += pa - row.pa
+                    row.pa = pa
+                if pa >= n:
+                    break
+                t = seq[pa]
+                row.pa = pa + 1
+            # pa now leaves t out, so the t-in son that impose builds
+            # inherits it, and the t-out son is the row itself
             nbrs = nbr[t]
-            if own_premise and anti_implication_holds(row, t, nbrs):
+            if pretest and anti_implication_holds(row, t, nbrs):
                 outcome = UNCHANGED
             else:
                 outcome = impose(row, t, nbrs)
-            kind = type(outcome)
-            if kind is Unchanged:
-                stats.trivial_changes += 1
-                row.pa += 1
-            elif kind is Mutated:
-                stats.trivial_changes += 1
-                row = outcome.row
-                row.pa += 1
-                if prune is not None:
-                    row = _kept(row, prune, stats, trace, labels)
-            else:
+            if type(outcome) is Split:
                 stats.rsp += 1
                 zero, one = outcome.zero_son, outcome.one_son
-                zero.pa = one.pa = row.pa + 1
                 if prune is not None:
                     zero = _kept(zero, prune, stats, trace, labels)
                     one = _kept(one, prune, stats, trace, labels)
@@ -302,8 +345,14 @@ def _exclusion_run(
                     row = one
                 else:
                     row = zero if one is None else one
+            else:
+                # Unchanged, or Mutated: impose changed the row in place
+                stats.trivial_changes += 1
+                if prune is not None and type(outcome) is Mutated:
+                    row = _kept(row, prune, stats, trace, labels)
             if trace:
-                trace("impose", _snapshot(t, outcome, row, stack, seq, labels))
+                trace("impose", _snapshot(t, outcome, row, stack,
+                                          None if chosen else seq, labels))
         if row is None:
             continue
         stats.finalized += 1
@@ -340,12 +389,17 @@ def _shown(row: Row, labels: Sequence[int] | None = None) -> str:
 
 def _snapshot(t, outcome, current, stack, seq, labels) -> dict:
     """An ``impose`` event: the vertex, the outcome and the working stack,
-    top first."""
+    top first.  Each row shows its pending vertex in ``seq``, or with
+    ``seq`` None (a chosen run) its pending vertices that are not 0."""
     def vertex(p: int) -> int:
         return p if labels is None else labels[p]
 
     def label(r: Row) -> str:
-        pending = vertex(seq[r.pa]) if r.pa < len(seq) else "-"
+        if seq is None:
+            pending = "{" + ",".join(
+                str(vertex(p)) for p in _positions(r.pa & ~r.zero_mask)) + "}"
+        else:
+            pending = vertex(seq[r.pa]) if r.pa < len(seq) else "-"
         return f"{_shown(r, labels)} PA={pending}"
 
     working = [] if current is None else [label(current)]
@@ -361,7 +415,7 @@ def fibonacci_number(
 ) -> int:
     """Total number of anticliques of g (streaming, rows never stored).
 
-    Runs the own-premise rule in ``order``, by default
+    Runs the own-premise rule on ``order``, by default
     ``cover_degree_order(g)``; raises SearchTimeout after ``timeout_s``.
     """
     rows, _stats = run_standard(g, _default_order(g, order), rule="own-premise",
@@ -374,7 +428,7 @@ def independence_polynomial(
 ) -> Polynomial:
     """Coefficient k counts the k-element anticliques; degree is alpha(g).
 
-    Runs the own-premise rule in ``order``, by default
+    Runs the own-premise rule on ``order``, by default
     ``cover_degree_order(g)``; raises SearchTimeout after ``timeout_s``.
     """
     rows, _stats = run_standard(g, _default_order(g, order), rule="own-premise",
@@ -410,11 +464,11 @@ def enumerate_anticliques(
 ) -> Iterator[frozenset[int]]:
     """Yield every anticlique of size >= min_size exactly once.
 
-    Runs the own-premise rule in ``order``, by default
+    Runs the own-premise rule on ``order``, by default
     ``cover_degree_order(g)``; one budget of ``timeout_s`` covers the run
     and the listing (SearchTimeout).  Finalized rows are disjoint, so no
-    deduplication is needed; the order is deterministic given the
-    imposition order and the row expansion order.
+    deduplication is needed; the order is deterministic given the set of
+    ``order`` and the row expansion order.
     """
     deadline = _deadline(timeout_s)
     rows, _stats = run_standard(g, _default_order(g, order), rule="own-premise",

@@ -132,9 +132,10 @@ def maximal_family(
     every such member is an anticlique, so a member is kept exactly when its
     closed neighbourhood X | N(X) is all of V (Tsukiyama et al., 1977).  The
     members are tested on bitmasks (``_maximal_masks``) and only the kept
-    ones are built; most are not kept on denser graphs: 2,335 of 3,996 on
-    ``random_graph(40, 0.3, 3)``.  The run is the own-premise rule in
-    ``order``, by default ``cover_degree_order(g)``.  One budget of
+    ones are built; about half are not kept on denser graphs: 1,620 of 3,281
+    on ``random_graph(40, 0.3, 3)``.  The run is the own-premise rule on
+    ``order``, by default ``cover_degree_order(g)``, choosing each row's
+    next vertex within it.  One budget of
     ``timeout_s`` covers the run and the members (SearchTimeout), checked
     per group as a row's members are chosen and every DEADLINE_EVERY sets.
     """

@@ -235,9 +235,9 @@ class TestListingRun:
         assert digest == PARENT_ANSWERS[argv]
 
     @pytest.mark.parametrize("argv, stats", [
-        ("enum --gen 20,0.2,1 --min-size 3", (24, 84, 4, 25, 0)),
+        ("enum --gen 20,0.2,1 --min-size 3", (34, 64, 4, 35, 0)),
         ("threshold --gen 30,0.25,1 --k 6", (296, 846, 5, 262, 35)),
-        ("maximal --gen 24,0.3,1", (103, 223, 5, 104, 0)),
+        ("maximal --gen 24,0.3,1", (94, 147, 5, 95, 0)),
         ("chromatic --gen 14,0.5,1", (7, 19, 4, 2, 6)),   # the clique number's search
     ])
     def test_counters(self, capsys, argv, stats):
@@ -245,10 +245,10 @@ class TestListingRun:
         assert _record(capsys, argv)["stats"] == dict(zip(fields, stats))
 
     @pytest.mark.parametrize("command, stats", [
-        ("enum", (24, 275, 4, 25, 0)),
+        ("enum", (37, 193, 4, 38, 0)),
         ("threshold", (311, 2796, 5, 276, 36)),
-        ("maximal", (101, 832, 5, 102, 0)),
-        ("chromatic", (17, 107, 3, 18, 0)),
+        ("maximal", (91, 454, 4, 92, 0)),
+        ("chromatic", (11, 71, 3, 12, 0)),
     ])
     def test_degree_order_counters(self, command, stats):
         """test_counters' runs in the full ``degree_order``, which these
@@ -601,12 +601,12 @@ class TestMaximalChromaticOracle:
         digest = hashlib.sha256(json.dumps(payload["maximal"]).encode()).hexdigest()
         assert digest == "9c50c3941bf1f1a256018e479cb3662884dbd52f19a58ae6102e2135c1e0a3c4"
         assert payload["maximal"][0] == [1, 3, 5, 6, 9, 22]
-        assert payload["sieve"] == {"candidates": 3996, "dominated": 2335, "removed": 0}
+        assert payload["sieve"] == {"candidates": 3281, "dominated": 1620, "removed": 0}
         # the full degree order's rows, the default before cover_degree_order
         g = random_graph(40, 0.3, 3)
         fam = maximal_family(g, degree_order(g))
         assert [sorted(X) for X in fam.sets] == payload["maximal"]
-        assert (fam.candidates, fam.dominated, fam.removed) == (4754, 3093, 0)
+        assert (fam.candidates, fam.dominated, fam.removed) == (2556, 895, 0)
 
     def test_chromatic(self, capsys, g5, g5_file):
         _, out, _ = run_cli(capsys, "chromatic", "--graph", str(g5_file), "--json")
@@ -695,7 +695,8 @@ class TestTrace:
     def test_g5_default_rule_imposes_by_descending_degree(self, capsys, g5_file):
         code, out, _ = run_cli(capsys, "count", "--graph", str(g5_file), "--trace")
         assert code == 0
-        # vertex 4 has the highest degree (4), so it is imposed first
+        # on the full row every neighbour is live: vertex 4 has the most (4),
+        # so it is imposed first
         assert out.splitlines()[0] == "impose 4: mutated"
         tail = out[out.index("final output stack"):]
         assert tail.splitlines()[1:] == [
@@ -703,6 +704,21 @@ class TestTrace:
             "  (1,0,2,0,0) N=2",
             "11",
         ]
+
+    def test_count_trace_shows_pending_sets_within_the_cover(self, capsys):
+        # count chooses each row's next vertex: a row shows the set of its
+        # pending vertices that are not 0, ascending
+        g = random_graph(24, 0.2, 3)
+        code, out, _ = run_cli(capsys, "count", "--gen", "24,0.2,3", "--trace")
+        assert code == 0
+        cover = set(cover_degree_order(g).order)
+        imposed = {int(t) for t in re.findall(r"^impose (\d+):", out, re.M)}
+        assert imposed and imposed <= cover
+        shown = re.findall(r" PA=(\S*)$", out, re.M)
+        assert shown and all(re.fullmatch(r"\{(\d+(,\d+)*)?\}", text) for text in shown)
+        for text in shown:
+            pending = [int(t) for t in text[1:-1].split(",") if t]
+            assert pending == sorted(pending) and set(pending) <= cover
 
     def test_trace_grows_with_the_run_not_its_square(self, capsys):
         # an impose event prints the working stack only; the finalized rows

@@ -13,9 +13,12 @@ under the default clique bound: the answers and witnesses are the same,
 only the counters differ.
 
 ``STANDARD_OWN_PREMISE`` pins the standard run under the own-premise rule,
-in vertex order and in ``degree_order`` (recorded when that rule was added),
-and in ``cover_degree_order`` (the run behind ``count`` and ``poly``,
-recorded when it became their order); f is the paper rule's.
+in vertex order and in ``degree_order``, and in ``cover_degree_order`` (the
+run behind ``count`` and ``poly``); f is the paper rule's.  That run chooses
+each row's next vertex within the order's set, so only the set matters:
+vertex order and ``degree_order`` are the same set, all of g's vertices,
+and their two columns are equal.  The three tables were recorded when the
+run began to choose.
 """
 
 import dataclasses
@@ -46,24 +49,24 @@ STANDARD = [
 
 # graph, stats in vertex order, stats in degree order, f
 STANDARD_OWN_PREMISE = [
-    ((14, 0.3, 1), (11, 69, 3, 12, 0), (10, 88, 3, 11, 0), 480),
-    ((22, 0.2, 2), (309, 1643, 6, 310, 0), (127, 896, 6, 128, 0), 5021),
-    ((28, 0.15, 3), (968, 6716, 8, 969, 0), (257, 3220, 6, 258, 0), 184876),
-    ((32, 0.3, 4), (1180, 9076, 8, 1181, 0), (716, 5931, 7, 717, 0), 19532),
+    ((14, 0.3, 1), (8, 53, 3, 9, 0), (8, 53, 3, 9, 0), 480),
+    ((22, 0.2, 2), (78, 405, 5, 79, 0), (78, 405, 5, 79, 0), 5021),
+    ((28, 0.15, 3), (137, 847, 6, 138, 0), (137, 847, 6, 138, 0), 184876),
+    ((32, 0.3, 4), (251, 1504, 5, 252, 0), (251, 1504, 5, 252, 0), 19532),
 ]
 
 # stats in cover_degree_order, one per STANDARD_OWN_PREMISE graph
 STANDARD_COVER_DEGREE = [
-    (10, 15, 3, 11, 0),
-    (108, 161, 6, 109, 0),
-    (230, 513, 7, 231, 0),
-    (625, 1770, 7, 626, 0),
+    (10, 13, 3, 11, 0),
+    (74, 132, 5, 75, 0),
+    (143, 247, 6, 144, 0),
+    (286, 710, 5, 287, 0),
 ]
 
 # graph at paper scale, rows finalized in degree order (paper rule: 180,154
 # and 217,860) and in cover_degree_order, count's default run
-DEGREE_ORDER_FINALIZED = [((45, 0.08, 11), 2858), ((45, 0.1, 13), 6628)]
-COVER_DEGREE_ORDER_FINALIZED = [((45, 0.08, 11), 2199), ((45, 0.1, 13), 5566)]
+DEGREE_ORDER_FINALIZED = [((45, 0.08, 11), 1802), ((45, 0.1, 13), 2344)]
+COVER_DEGREE_ORDER_FINALIZED = [((45, 0.08, 11), 2121), ((45, 0.1, 13), 4445)]
 
 # graph, stats, alpha, witness
 CURRENTMAX = [

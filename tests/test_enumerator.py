@@ -406,6 +406,42 @@ class TestTimeout:
         assert independence_polynomial(g5, timeout_s=60) == Polynomial((1, 5, 4, 1))
 
 
+class TestChosenRun:
+    """An unpruned own-premise run imposes, on each row, the pending vertex
+    with the most live neighbours, ties to the higher label, and drops a
+    pending vertex whose anti-implication already holds."""
+
+    def test_the_choice_on_a_path(self):
+        # on the path 1-2-3-4-5 the full row's vertices 2, 3 and 4 have two
+        # live neighbours each: 4 is imposed first, a premise over 3 and 5.
+        # Then 2 and 3 have two each and 3 is imposed; 5, whose only live
+        # neighbour is its own group's premise, is dropped, never imposed
+        g = make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+        events = []
+        rows, stats = run_standard(g, full_order(5), rule="own-premise",
+                                   trace=lambda kind, info: events.append((kind, info)))
+        assert sum(row.member_count() for row in rows) == 13
+        imposed = [(info["t"], info["outcome"]) for kind, info in events if kind == "impose"]
+        assert imposed == [(4, "mutated"), (3, "split"), (2, "mutated")]
+        assert events[0][1]["working"] == ["(2,2,b1,a1,b1) PA={1,2,3,5}"]
+        # two Mutated outcomes and four dropped vertices: 5, then 1 and 2
+        # (already 0) in the t-in son, then 1 again in the t-out son
+        assert stats.as_dict() == dict(rsp=1, trivial_changes=6, peak_stack=2,
+                                       finalized=2, deleted=0)
+
+    @pytest.mark.parametrize("v,d,seed", SWEEP[::3])
+    def test_only_the_set_of_the_order_matters(self, v, d, seed):
+        g = random_graph(v, d, seed)
+        rng = random.Random(seed)
+        seq = list(cover_degree_order(g).order)
+        rng.shuffle(seq)
+        runs = []
+        for order in (cover_degree_order(g), ImpositionOrder(tuple(seq))):
+            rows, stats = run_standard(g, order, rule="own-premise")
+            runs.append(([row.debug() for row in rows], stats))
+        assert runs[0] == runs[1]
+
+
 class TestOwnPremiseRule:
     def test_unknown_rule_is_rejected(self, g5):
         with pytest.raises(ConfigurationError, match="rule"):
@@ -448,12 +484,10 @@ class TestOwnPremiseRule:
 
     @pytest.mark.parametrize("v,d,seed", SWEEP + [(45, 0.1, 13)])
     def test_zero_skip_matches_the_traced_run(self, v, d, seed):
-        # the run steps past vertices already 0 inline, with a trace hook or
+        # the run drops the vertices that hold inline, with a trace hook or
         # without one: the rows and the counters do not depend on the hook
         g = random_graph(v, d, seed)
-        # vertex order at (45, 0.1, 13) finalizes 31,411 rows; cover order 5,566
-        orders = (cover_degree_order(g),) if v == 45 else (cover_degree_order(g), None)
-        for order in orders:
+        for order in (cover_degree_order(g), None):
             plain_rows, plain = run_standard(g, order, rule="own-premise")
             plain_rows = [(r.debug(), r.pa) for r in plain_rows]
             traced_rows, traced = run_standard(g, order, rule="own-premise",

@@ -1,8 +1,10 @@
 import dataclasses
+import json
 import math
 import random
 import time
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,25 @@ class TestParse:
         monkeypatch.setattr(graph, "_add_edge", no_edge)
         with pytest.raises(SearchTimeout):
             parse_graph(text, fmt, deadline=time.monotonic() - 1)
+
+    def test_json_edge_loop_checks_the_deadline(self, monkeypatch):
+        # decoding ends before the deadline, which passes as the first pair
+        # is read: the loop stops at its next check, before the last pair
+        text = json.dumps({"v": 2, "edges": [[1, 2]] * (graph.PAIRS_PER_CHECK + 100)})
+        now = [0.0]
+        monkeypatch.setattr(graph, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+        add_edge = graph._add_edge
+        read = []
+
+        def late_edge(*args):
+            read.append(args)
+            now[0] = 2.0
+            add_edge(*args)
+
+        monkeypatch.setattr(graph, "_add_edge", late_edge)
+        with pytest.raises(SearchTimeout):
+            parse_graph(text, "json", deadline=1.0)
+        assert len(read) == graph.PAIRS_PER_CHECK
 
     def test_lines_in_blocks_are_splitlines(self):
         rng = random.Random(3)

@@ -195,16 +195,28 @@ class TestSoundnessSweep:
             assert got == expected
 
     def test_symbol_discipline_along_real_runs(self, monkeypatch):
-        """After imposing at t, no position whose anti-implication is still
-        pending holds a 1 or a premise; checked on every imposition of real
-        runs, in vertex order and in a shuffled order, under both rules."""
+        """When t is imposed it is no longer pending on the row, and no
+        position still pending holds a 1 or a premise in any row produced;
+        checked on every imposition of real runs, in vertex order and in a
+        shuffled order, under both rules.  The paper's run keeps ``pa`` as
+        an index into the order; the own-premise run, which chooses each
+        row's next vertex, keeps the mask of the vertices still pending."""
         import anticlique.enumerator as enum_mod
         from anticlique.imposition import impose as raw_impose
 
-        seq = ()   # the order of the run in progress
+        seq, rule = (), ""   # the order and the rule of the run in progress
+
+        def pending(row, t):
+            """The vertices still pending on ``row`` as t is imposed."""
+            if rule == "paper":
+                assert seq[row.pa - 1] == t
+                return set(seq[row.pa:])
+            assert row.pa & ~sum(1 << p for p in seq) == 0
+            return {p for p in seq if row.pa >> p & 1}
 
         def checked(row, t, nbrs):
-            assert seq[row.pa] == t
+            waiting, pa = pending(row, t), row.pa
+            assert t not in waiting
             out = raw_impose(row, t, nbrs)
             produced = (
                 [] if isinstance(out, Unchanged)
@@ -213,7 +225,8 @@ class TestSoundnessSweep:
             )
             for r in produced:
                 r.validate()
-                for p in seq[row.pa + 1:]:
+                assert r.pa == pa
+                for p in waiting:
                     assert p not in r.ones() | r.premset()
             return out
 

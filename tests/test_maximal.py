@@ -181,7 +181,7 @@ class TestMaximalAnticliques:
                         for prem, anti in row.groups.items():
                             assert anti & ~g.nbr_mask(prem) == 0, (v, d, rule, row)
                             groups += 1
-        assert groups == 3438
+        assert groups == 2830
 
     def test_closed_neighbourhood_matches_sieve_and_oracle(self):
         """The neighbourhood test keeps exactly what the contain-index sieve
