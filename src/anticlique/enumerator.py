@@ -80,13 +80,18 @@ class SearchStats:
 class Prune:
     """Delete every row whose ``bound`` falls to ``limit`` or below.
 
-    ``bound(row, L)`` need only lie on the same side of L as the full
-    bound ``bound(row)``.  The consumer of an exclusion run may raise
-    ``limit`` between the rows it receives; currentmax raises it to each
-    finalized row's value.
+    ``bound(row, L, rec)`` returns a value and a record.  The value need
+    only lie on the same side of L as the full bound ``bound(row)[0]``.
+    The record is opaque to the run: it keeps it beside the row, and passes
+    it back with the row's next check and with the first check of each of
+    the row's sons, so that a bound may resume from work done on an
+    ancestor (a search's clique bound resumes its partition, see
+    ``Row.clique_partition``).  ``rec`` is None at a run's first check.  The
+    consumer of an exclusion run may raise ``limit`` between the rows it
+    receives; currentmax raises it to each finalized row's value.
     """
 
-    bound: Callable[..., int]
+    bound: Callable[..., tuple[int, object]]
     limit: int
 
 
@@ -269,15 +274,20 @@ def _exclusion_run(
     stack = [full_row(g.v)]
     if chosen:
         stack[0].pa = sum(1 << t for t in seq)
-    kept_at = [-1]   # with prune set: the limit each stacked row was kept at
+    # with prune set: the limit each stacked row was kept at, and the bound
+    # record of each stacked row and of the current one
+    kept_at, recs, rec = [-1], [None], None
     stats.peak_stack = 1
     while stack:
         if deadline is not None and time.monotonic() > deadline:
             raise SearchTimeout("search exceeded its time budget")
         row = stack.pop()
-        if (prune is not None and kept_at.pop() < prune.limit
-                and _kept(row, prune, stats, trace, labels) is None):
-            continue
+        if prune is not None:
+            rec = recs.pop()
+            if kept_at.pop() < prune.limit:
+                row, rec = _kept(row, rec, prune, stats, trace, labels)
+                if row is None:
+                    continue
         # paper rule: a popped row's pending anti-implication may hold
         # already; test it once, then run the mechanical case analysis until
         # split or finalize
@@ -335,21 +345,23 @@ def _exclusion_run(
                 stats.rsp += 1
                 zero, one = outcome.zero_son, outcome.one_son
                 if prune is not None:
-                    zero = _kept(zero, prune, stats, trace, labels)
-                    one = _kept(one, prune, stats, trace, labels)
-                if zero is not None and one is not None:
+                    # both sons resume the partition of the row's record
+                    zero, zero_rec = _kept(zero, rec, prune, stats, trace, labels)
+                    one, rec = _kept(one, rec, prune, stats, trace, labels)
+                    if one is None:
+                        one, rec, zero = zero, zero_rec, None
+                if zero is not None:
                     stack.append(zero)
                     if prune is not None:
                         kept_at.append(prune.limit)
+                        recs.append(zero_rec)
                     stats.peak_stack = max(stats.peak_stack, len(stack) + 1)
-                    row = one
-                else:
-                    row = zero if one is None else one
+                row = one
             else:
                 # Unchanged, or Mutated: impose changed the row in place
                 stats.trivial_changes += 1
                 if prune is not None and type(outcome) is Mutated:
-                    row = _kept(row, prune, stats, trace, labels)
+                    row, rec = _kept(row, rec, prune, stats, trace, labels)
             if trace:
                 trace("impose", _snapshot(t, outcome, row, stack,
                                           None if chosen else seq, labels))
@@ -370,16 +382,19 @@ def _exclusion_run(
         trace("done", {})
 
 
-def _kept(row: Row, prune: Prune, stats: SearchStats, trace: TraceHook | None,
-          labels: Sequence[int] | None) -> Row | None:
-    """The row if its bound beats the limit; otherwise None, counted as deleted."""
+def _kept(row: Row, rec: object, prune: Prune, stats: SearchStats, trace: TraceHook | None,
+          labels: Sequence[int] | None) -> tuple[Row | None, object]:
+    """(the row, its new bound record) if its bound, resumed from ``rec``,
+    beats the limit; otherwise (None, None), counted as deleted."""
     limit = prune.limit
-    if prune.bound(row, limit) > limit:
-        return row
+    bound, rec = prune.bound(row, limit, rec)
+    if bound > limit:
+        return row, rec
     stats.deleted += 1
     if trace:
-        trace("prune", {"row": _shown(row, labels), "bound": prune.bound(row), "limit": limit})
-    return None
+        trace("prune", {"row": _shown(row, labels), "bound": prune.bound(row)[0],
+                        "limit": limit})
+    return None, None
 
 
 def _shown(row: Row, labels: Sequence[int] | None = None) -> str:

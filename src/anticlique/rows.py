@@ -33,6 +33,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 # (|ones|, |frees|, ascending anticonclusion sizes); see Row.shape
 Shape = tuple[int, int, tuple[int, ...]]
 
+# (zero|one mask, rest mask at each loop head, clique weight before each
+# head or None by size); see Row.clique_partition
+CliqueRecord = tuple[int, list[int], list[int] | None]
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -201,31 +205,15 @@ class Row:
         ``limit``, or once it cannot, each clique to come taking at least
         one unplaced position; the value returned then lies on the same
         side of ``limit`` as the full bound.
+
+        The partition has a prefix property.  It is deterministic, so a row
+        whose live positions are this row's less a set R builds the same
+        cliques up to the first one that took a position of R, and reaches
+        that clique's head with this row's ``rest`` there less R.
+        ``clique_partition`` keeps the partition as a record and resumes it
+        on such a row from that head.
         """
-        cap = self.w_max()
-        # stop once total > above (kept) or total + left <= floor (pruned);
-        # with no limit, only reaching the cap stops it
-        if limit is None:
-            above, floor = cap - 1, -1
-        elif cap <= limit:
-            return cap
-        else:
-            above = floor = limit
-        total = self.one_mask.bit_count()
-        rest = ((1 << (self.v + 1)) - 2) & ~(self.zero_mask | self.one_mask)
-        left = rest.bit_count()   # positions not yet placed in a clique
-        while rest and total <= above and total + left > floor:
-            low = rest & -rest
-            rest ^= low
-            left -= 1
-            common = rest & nbr[low.bit_length() - 1]
-            while common:
-                low = common & -common
-                rest ^= low
-                left -= 1
-                common &= nbr[low.bit_length() - 1]
-            total += 1
-        return min(total, cap)
+        return self.clique_partition(nbr, limit)[0]
 
     def weighted_clique_bound(self, nbr: Sequence[int], wt: Sequence[int],
                               limit: int | None = None) -> int:
@@ -238,22 +226,93 @@ class Row:
         capped by ``max_weight``.  With ``limit`` set, the partition stops
         once the total exceeds ``limit``, and the cap is computed only then.
         """
-        above = inf if limit is None else limit
-        total = sum(map(wt.__getitem__, _positions(self.one_mask)))
-        rest = ((1 << (self.v + 1)) - 2) & ~(self.zero_mask | self.one_mask)
-        while rest and total <= above:
+        return self.clique_partition(nbr, limit, None, wt)[0]
+
+    def clique_partition(self, nbr: Sequence[int], limit: int | None = None,
+                         rec: CliqueRecord | None = None,
+                         wt: Sequence[int] | None = None) -> tuple[int, CliqueRecord | None]:
+        """(``clique_bound``, or with ``wt`` ``weighted_clique_bound``, and
+        the record of its partition), resumed from ``rec`` if given.
+
+        A record is (zo, heads, runs): the row's ``zero|one`` mask, the
+        ``rest`` mask at each head of the partition loop, the last being
+        where it stopped, and, by weight only, the clique weight placed
+        before each head (by size it is the head's index).  ``rec`` may be
+        the record of this row or of any row it descends from in one
+        search, whose ``0`` and ``1`` positions are a subset of this row's.
+        The positions R that have since become ``0`` or ``1`` are found by
+        their masks; the partition resumes at the last head whose ``rest``
+        still holds all of R, so at the last head if R is empty.  Before
+        it, the two partitions place the same cliques, the ``rest`` only
+        shrinks, the total only rises and the total plus the positions
+        left never rises, so the loop's stop tests hold at every earlier
+        head if they hold at that one: the value returned lies on the same
+        side of ``limit`` as a fresh partition's.  A stored ``rest`` may
+        hold positions that were already ``0`` or ``1`` at the record, so
+        a resumed one is masked by this row's live positions.  The record
+        is None, or ``rec`` unchanged, when the cap alone decides.
+        """
+        if wt is None:
+            cap = self.w_max()
+            if limit is None:
+                above, floor = cap - 1, -1
+            elif cap <= limit:
+                return cap, rec
+            else:
+                above = floor = limit
+            base = self.one_mask.bit_count()
+        else:
+            above, floor = (inf if limit is None else limit), -1
+            base = sum(map(wt.__getitem__, _positions(self.one_mask)))
+        zo = self.zero_mask | self.one_mask
+        if rec is None:
+            heads, run = [], 0
+            runs = None if wt is None else []
+            rest = ((1 << (self.v + 1)) - 2) & ~zo
+        else:
+            old_zo, old_heads, old_runs = rec
+            gone = zo ^ old_zo
+            lo, hi = 0, len(old_heads) - 1   # old_heads[0] holds every live position
+            while lo < hi:
+                mid = (lo + hi + 1) >> 1
+                if old_heads[mid] & gone == gone:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            heads, rest = old_heads[:lo], old_heads[lo] & ~zo
+            if wt is None:
+                runs, run = None, lo
+            else:
+                runs, run = old_runs[:lo], old_runs[lo]
+        # stop once total > above (kept) or total + left <= floor (pruned),
+        # total being base + run
+        above -= base
+        floor -= base
+        left = rest.bit_count()   # positions not yet placed in a clique
+        while rest and run <= above and run + left > floor:
+            heads.append(rest)
+            if runs is not None:
+                runs.append(run)
             low = rest & -rest
             r = low.bit_length() - 1
             rest ^= low
-            total += wt[r]
+            left -= 1
             common = rest & nbr[r]
             while common:
                 low = common & -common
                 rest ^= low
+                left -= 1
                 common &= nbr[low.bit_length() - 1]
-        if limit is not None and total <= limit:
-            return total
-        return min(total, self.max_weight(wt))
+            run += 1 if wt is None else wt[r]
+        heads.append(rest)
+        if runs is not None:
+            runs.append(run)
+        total = base + run
+        if wt is None:
+            total = min(total, cap)
+        elif limit is None or total > limit:
+            total = min(total, self.max_weight(wt))
+        return total, (zo, heads, runs)
 
     def member_count(self) -> int:
         """Exact number of member sets: 2^|twos| * prod(1 + 2^|anti_g|)."""

@@ -9,8 +9,19 @@ Tomita & Seki's MCQ, 2003, applied to anticliques) capped by w_max;
 weights, each takes its weighted form.  Both equal w_max (the heaviest
 member's weight) on a finalized row, so answers do not depend on the
 choice; the rows visited, the counters and possibly the witnesses do.  A
-prune check calls ``bound(row, limit)``, which may stop as soon as it knows
-on which side of the limit the full bound ``bound(row)`` lies.
+prune check calls ``bound(row, limit, rec)``, which may stop as soon as it
+knows on which side of the limit the full bound ``bound(row)`` lies.
+
+The check returns the bound and a record.  For the clique bound it is the
+record of the greedy partition (``Row.clique_partition``): the row's
+``zero|one`` mask, the ``rest`` mask at each head of the partition loop
+and, with weights, the clique weight placed before each head.  The
+exclusion run keeps each stacked row's record beside the row and passes it
+back with the row's own recheck and with its sons' checks, so a check
+resumes its ancestor's partition from the last head that none of the
+positions set to ``0`` or ``1`` since then had left.  The partition is
+deterministic, so the decision is the one a fresh partition gives.  The
+``w_max`` bound keeps no record.
 
 Every search runs in rank space, a ``_Ranks``: g's neighbour masks
 relabelled once per search by ascending degree (with weights: descending
@@ -49,7 +60,7 @@ from .enumerator import (
 from .errors import ConfigurationError
 from .graph import Graph, bipartition
 from .imposition import anti_implication_holds, impose  # noqa: F401  wrapped by perfbench/tracer.py
-from .rows import Row
+from .rows import CliqueRecord, Row
 
 
 @dataclass(frozen=True)
@@ -293,11 +304,11 @@ class _Ranks:
         nbr = self.nbr if bound == "clique" else None
         self.member = Row.max_member if wt is None else partial(_weighted_member, wt=wt)
         if wt is not None:
-            self.bound = lambda row, limit=None: _weighted_bound(row, wt, nbr, limit)
+            self.bound = lambda row, limit=None, rec=None: _weighted_bound(row, wt, nbr, limit, rec)
         elif nbr is None:
-            self.bound = lambda row, limit=None: row.w_max()
+            self.bound = lambda row, limit=None, rec=None: (row.w_max(), None)
         else:
-            self.bound = lambda row, limit=None: row.clique_bound(nbr, limit)
+            self.bound = lambda row, limit=None, rec=None: row.clique_partition(nbr, limit, rec)
 
     def run(self, g: Graph, order: ImpositionOrder | None, stats: SearchStats, prune: Prune,
             trace: TraceHook | None, deadline: float | None,
@@ -343,11 +354,12 @@ def clique_order(g: Graph) -> ImpositionOrder:
 
 
 def _weighted_bound(row: Row, wt: list[int], nbr: list[int] | None = None,
-                    limit: int | None = None) -> int:
+                    limit: int | None = None,
+                    rec: CliqueRecord | None = None) -> tuple[int, CliqueRecord | None]:
     # a module function only because perfbench/tracer.py wraps it by name
     if nbr is None:
-        return row.max_weight(wt)
-    return row.weighted_clique_bound(nbr, wt, limit)
+        return row.max_weight(wt), None
+    return row.clique_partition(nbr, limit, rec, wt)
 
 
 def _weighted_member(row: Row, wt: list[int]) -> frozenset[int]:

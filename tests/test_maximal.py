@@ -362,27 +362,32 @@ class TestChromaticNumber:
 
 def _colourable(g, k) -> bool:
     """True iff g has a proper colouring with k colours, by backtracking in
-    descending-degree order; a vertex opens at most one new colour."""
+    a fixed descending-degree order; a vertex opens at most one new colour.
+    Each vertex keeps a bitmask of the colours its coloured neighbours
+    hold, and a try is dropped once it leaves a later vertex all k colours
+    blocked (forward checking), which no k-colouring extending it can
+    avoid; so a False still rules out every k-colouring."""
     order = sorted(range(1, g.v + 1), key=lambda y: (-len(g.adjacency[y]), y))
-    nbr = g.nbr_masks
-    classes: list[int] = []   # vertex mask per colour
+    at = {y: i for i, y in enumerate(order)}
+    later = [[at[u] for u in g.adjacency[y] if at[u] > i] for i, y in enumerate(order)]
+    full = (1 << k) - 1
+    blocked = [0] * len(order)   # per vertex, by its index in order
 
-    def place(i: int) -> bool:
+    def place(i: int, opened: int) -> bool:
         if i == len(order):
             return True
-        y = order[i]
-        bit = 1 << y
-        for c in range(len(classes)):
-            if not classes[c] & nbr[y]:
-                classes[c] |= bit
-                if place(i + 1):
-                    return True
-                classes[c] ^= bit
-        if len(classes) < k:
-            classes.append(bit)
-            if place(i + 1):
+        for c in range(min(opened + 1, k)):
+            bit = 1 << c
+            if blocked[i] & bit:
+                continue
+            touched = [j for j in later[i] if not blocked[j] & bit]
+            for j in touched:
+                blocked[j] |= bit
+            if (all(blocked[j] != full for j in touched)
+                    and place(i + 1, max(opened, c + 1))):
                 return True
-            classes.pop()
+            for j in touched:
+                blocked[j] ^= bit
         return False
 
-    return place(0)
+    return place(0, 0)

@@ -29,6 +29,8 @@ from anticlique import (
 )
 from anticlique import search
 from anticlique.enumerator import Prune, _exclusion_run, full_order
+from anticlique.imposition import Split, impose
+from anticlique.rows import Row
 from anticlique.search import _Ranks, _weighted_bound, _weighted_member, _weight_vector
 from conftest import (
     all_anticliques,
@@ -234,7 +236,7 @@ class TestWeighted:
         wt = _weight_vector(g, {y: rng.randint(1, 5) for y in range(1, 9)})
         for _ in range(100):
             row = random_row(rng, 8)
-            bound = _weighted_bound(row, wt)
+            bound = _weighted_bound(row, wt)[0]
             weights = [sum(wt[p] for p in X) for X in row.expand(0)]
             assert all(bound >= w for w in weights)
             # and tight: the bound is the heaviest member's weight, which
@@ -274,9 +276,9 @@ class TestCliqueBound:
             plain = _Ranks(g)
             assert size <= _in_ranks(row, plain).clique_bound(plain.nbr) <= row.w_max()
             ranked = _in_ranks(row, ranks)
-            assert (weight <= _weighted_bound(ranked, ranks.wt, ranks.nbr)
+            assert (weight <= _weighted_bound(ranked, ranks.wt, ranks.nbr)[0]
                     <= ranked.max_weight(ranks.wt) == row.max_weight(wt))
-            assert _weighted_bound(row, wt) == row.max_weight(wt)
+            assert _weighted_bound(row, wt)[0] == row.max_weight(wt)
 
     def test_edgeless_and_complete_graphs(self):
         rng = random.Random(59)
@@ -319,7 +321,7 @@ class TestCliqueBound:
             for row in rows:
                 assert row.clique_bound(nbr) == row.w_max()
                 ranked = _in_ranks(row, ranks)
-                assert _weighted_bound(ranked, ranks.wt, ranks.nbr) == row.max_weight(wt)
+                assert _weighted_bound(ranked, ranks.wt, ranks.nbr)[0] == row.max_weight(wt)
 
     def test_unknown_bound_rejected(self, g5):
         for call in (lambda: max_anticlique(g5, SearchOptions(bound="greedy")),
@@ -360,9 +362,9 @@ class TestLimitContract:
         # mutated row; the recording bound sees them all
         seen = {}
 
-        def record(row, limit=None):
+        def record(row, limit=None, rec=None):
             seen.setdefault(row.debug(), row)
-            return row.w_max()
+            return row.w_max(), None
 
         rows = _exclusion_run(g, full_order(g.v).order, SearchStats(), Prune(record, -1),
                               None, None)
@@ -385,6 +387,115 @@ class TestLimitContract:
             for limit in range(row.max_weight(ranks.wt) + 1):
                 assert ((row.weighted_clique_bound(ranks.nbr, ranks.wt, limit) > limit)
                         == (full > limit))
+
+
+class TestResumedBound:
+    """A check resumed from a record decides as a fresh partition would.
+
+    Every prune check of real searches is replayed against a fresh
+    ``clique_bound`` (or ``weighted_clique_bound``) on the same row and
+    limit, and the record it returns must hold that row's partition: each
+    stored ``rest``, masked by the row's live positions, is the fresh
+    partition's ``rest`` at the same head."""
+
+    @staticmethod
+    def _check(row, nbr, limit, wt, value, new):
+        """``value`` and ``new``, from a check of ``row`` resumed from a
+        record, against a fresh partition of ``row``."""
+        if wt is None:
+            fresh = row.clique_bound(nbr, limit)
+        else:
+            fresh = row.weighted_clique_bound(nbr, wt, limit)
+        if limit is None:
+            assert value == fresh
+        else:
+            assert (value > limit) == (fresh > limit)
+        _v, (zo, fresh_heads, _r) = Row.clique_partition(row, nbr, limit, None, wt)
+        assert zo == row.zero_mask | row.one_mask == new[0]
+        heads = new[1]
+        n = min(len(heads), len(fresh_heads))
+        assert [h & ~zo for h in heads[:n]] == fresh_heads[:n]
+
+    @pytest.fixture
+    def replayed(self, monkeypatch):
+        """Counts of the checks replayed: (all, resumed, resumed with
+        nothing removed since the record)."""
+        original = Row.clique_partition
+        counts = [0, 0, 0]
+
+        def checked(row, nbr, limit=None, rec=None, wt=None):
+            value, new = original(row, nbr, limit, rec, wt)
+            counts[0] += 1
+            if rec is not None and new is not rec:
+                counts[1] += 1
+                counts[2] += rec[0] == row.zero_mask | row.one_mask
+                with monkeypatch.context() as m:   # the fresh partitions go uncounted
+                    m.setattr(Row, "clique_partition", original)
+                    self._check(row, nbr, limit, wt, value, new)
+            return value, new
+
+        monkeypatch.setattr(Row, "clique_partition", checked)
+        return counts
+
+    GRAPHS = [(30, 0.3, 1), (36, 0.5, 2), (40, 0.2, 3)]
+
+    @pytest.mark.parametrize("v,d,seed", GRAPHS)
+    def test_currentmax(self, replayed, v, d, seed):
+        g = random_graph(v, d, seed)
+        rng = random.Random(seed)
+        weights = {y: rng.randint(1, 9) for y in range(1, v + 1)}
+        # a one-vertex witness: currentmax rises between push and pop
+        witness = frozenset({1})
+        for order in (None, clique_order(g)):
+            for w in (None, weights):
+                opts = SearchOptions(order=order, weights=w, initial_witness=witness)
+                before = list(replayed)
+                res = max_anticlique(g, opts)
+                checks, resumed, rechecks = (a - b for a, b in zip(replayed, before))
+                assert checks >= 2 * res.stats.rsp   # both sons of every split
+                assert 0 < rechecks < resumed < checks
+
+    @pytest.mark.parametrize("v,d,seed", GRAPHS)
+    def test_threshold_and_maximum_sets(self, replayed, v, d, seed):
+        g = random_graph(v, d, seed)
+        res = max_anticlique(g)
+        for mode in ("all", "first"):
+            for k in (res.alpha - 2, res.alpha - 1, res.alpha):
+                threshold_search(g, k, mode)
+                threshold_search(g, k, mode, rule="own-premise", order=cover_degree_order(g))
+        maximum_sets(g, res)
+        maximum_sets(g, res, SearchOptions(order=clique_order(g)))
+        assert 0 < replayed[1] < replayed[0]
+
+    @pytest.mark.parametrize("v,d,seed", SWEEP[:15])
+    def test_from_a_grandparent_and_a_lower_limit(self, v, d, seed):
+        # a path down one run, taking at each split the t-out son and the
+        # t-in son in turn; each row's record is resumed on the row itself,
+        # its son and its grandson, at every limit
+        g = random_graph(v, d, seed)
+        rng = random.Random(seed)
+        ranks = _Ranks(g, _weight_vector(g, {y: rng.randint(1, 9) for y in range(1, v + 1)}))
+        for wt, nbr in ((None, _Ranks(g).nbr), (ranks.wt, ranks.nbr)):
+            path, one = [full_row(v)], False
+            for t in range(1, v + 1):
+                row = path[-1].clone()
+                outcome = impose(row, t, nbr[t])
+                if type(outcome) is Split:
+                    row = outcome.one_son if one else outcome.zero_son
+                    one = not one
+                path.append(row)
+            for i, ancestor in enumerate(path):
+                cap = ancestor.w_max() if wt is None else ancestor.max_weight(wt)
+                for rec_limit in (None, 0, cap // 2):
+                    _v, rec = ancestor.clique_partition(nbr, rec_limit, None, wt)
+                    for row in path[i:i + 3]:
+                        top = row.w_max() if wt is None else row.max_weight(wt)
+                        for limit in (None, *range(top + 1)):
+                            value, new = row.clique_partition(nbr, limit, rec, wt)
+                            if new is not rec:
+                                self._check(row, nbr, limit, wt, value, new)
+                            else:   # the cap alone decided
+                                assert wt is None and value == row.w_max() <= limit
 
 
 class TestCliqueOrder:
