@@ -247,7 +247,8 @@ class Row:
         shrinks, the total only rises and the total plus the positions
         left never rises, so the loop's stop tests hold at every earlier
         head if they hold at that one: the value returned lies on the same
-        side of ``limit`` as a fresh partition's.  A stored ``rest`` may
+        side of ``limit`` as a fresh partition's, and equals it with no
+        ``limit``.  A stored ``rest`` may
         hold positions that were already ``0`` or ``1`` at the record, so
         a resumed one is masked by this row's live positions.  The record
         is None, or ``rec`` unchanged, when the cap alone decides.
@@ -272,7 +273,7 @@ class Row:
         else:
             old_zo, old_heads, old_runs = rec
             gone = zo ^ old_zo
-            lo, hi = 0, len(old_heads) - 1   # old_heads[0] holds every live position
+            lo, hi = 0, len(old_heads) - 1   # old_heads[0] holds all of R
             while lo < hi:
                 mid = (lo + hi + 1) >> 1
                 if old_heads[mid] & gone == gone:

@@ -10,7 +10,7 @@ weights, each takes its weighted form.  Both equal w_max (the heaviest
 member's weight) on a finalized row, so answers do not depend on the
 choice; the rows visited, the counters and possibly the witnesses do.  A
 prune check calls ``bound(row, limit, rec)``, which may stop as soon as it
-knows on which side of the limit the full bound ``bound(row)`` lies.
+knows on which side of the limit the full bound ``bound(row)[0]`` lies.
 
 The check returns the bound and a record.  For the clique bound it is the
 record of the greedy partition (``Row.clique_partition``): the row's
@@ -281,8 +281,9 @@ class _Ranks:
 
     ``label[r]`` is the vertex of rank r and ``rank[p]`` the rank of vertex
     p (both 0 at 0); ``nbr[r]`` is rank r's neighbour mask in ranks and
-    ``wt[r]`` its weight, None without weights.  ``bound(row, limit=None)``
-    is the named row bound to prune by and ``member(row)`` a member of a
+    ``wt[r]`` its weight, None without weights.
+    ``bound(row, limit=None, rec=None)`` is the named row bound to prune
+    by, as (value, record) for ``Prune``, and ``member(row)`` a member of a
     finalized row achieving it: cardinality without weights, total weight
     with them.
     """
