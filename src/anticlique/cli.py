@@ -2,17 +2,17 @@
 
 Machine-readable output with --json emits one JSON object per run, carrying
 the result payload, a graph descriptor, the solver counters and the wall
-time.  ``count``, ``poly``, ``enum``, ``threshold`` and ``maximal`` run
-the own-premise rule on ``cover_degree_order``: every vertex except a
-greedy maximal anticlique, whose vertices are never imposed.  ``count``,
-``poly``, ``enum`` and ``maximal`` impose on each row the pending cover
-vertex with the most live neighbours; ``threshold``, a pruned search, takes
-the cover by descending degree.  On ``random_graph(60, 0.1, 3)`` ``count``
-finalizes 60,357 rows (48,084 with every vertex pending, 133,689 in the
-fixed descending-degree sequence).  ``count`` and ``poly`` run the paper's
-rule in vertex order with ``--rule paper``.
-``alpha`` runs the paper's rule in ``clique_order``: the cliques of its
-bound's greedy partition, last first, less that maximal anticlique.
+time.  ``count``, ``poly``, ``enum``, ``maximal``, ``threshold`` and
+``alpha`` run the own-premise rule on ``cover_degree_order``: every vertex
+except a greedy maximal anticlique, whose vertices are never imposed.  Each
+row imposes a pending cover vertex of its own choice: ``count``, ``poly``,
+``enum`` and ``maximal`` the one with the most live neighbours, the pruned
+searches ``threshold`` and ``alpha`` the lowest-ranked one in the branch
+set of the row's clique partition, MCQ's branching rule (search.py), and a
+weighted ``alpha`` the heaviest.  On ``random_graph(60, 0.1, 3)``
+``count`` finalizes 60,357 rows (48,084 with every vertex pending, 133,689
+in the fixed descending-degree sequence).  ``count`` and ``poly`` run the
+paper's rule in vertex order with ``--rule paper``.
 ``chromatic`` colours the graph by DSatur, stopping at the clique number
 that currentmax finds on the complement.
 
@@ -50,7 +50,6 @@ from .oracle import oracle_report
 from .search import (
     SearchOptions,
     bipartite_options,
-    clique_order,
     max_anticlique,
     maximum_sets,
     threshold_search,
@@ -347,7 +346,7 @@ def _read_weights(path: Path) -> dict[int, int]:
 @_graph_command
 def _cmd_alpha(args, g: Graph, deadline: float | None):
     trace = _trace_printer(args)
-    opts = bipartite_options(g) if args.bipartite else SearchOptions(order=clique_order(g))
+    opts = bipartite_options(g) if args.bipartite else SearchOptions(order=cover_degree_order(g))
     if args.weights:
         opts = dataclasses.replace(opts, weights=_read_weights(args.weights))
     res = max_anticlique(g, opts, trace=trace, timeout_s=_remaining(deadline))

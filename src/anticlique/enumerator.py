@@ -19,18 +19,22 @@ row, and every other anti-implication goes through ``impose``.
 ``"own-premise"`` passes over a vertex whose anti-implication already
 holds, also one whose only live neighbour is its own group's premise (the
 group's contrapositive already excludes the pair), instead of splitting on
-it.  Without a prune policy it also chooses each row's next vertex: of the
-order's vertices still pending on the row, the one with the most live
-neighbours, ties to the higher label, so the order gives the set and the
-run chooses within it.  A pruned own-premise run tests each vertex in the
-order's sequence.  ``fibonacci_number``, ``independence_polynomial``,
+it, and chooses each row's next vertex among the order's vertices still
+pending on the row, so the order gives the set and the run chooses within
+it.  Without a prune policy it takes the one with the most live
+neighbours, ties to the higher label.  A pruned run takes the lowest
+pending position in the prune policy's *branch set* (for a search's clique
+bound, MCQ's: the positions outside the first limit - |ones| cliques of the
+row's greedy partition), or the lowest pending position when the branch
+set holds none.
+``fibonacci_number``, ``independence_polynomial``,
 ``enumerate_anticliques`` and maximal.py's engines run the own-premise rule
 on the order they are given, by default ``cover_degree_order``: the vertices
 by descending degree, less a greedy maximal anticlique.  On
 ``random_graph(45, 0.08, 11)`` that finalizes 2,121 rows, where all
 vertices finalize 1,802 and the paper's run 180,154; on
-``random_graph(45, 0.1, 13)``, 4,445.  ``run_standard`` and the searches
-default to the paper's rule in vertex order.
+``random_graph(45, 0.1, 13)``, 4,445.  ``run_standard`` defaults to the
+paper's rule in vertex order.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ConfigurationError, SearchTimeout, StackBoundWarning
 from .graph import Graph
-from .imposition import UNCHANGED, Mutated, Split, anti_implication_holds, impose
+from .imposition import Mutated, Split, anti_implication_holds, impose
 from .rows import Polynomial, Row, _positions, full_row, spectrum_of_shapes
 
 TraceHook = Callable[[str, dict], None]
@@ -89,10 +93,15 @@ class Prune:
     ``Row.clique_partition``).  ``rec`` is None at a run's first check.  The
     consumer of an exclusion run may raise ``limit`` between the rows it
     receives; currentmax raises it to each finalized row's value.
+
+    ``branch(row, L, rec)``, if given, is the mask of the positions that an
+    own-premise run imposes first on a row its last check, at L, kept with
+    the record ``rec`` (see ``_exclusion_run``).
     """
 
     bound: Callable[..., tuple[int, object]]
     limit: int
+    branch: Callable[..., int] | None = None
 
 
 @dataclass(frozen=True)
@@ -100,8 +109,9 @@ class ImpositionOrder:
     """The vertices whose anti-implications get imposed, in this order.
 
     Any sequence of distinct vertices is sound as long as it is a vertex
-    cover, which run_standard verifies.  An unpruned own-premise run takes
-    only the set and chooses the sequence row by row.
+    cover, which run_standard verifies.  The paper's rule imposes it in this
+    sequence; an own-premise run, pruned or not, takes only the set and
+    chooses the sequence row by row.
     """
 
     order: tuple[int, ...]
@@ -241,38 +251,39 @@ def _exclusion_run(
     before each ``impose``, so the t-out son, which is the row itself, and
     the t-in son, which copies it, leave t out.  It has two meanings:
 
-    * under the paper's rule, and in every run with ``prune`` set, it is an
-      index into ``seq``: the next vertex to impose, stepped in sequence;
-    * in an unpruned own-premise run, a *chosen* run, it is the mask of the
-      vertices of ``seq`` not yet imposed on the row.  Each step scans the
-      pending vertices that are not 0, from the highest label down, and
-      imposes the one with the most live neighbours, ties to the higher
-      label.  A pending vertex with no live neighbour, or whose only one is
-      its own group's premise, holds its anti-implication and is dropped
-      from the mask as an Unchanged outcome, tested inline without a call.
-      A row is finalized once no pending vertex is left.
+    * under the paper's rule it is an index into ``seq``: the next vertex
+      to impose, stepped in sequence;
+    * under the own-premise rule, pruned or not, the run is *chosen*: it is
+      the mask of the vertices of ``seq`` not yet imposed on the row.  A
+      pending vertex with no live neighbour, or whose only one is its own
+      group's premise, holds its anti-implication; it is dropped from the
+      mask as an Unchanged outcome, tested inline without a call.  Without
+      ``prune`` each step scans the pending vertices that are not 0, from
+      the highest label down, drops those that hold and imposes the one
+      with the most live neighbours, ties to the higher label.  With
+      ``prune`` each step imposes the lowest pending position in the
+      branch set ``prune.branch(row, limit, rec)``, or the lowest pending
+      position if the branch set holds none; it tests the candidates from
+      the lowest up and drops those that hold until one does not.  A row is
+      finalized once no pending vertex is left.
 
     With ``prune`` set, a row is deleted once its bound is at most the
     limit: after a Mutated outcome, for each son of a split, and when it is
     popped if the limit has risen since it was pushed.  ``deadline`` is
-    absolute, on time.monotonic().  Under ``rule="own-premise"`` a pruned
-    run precedes every imposition by ``anti_implication_holds`` (an
-    Unchanged outcome when it holds), after stepping past vertices already 0
-    inline, with or without ``trace``; this makes the paper's pop-time test
-    redundant, so it is skipped.  The test and ``impose`` get the imposed
-    vertex's neighbour mask ``nbr[t]`` (by default built once per run for
-    the vertices of ``seq`` only), and both stay calls to this module's
-    names, which perfbench/tracer.py wraps.  A search passes g's relabelled
-    masks and ``labels``, the vertex of g at each position, for the trace.
+    absolute, on time.monotonic().  ``impose`` and the paper's pop-time
+    test get the imposed vertex's neighbour mask ``nbr[t]`` (by default
+    built once per run for the vertices of ``seq`` only), and both stay
+    calls to this module's names, which perfbench/tracer.py wraps.  A
+    search passes g's relabelled masks and ``labels``, the vertex of g at
+    each position, for the trace.
     """
-    own_premise = rule == "own-premise"
-    chosen = own_premise and prune is None   # pa is the pending mask
-    pretest = own_premise and not chosen     # anti_implication_holds first
+    own_premise = rule == "own-premise"   # pa is the pending mask
+    branch = None if prune is None else prune.branch
     n = len(seq)
     if nbr is None:
         nbr = {t: g.nbr_mask(t) for t in seq}
     stack = [full_row(g.v)]
-    if chosen:
+    if own_premise:
         stack[0].pa = sum(1 << t for t in seq)
     # with prune set: the limit each stacked row was kept at, and the bound
     # record of each stacked row and of the current one
@@ -296,51 +307,57 @@ def _exclusion_run(
             stats.trivial_changes += 1
             row.pa += 1
         while row is not None:
-            if chosen:
-                # choose t and drop the pending vertices that hold
+            if own_premise:
+                # drop the pending vertices that hold, and choose t
                 notz = ~row.zero_mask
                 groups = row.groups
                 pend = rest = row.pa & notz
-                t = most = 0
-                while rest:
-                    q = rest.bit_length() - 1
-                    bit = 1 << q
-                    rest ^= bit
-                    live = nbr[q] & notz
-                    if live & (live - 1):
-                        d = live.bit_count()
-                        if d > most:
-                            t, most = q, d
-                    elif not live or groups.get(live.bit_length() - 1, 0) & bit:
-                        pend ^= bit
-                    elif not most:
-                        t, most = q, 1
+                if prune is None:
+                    t = most = 0
+                    while rest:
+                        q = rest.bit_length() - 1
+                        bit = 1 << q
+                        rest ^= bit
+                        live = nbr[q] & notz
+                        if live & (live - 1):
+                            d = live.bit_count()
+                            if d > most:
+                                t, most = q, d
+                        elif not live or groups.get(live.bit_length() - 1, 0) & bit:
+                            pend ^= bit
+                        elif not most:
+                            t, most = q, 1
+                else:
+                    # the lowest rank that does not hold, in the branch set
+                    # first; each vertex passed over holds and is dropped
+                    t = 0
+                    inside = pend & branch(row, prune.limit, rec) if branch else 0
+                    for rest in (inside, pend ^ inside):
+                        while rest:
+                            bit = rest & -rest
+                            rest ^= bit
+                            live = nbr[bit.bit_length() - 1] & notz
+                            if live & (live - 1) or live and not (
+                                    groups.get(live.bit_length() - 1, 0) & bit):
+                                t = bit.bit_length() - 1
+                                break
+                            pend ^= bit
+                        if t:
+                            break
                 stats.trivial_changes += (row.pa ^ pend).bit_count()
-                if not pend:
+                if not t:
                     row.pa = 0
                     break
                 row.pa = pend ^ 1 << t
             else:
                 pa = row.pa
-                if own_premise:
-                    # a vertex already 0 holds its anti-implication: step
-                    # past it as an Unchanged outcome, without a call
-                    zeros = row.zero_mask
-                    while pa < n and zeros >> seq[pa] & 1:
-                        pa += 1
-                    stats.trivial_changes += pa - row.pa
-                    row.pa = pa
                 if pa >= n:
                     break
                 t = seq[pa]
                 row.pa = pa + 1
             # pa now leaves t out, so the t-in son that impose builds
             # inherits it, and the t-out son is the row itself
-            nbrs = nbr[t]
-            if pretest and anti_implication_holds(row, t, nbrs):
-                outcome = UNCHANGED
-            else:
-                outcome = impose(row, t, nbrs)
+            outcome = impose(row, t, nbr[t])
             if type(outcome) is Split:
                 stats.rsp += 1
                 zero, one = outcome.zero_son, outcome.one_son
@@ -364,7 +381,7 @@ def _exclusion_run(
                     row, rec = _kept(row, rec, prune, stats, trace, labels)
             if trace:
                 trace("impose", _snapshot(t, outcome, row, stack,
-                                          None if chosen else seq, labels))
+                                          None if own_premise else seq, labels))
         if row is None:
             continue
         stats.finalized += 1

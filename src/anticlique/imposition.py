@@ -131,9 +131,10 @@ def anti_implication_holds(row: Row, t: int, neighbors: int) -> bool:
     neighbor is the own group's premise: t in a member already forces that
     premise out (contrapositive), so nothing is left to impose.  Under the
     paper's rule the engines run this test once whenever a row is popped off
-    the working stack, under the own-premise rule before every imposition;
-    rows it clears keep their shape instead of going through a redundant
-    split.  ``neighbors`` is t's neighbour mask.
+    the working stack; the own-premise rule runs the same test inline on
+    every pending vertex it passes over.  Rows it clears keep their shape
+    instead of going through a redundant split.  ``neighbors`` is t's
+    neighbour mask.
     """
     zeros = row.zero_mask
     if zeros >> t & 1:

@@ -89,10 +89,10 @@ class Row:
     and ``one_mask`` hold the ``0`` and ``1`` positions; ``groups`` maps
     each premise to its anticonclusion mask; every position in none of them
     is free.  ``pa`` tells which anti-implications of the imposition order
-    are still pending on this row.  Under the paper's rule and in a pruned
-    search it counts those already imposed, i.e. it indexes the next one in
-    the order; in a standard own-premise run, which chooses each row's next
-    vertex, it is the mask of the order's vertices not yet imposed (0 on a
+    are still pending on this row.  Under the paper's rule it counts those
+    already imposed, i.e. it indexes the next one in the order; under the
+    own-premise rule, pruned or not, which chooses each row's next vertex,
+    it is the mask of the order's vertices not yet imposed (0 on a
     finalized row).
     ``impose`` changes the row it is given in place and builds every new
     row with a group table of its own, so rows never share a group table.

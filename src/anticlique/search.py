@@ -31,9 +31,22 @@ vertices of fewest neighbours, MCQ's initial order; with weights each
 starts at its heaviest vertex (Kumlander's order, 2004).  The rank space
 holds the bound, maps the caller's imposition order into ranks and lists
 the sets above a limit; sets, witnesses, hits and the trace are mapped
-back to g's labels.  The searches default to vertex order; the CLI's
-``alpha`` imposes ``clique_order(g)``, MCQ's branching order: the cliques
-of the unweighted partition of a full row, last first.
+back to g's labels.
+
+The searches default to vertex order, and choose within it on each row.
+Under the clique bound ``max_anticlique`` and ``maximum_sets`` run the
+own-premise rule (see enumerator.py): each row imposes a pending vertex
+that does not hold yet, the lowest-ranked in its *branch set* if there is
+one.  Without weights that is MCQ's branching rule: with k = limit -
+|ones|, the branch set is the row's live positions outside the first k
+cliques of its partition, ``heads[k]`` of its record (``_branch_set``).
+An anticlique worth more than the limit takes a vertex of that set, since
+k cliques hold at most k of its vertices.  With weights the run takes the
+lowest-ranked (heaviest) pending vertex.  Under ``w_max``, which keeps no
+record, and in ``threshold_search``'s default, the paper's rule steps the
+order's sequence; ``threshold_search(rule="own-premise")`` runs the chosen
+run under either bound.  The CLI's ``alpha`` and ``threshold`` pass
+``cover_degree_order(g)``.
 """
 
 from __future__ import annotations
@@ -53,7 +66,6 @@ from .enumerator import (
     _remaining,
     _resolve_order,
     _shown,
-    cover_degree_order,
     cover_order,
     expand_rows,
 )
@@ -71,7 +83,8 @@ class SearchOptions:
     size (or weight).  ``weights`` switches the search to maximum weight
     (strictly positive integer weights, missing vertices weigh 1).
     ``bound`` is the row bound that prunes: ``"clique"`` or the paper's
-    ``"w_max"`` (see the module docstring).
+    ``"w_max"``, which also picks the imposition rule (see the module
+    docstring).
     """
 
     order: ImpositionOrder | None = None
@@ -103,10 +116,13 @@ def threshold_search(
     """Standard run that throws away every row whose bound drops to <= k.
 
     ``bound`` is ``"clique"`` or the paper's ``"w_max"``; ``rule`` is the
-    imposition rule (see enumerator.py), and ``order`` is imposed as given.
-    The defaults are the run that ``threshold_alpha`` probes with and
-    ``maximum_sets`` repeats; the CLI's ``threshold`` passes
-    ``rule="own-premise"`` and ``cover_degree_order(g)``.
+    imposition rule (see enumerator.py).  The paper's rule imposes
+    ``order`` as given; the own-premise rule takes its set and lets each row
+    choose, from its branch set under the clique bound.  The defaults are
+    the run that ``threshold_alpha`` probes with; ``maximum_sets`` under
+    the clique bound is the own-premise run at alpha - 1, and the CLI's
+    ``threshold`` passes ``rule="own-premise"`` and
+    ``cover_degree_order(g)``.
 
     mode="all": returns (the anticliques of size > k, each once, sorted;
     stats), and one budget of ``timeout_s`` covers the run and the listing.
@@ -121,7 +137,7 @@ def threshold_search(
     ranks = _Ranks(g, bound=bound)
     stats = SearchStats()
     deadline = _deadline(timeout_s)
-    rows = ranks.run(g, order, stats, Prune(ranks.bound, k), trace, deadline, rule)
+    rows = ranks.run(g, order, stats, ranks.prune(k), trace, deadline, rule)
     if mode == "all":
         return ranks.above(rows, k, deadline), stats
     row = next(rows, None)
@@ -160,7 +176,9 @@ def max_anticlique(
     bound by default, the paper's w_max with ``"w_max"``) falls to
     currentmax or below (ties pruned), and currentmax rises whenever a
     finalized row beats it.  With weights set, the weighted bound is used
-    and the result is the maximum total weight.
+    and the result is the maximum total weight.  The clique bound runs the
+    own-premise rule, each row branching in its branch set; w_max runs the
+    paper's rule (see the module docstring).
     """
     opts = opts or SearchOptions()
     wt = _weight_vector(g, opts.weights) if opts.weights is not None else None
@@ -169,7 +187,7 @@ def max_anticlique(
     if best_set is not None:
         best_set = frozenset(map(ranks.rank.__getitem__, best_set))
     stats = SearchStats()
-    prune = Prune(ranks.bound, best)
+    prune = ranks.prune(best)
     for row in ranks.run(g, opts.order, stats, prune, trace, _deadline(timeout_s)):
         # every check kept the bound strictly above currentmax, and on a
         # finalized row it equals its heaviest member's value, so a
@@ -206,10 +224,11 @@ def maximum_sets(
     """Every anticlique achieving ``res.alpha``, each once, sorted; plus counters.
 
     ``res`` is ``max_anticlique(g, opts)``.  This reruns the exclusion run
-    from scratch with the same bound and order at the fixed limit alpha - 1
-    (currentmax pruning discards rows that still hold equal-valued maxima,
-    so the rows of ``res`` cannot be reused) and lists the members worth
-    more than alpha - 1: as alpha is the maximum, those worth alpha.
+    from scratch with the same bound, rule and order at the fixed limit
+    alpha - 1 (currentmax pruning discards rows that still hold
+    equal-valued maxima, so the rows of ``res`` cannot be reused) and lists
+    the members worth more than alpha - 1: as alpha is the maximum, those
+    worth alpha.
     """
     opts = opts or SearchOptions()
     wt = _weight_vector(g, opts.weights) if opts.weights is not None else None
@@ -217,7 +236,7 @@ def maximum_sets(
     stats = SearchStats()
     deadline = _deadline(timeout_s)
     k = res.alpha - 1
-    rows = ranks.run(g, opts.order, stats, Prune(ranks.bound, k), trace, deadline)
+    rows = ranks.run(g, opts.order, stats, ranks.prune(k), trace, deadline)
     return ranks.above(rows, k, deadline), stats
 
 
@@ -283,12 +302,14 @@ class _Ranks:
     p (both 0 at 0); ``nbr[r]`` is rank r's neighbour mask in ranks and
     ``wt[r]`` its weight, None without weights.
     ``bound(row, limit=None, rec=None)`` is the named row bound to prune
-    by, as (value, record) for ``Prune``, and ``member(row)`` a member of a
-    finalized row achieving it: cardinality without weights, total weight
-    with them.
+    by, as (value, record) for ``Prune``, ``branch`` its branch set
+    (``_branch_set`` for the unweighted clique bound, else None), ``rule``
+    the imposition rule of its currentmax search and ``member(row)`` a
+    member of a finalized row achieving the bound: cardinality without
+    weights, total weight with them.
     """
 
-    __slots__ = ("label", "rank", "nbr", "wt", "bound", "member")
+    __slots__ = ("label", "rank", "nbr", "wt", "bound", "branch", "rule", "member")
 
     def __init__(self, g: Graph, wt: list[int] | None = None, bound: str = "clique"):
         if bound not in ("clique", "w_max"):
@@ -304,21 +325,29 @@ class _Ranks:
         self.wt = wt = None if wt is None else [wt[p] for p in label]
         nbr = self.nbr if bound == "clique" else None
         self.member = Row.max_member if wt is None else partial(_weighted_member, wt=wt)
+        self.branch = None
+        self.rule = "paper" if nbr is None else "own-premise"
         if wt is not None:
             self.bound = lambda row, limit=None, rec=None: _weighted_bound(row, wt, nbr, limit, rec)
         elif nbr is None:
             self.bound = lambda row, limit=None, rec=None: (row.w_max(), None)
         else:
             self.bound = lambda row, limit=None, rec=None: row.clique_partition(nbr, limit, rec)
+            self.branch = _branch_set
+
+    def prune(self, limit: int) -> Prune:
+        """The policy that prunes by this space's bound at ``limit``."""
+        return Prune(self.bound, limit, self.branch)
 
     def run(self, g: Graph, order: ImpositionOrder | None, stats: SearchStats, prune: Prune,
             trace: TraceHook | None, deadline: float | None,
-            rule: str = "paper") -> Iterator[Row]:
-        """The exclusion run imposing ``order`` (vertex order if None), in
-        rank space; it yields rows in ranks and traces in g's labels."""
+            rule: str | None = None) -> Iterator[Row]:
+        """The exclusion run imposing ``order`` (vertex order if None) under
+        ``rule``, by default this space's own, in rank space; it yields rows
+        in ranks and traces in g's labels."""
         seq = _resolve_order(g, order).order
         return _exclusion_run(g, tuple(map(self.rank.__getitem__, seq)), stats, prune,
-                              trace, deadline, rule, self.nbr, self.label)
+                              trace, deadline, rule or self.rule, self.nbr, self.label)
 
     def above(self, rows: Iterator[Row], k: int,
               deadline: float | None) -> list[frozenset[int]]:
@@ -334,24 +363,18 @@ class _Ranks:
         return frozenset(map(self.label.__getitem__, X))
 
 
-def clique_order(g: Graph) -> ImpositionOrder:
-    """MCQ's branching order as a vertex cover: the CLI's ``alpha`` order.
-
-    V is split into cliques as ``Row.clique_bound`` splits a full row in
-    rank space without weights; the cliques are listed last first, each in
-    ascending rank, less the anticlique ``cover_degree_order(g)`` leaves out.
-    """
-    ranks, cover = _Ranks(g), set(cover_degree_order(g).order)
-    rest, cliques = (1 << (g.v + 1)) - 2, []
-    while rest:
-        clique, common = [], rest
-        while common:
-            r = (common & -common).bit_length() - 1
-            clique.append(ranks.label[r])
-            rest ^= 1 << r
-            common &= ranks.nbr[r]
-        cliques.append(clique)
-    return ImpositionOrder(tuple(p for clique in reversed(cliques) for p in clique if p in cover))
+def _branch_set(row: Row, limit: int, rec: CliqueRecord | None) -> int:
+    """The live positions outside the first limit - |ones| cliques of the
+    partition that ``rec`` records for ``row`` (0 without a record)."""
+    if rec is None:
+        return 0
+    heads = rec[1]
+    k = limit - row.one_mask.bit_count()
+    if k < 0:
+        k = 0
+    elif k >= len(heads):
+        k = -1
+    return heads[k] & ~(row.zero_mask | row.one_mask)
 
 
 def _weighted_bound(row: Row, wt: list[int], nbr: list[int] | None = None,

@@ -13,7 +13,6 @@ import pytest
 from anticlique import (
     SearchOptions,
     bipartite_options,
-    clique_order,
     cover_degree_order,
     degree_order,
     independence_polynomial,
@@ -236,9 +235,9 @@ class TestListingRun:
 
     @pytest.mark.parametrize("argv, stats", [
         ("enum --gen 20,0.2,1 --min-size 3", (34, 64, 4, 35, 0)),
-        ("threshold --gen 30,0.25,1 --k 6", (296, 846, 5, 262, 35)),
+        ("threshold --gen 30,0.25,1 --k 6", (325, 481, 6, 272, 54)),
         ("maximal --gen 24,0.3,1", (94, 147, 5, 95, 0)),
-        ("chromatic --gen 14,0.5,1", (7, 19, 4, 2, 6)),   # the clique number's search
+        ("chromatic --gen 14,0.5,1", (5, 20, 4, 2, 4)),   # the clique number's search
     ])
     def test_counters(self, capsys, argv, stats):
         fields = ("rsp", "trivial_changes", "peak_stack", "finalized", "deleted")
@@ -246,7 +245,7 @@ class TestListingRun:
 
     @pytest.mark.parametrize("command, stats", [
         ("enum", (37, 193, 4, 38, 0)),
-        ("threshold", (311, 2796, 5, 276, 36)),
+        ("threshold", (893, 3007, 7, 673, 221)),
         ("maximal", (91, 454, 4, 92, 0)),
         ("chromatic", (11, 71, 3, 12, 0)),
     ])
@@ -541,10 +540,11 @@ class TestAlpha:
     def test_all_and_core_count_both_runs(self, capsys):
         _, out, _ = run_cli(capsys, "alpha", "--gen", "30,0.2,5", "--all", "--core", "--json")
         g = random_graph(30, 0.2, 5)
-        # both phases impose in clique_order
-        opts = SearchOptions(order=clique_order(g))
+        # both phases run the own-premise rule in cover_degree_order
+        opts = SearchOptions(order=cover_degree_order(g))
         res = max_anticlique(g, opts)
-        _rows, phase2 = threshold_search(g, res.alpha - 1, "all", order=opts.order)
+        _rows, phase2 = threshold_search(g, res.alpha - 1, "all", order=opts.order,
+                                         rule="own-premise")
         assert json.loads(out)["stats"] == (res.stats + phase2).as_dict()
 
     def test_bipartite_on_nonbipartite_is_usage_error(self, capsys, g5_file):
@@ -752,13 +752,13 @@ class TestTrace:
         assert _Ranks(g).label != list(range(g.v + 1))
         code, out, _ = run_cli(capsys, *argv.split(), "--trace")
         assert code == 0
-        # alpha imposes in clique_order, threshold in cover_degree_order
-        order = list((clique_order(g) if argv.startswith("alpha")
-                      else cover_degree_order(g)).order)
+        # both impose within cover_degree_order, each row choosing from its
+        # branch set, and show each row's pending vertices that are not 0
+        order = cover_degree_order(g).order
         imposed = [int(t) for t in re.findall(r"^impose (\d+):", out, re.M)]
-        assert imposed[0] == order[0] and set(imposed) <= set(order)
-        pending = {int(t) for t in re.findall(r" PA=(\d+)$", out, re.M)}
-        assert pending <= set(order)
+        assert imposed[0] in order and set(imposed) <= set(order)
+        shown = re.findall(r" PA=\{([\d,]*)\}$", out, re.M)
+        assert shown and {int(t) for text in shown for t in text.split(",") if t} <= set(order)
 
         def anticlique(X):
             return not any(g.adjacency[y] & X for y in X)

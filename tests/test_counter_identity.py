@@ -9,8 +9,10 @@ a witness fails here.  Stats are tuples in ``SearchStats.as_dict()`` order.
 The searches prune by the paper's w_max here, asked for with
 ``bound="w_max"``; w_max does not depend on labels, so these runs are the
 same in the searches' rank space.  The ``*_CLIQUE`` tables pin the same runs
-under the default clique bound: the answers and witnesses are the same,
-only the counters differ.
+under the default clique bound: the answers are the same, the counters
+differ, and so do the currentmax witnesses that ``*_CLIQUE_WITNESS`` names
+(the clique bound's currentmax runs the own-premise rule, w_max the
+paper's).
 
 ``STANDARD_OWN_PREMISE`` pins the standard run under the own-premise rule,
 in vertex order and in ``degree_order``, and in ``cover_degree_order`` (the
@@ -37,7 +39,7 @@ from anticlique import (
     run_standard,
     threshold_search,
 )
-from conftest import random_bipartite
+from conftest import is_anticlique, random_bipartite
 
 # graph, stats, f
 STANDARD = [
@@ -123,16 +125,25 @@ THRESHOLD_ALL = [
 # Stats of the same runs under the default clique bound, row for row,
 # re-recorded when the searches moved to rank space (the clique partition by
 # ascending degree, with weights by descending weight): answers and
-# witnesses stayed, most counters fell.
+# witnesses stayed, most counters fell.  The currentmax searches were
+# re-recorded again when they moved to the own-premise rule, each row
+# imposing from its branch set: alpha stayed, and the witnesses below
+# differ from the w_max run's.
 CURRENTMAX_CLIQUE = [
-    (8, 18, 5, 2, 7), (11, 42, 6, 3, 9), (14, 39, 9, 3, 12),
-    (193, 229, 8, 3, 191), (283, 459, 9, 5, 279),
+    (6, 14, 5, 2, 5), (6, 17, 6, 1, 6), (11, 30, 7, 2, 10),
+    (71, 171, 9, 3, 69), (157, 590, 8, 5, 153),
 ]
 WEIGHTED_CLIQUE = [
-    (19, 34, 4, 6, 14), (51, 81, 5, 7, 45), (57, 117, 9, 9, 49),
-    (245, 390, 8, 4, 242), (689, 1392, 9, 16, 674),
+    (2, 12, 3, 1, 2), (19, 65, 5, 4, 16), (20, 70, 5, 4, 17),
+    (63, 207, 8, 4, 60), (162, 579, 7, 2, 161),
 ]
-BIPARTITE_CLIQUE = [(0, 0, 1, 0, 1), (0, 0, 1, 0, 1), (13, 10, 3, 2, 12), (0, 0, 1, 0, 1)]
+BIPARTITE_CLIQUE = [(0, 0, 1, 0, 1), (0, 0, 1, 0, 1), (9, 6, 3, 1, 9), (0, 0, 1, 0, 1)]
+# graph -> witness, where the clique-bound run's differs
+CURRENTMAX_CLIQUE_WITNESS = {
+    (22, 0.2, 2): "2 5 8 10 14 16 18 21",
+    (45, 0.25, 4): "4 5 18 19 24 25 27 29 32 33 42 45",
+}
+WEIGHTED_CLIQUE_WITNESS = {(45, 0.25, 4): "8 10 11 12 14 16 21 26 34 36 38"}
 THRESHOLD_FIRST_CLIQUE = [
     (6, 8, 3, 1, 4), (0, 0, 1, 0, 1), (9, 13, 6, 1, 4), (2, 2, 1, 0, 3),
     (7, 21, 5, 1, 3), (7, 3, 3, 0, 8), (70, 116, 5, 1, 67), (138, 79, 4, 0, 139),
@@ -232,15 +243,22 @@ def test_threshold_all(spec, k, stats, above):
 @pytest.mark.parametrize("case, stats", zip(CURRENTMAX, CURRENTMAX_CLIQUE))
 def test_currentmax_clique(case, stats):
     spec, _paper_stats, alpha, witness = case
-    res = max_anticlique(random_graph(*spec))
+    witness = CURRENTMAX_CLIQUE_WITNESS.get(spec, witness)
+    g = random_graph(*spec)
+    res = max_anticlique(g)
     assert (_stats(res.stats), res.alpha, _vertices(res.witness)) == (stats, alpha, witness)
+    assert is_anticlique(g, res.witness)
 
 
 @pytest.mark.parametrize("case, stats", zip(WEIGHTED, WEIGHTED_CLIQUE))
 def test_weighted_currentmax_clique(case, stats):
     spec, _paper_stats, alpha, witness = case
-    res = max_weight_anticlique(random_graph(*spec), _weights(spec))
+    witness = WEIGHTED_CLIQUE_WITNESS.get(spec, witness)
+    g = random_graph(*spec)
+    weights = _weights(spec)
+    res = max_weight_anticlique(g, weights)
     assert (_stats(res.stats), res.alpha, _vertices(res.witness)) == (stats, alpha, witness)
+    assert is_anticlique(g, res.witness) and sum(map(weights.get, res.witness)) == alpha
 
 
 @pytest.mark.parametrize("case, stats", zip(BIPARTITE, BIPARTITE_CLIQUE))

@@ -15,7 +15,7 @@ import pytest
 from anticlique import (
     SearchOptions,
     all_max_anticliques,
-    clique_order,
+    cover_degree_order,
     max_anticlique,
     max_weight_anticlique,
     maximal_anticliques,
@@ -38,8 +38,8 @@ CASES = [
 ]
 
 # sparse graphs beyond CASES, alpha only: their complements' maximal cliques
-# are too many to list, and (120, 0.05, 1) alone takes max_anticlique about
-# 3 s (alpha = 48)
+# are too many to list; (120, 0.05, 1) takes max_anticlique about 0.6 s
+# (alpha = 48) and networkx about 2 s
 SPARSE = [(100, 0.05, 1), (100, 0.05, 3), (120, 0.05, 1)]
 
 
@@ -94,7 +94,9 @@ def test_weighted_alpha_matches_networkx(v, d, seed):
 
 @pytest.mark.parametrize("v, d, seed", CASES)
 def test_clique_order_matches_networkx(v, d, seed):
-    # the CLI's alpha order; the plain searches above run in vertex order
+    # the CLI's alpha run: cover_degree_order, each row branching on MCQ's
+    # clique order (its branch set); the plain searches above run in vertex
+    # order
     g = random_graph(v, d, seed)
     rng = random.Random(seed)
     weights = {y: rng.randint(1, 9) for y in range(1, v + 1)}
@@ -103,7 +105,7 @@ def test_clique_order_matches_networkx(v, d, seed):
     nx.set_node_attributes(h, weights, "weight")
     _clique, best = nx.max_weight_clique(h, weight="weight")
 
-    opts = SearchOptions(order=clique_order(g))
+    opts = SearchOptions(order=cover_degree_order(g))
     res = max_anticlique(g, opts)
     assert res.alpha == len(res.witness) == alpha
     assert is_anticlique(g, res.witness)

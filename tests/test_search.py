@@ -10,7 +10,6 @@ from anticlique import (
     SearchTimeout,
     all_max_anticliques,
     bipartite_options,
-    clique_order,
     core,
     cover_degree_order,
     cover_order,
@@ -160,7 +159,7 @@ class TestAllMaxAnticliques:
         g = random_graph(30, 0.2, 5)
         res = max_anticlique(g)
         sets, stats = maximum_sets(g, res)
-        _rows, threshold_stats = threshold_search(g, res.alpha - 1, "all")
+        _rows, threshold_stats = threshold_search(g, res.alpha - 1, "all", rule="own-premise")
         assert stats == threshold_stats
         assert res.witness in sets
 
@@ -340,8 +339,12 @@ class TestCliqueBound:
             for opts in (SearchOptions(), SearchOptions(weights=weights)):
                 paper = dataclasses.replace(opts, bound="w_max")
                 res, res_paper = max_anticlique(g, opts), max_anticlique(g, paper)
-                assert (res.alpha, res.witness) == (res_paper.alpha, res_paper.witness)
-                assert maximum_sets(g, res, opts)[0] == maximum_sets(g, res, paper)[0]
+                assert res.alpha == res_paper.alpha
+                sets = maximum_sets(g, res, opts)[0]
+                assert sets == maximum_sets(g, res, paper)[0]
+                # the two runs impose in different sequences, so their
+                # witnesses may be different maximum anticliques
+                assert res.witness in sets and res_paper.witness in sets
             alpha = max_anticlique(g).alpha
             assert threshold_alpha(g)[0] == threshold_alpha(g, bound="w_max")[0] == alpha
 
@@ -349,6 +352,20 @@ class TestCliqueBound:
 # The seeded oracle sweep's graphs at v <= 16 (test_enumerator.SWEEP).
 SWEEP = [(v, d, seed * 1000 + v)
          for seed in range(4) for v in (8, 12, 16) for d in (0.1, 0.3, 0.5, 0.7, 0.9)]
+
+
+def _path(v, nbr):
+    """The rows down one run imposing 1..v, taking at each split the t-out
+    son and the t-in son in turn."""
+    path, one = [full_row(v)], False
+    for t in range(1, v + 1):
+        row = path[-1].clone()
+        outcome = impose(row, t, nbr[t])
+        if type(outcome) is Split:
+            row = outcome.one_son if one else outcome.zero_son
+            one = not one
+        path.append(row)
+    return path
 
 
 class TestLimitContract:
@@ -446,7 +463,7 @@ class TestResumedBound:
         weights = {y: rng.randint(1, 9) for y in range(1, v + 1)}
         # a one-vertex witness: currentmax rises between push and pop
         witness = frozenset({1})
-        for order in (None, clique_order(g)):
+        for order in (None, cover_degree_order(g)):
             for w in (None, weights):
                 opts = SearchOptions(order=order, weights=w, initial_witness=witness)
                 before = list(replayed)
@@ -464,7 +481,7 @@ class TestResumedBound:
                 threshold_search(g, k, mode)
                 threshold_search(g, k, mode, rule="own-premise", order=cover_degree_order(g))
         maximum_sets(g, res)
-        maximum_sets(g, res, SearchOptions(order=clique_order(g)))
+        maximum_sets(g, res, SearchOptions(order=cover_degree_order(g)))
         assert 0 < replayed[1] < replayed[0]
 
     @pytest.mark.parametrize("v,d,seed", SWEEP[:15])
@@ -476,14 +493,7 @@ class TestResumedBound:
         rng = random.Random(seed)
         ranks = _Ranks(g, _weight_vector(g, {y: rng.randint(1, 9) for y in range(1, v + 1)}))
         for wt, nbr in ((None, _Ranks(g).nbr), (ranks.wt, ranks.nbr)):
-            path, one = [full_row(v)], False
-            for t in range(1, v + 1):
-                row = path[-1].clone()
-                outcome = impose(row, t, nbr[t])
-                if type(outcome) is Split:
-                    row = outcome.one_son if one else outcome.zero_son
-                    one = not one
-                path.append(row)
+            path = _path(v, nbr)
             for i, ancestor in enumerate(path):
                 cap = ancestor.w_max() if wt is None else ancestor.max_weight(wt)
                 for rec_limit in (None, 0, cap // 2):
@@ -498,9 +508,97 @@ class TestResumedBound:
                                 assert wt is None and value == row.w_max() <= limit
 
 
+def _cliques(row, nbr):
+    """The greedy clique partition of ``row``'s live positions, as masks:
+    take the lowest position left, then each lowest common neighbour."""
+    rest = ((1 << (row.v + 1)) - 2) & ~(row.zero_mask | row.one_mask)
+    cliques = []
+    while rest:
+        clique = common = rest & -rest
+        common = rest & nbr[common.bit_length() - 1]
+        while common:
+            low = common & -common
+            clique |= low
+            common &= nbr[low.bit_length() - 1]
+        rest &= ~clique
+        cliques.append(clique)
+    return cliques
+
+
+def _oracle_sweep(g, opts, anticliques, value):
+    """``max_anticlique`` and ``maximum_sets`` under ``opts`` against the
+    brute-force anticliques of g, each worth ``value[X]``."""
+    best = max(value.values())
+    res = max_anticlique(g, opts)
+    assert res.alpha == value[res.witness] == best
+    assert maximum_sets(g, res, opts)[0] == sorted(
+        (X for X in anticliques if value[X] == best), key=sorted)
+
+
+class TestBranchSet:
+    """A pruned own-premise run imposes from the branch set: the live
+    positions outside the first limit - |ones| cliques of the row's greedy
+    partition, read off the bound's record, resumed or fresh."""
+
+    @pytest.mark.parametrize("v,d,seed", SWEEP[:15])
+    def test_mask_is_the_fresh_partitions_tail(self, v, d, seed):
+        # the rows along one run's path, each checked with a fresh record
+        # and with records resumed from its own, its parent's and its
+        # grandparent's checks at other limits
+        g = random_graph(v, d, seed)
+        ranks = _Ranks(g)
+        nbr, branch = ranks.nbr, ranks.branch
+        path = _path(v, nbr)
+        checked = 0
+        for i, row in enumerate(path):
+            cliques = _cliques(row, nbr)
+            ancestors = [path[j].clique_partition(nbr, lim)[1]
+                         for j in range(max(i - 2, 0), i + 1)
+                         for lim in (None, 0, path[j].w_max() // 2)]
+            for limit in range(row.w_max() + 1):
+                k = max(limit - row.one_mask.bit_count(), 0)
+                expected = sum(cliques[k:])
+                for rec in (None, *ancestors):
+                    value, new = row.clique_partition(nbr, limit, rec)
+                    if value > limit:   # only a kept row branches
+                        assert branch(row, limit, new) == expected
+                        checked += 1
+        assert checked
+        assert branch(path[0], 0, None) == 0   # no record: no branch set
+
+    @pytest.mark.parametrize("v,d,seed", SWEEP)
+    def test_searches_match_the_oracle(self, v, d, seed):
+        g = random_graph(v, d, seed)
+        rng = random.Random(seed)
+        weights = {y: rng.randint(1, 9) for y in range(1, v + 1)}
+        anticliques = all_anticliques(g)
+        size = {X: len(X) for X in anticliques}
+        _oracle_sweep(g, SearchOptions(), anticliques, size)
+        _oracle_sweep(g, SearchOptions(weights=weights), anticliques,
+                      {X: sum(weights[p] for p in X) for X in anticliques})
+        alpha = max(size.values())
+        order = cover_degree_order(g)
+        for k in (alpha - 2, alpha - 1, alpha):
+            if k < 0:
+                continue
+            run = dict(order=order, rule="own-premise")
+            above = sorted((X for X in anticliques if len(X) > k), key=sorted)
+            assert threshold_search(g, k, "all", **run)[0] == above
+            hit = threshold_search(g, k, "first", **run)[0]
+            assert hit in above if above else hit is None
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bipartite_searches_match_the_oracle(self, seed):
+        g = random_bipartite(5 + seed % 4, 6 + seed % 5, (seed % 3) * 0.3 + 0.1, seed)
+        anticliques = all_anticliques(g)
+        _oracle_sweep(g, bipartite_options(g), anticliques, {X: len(X) for X in anticliques})
+
+
 class TestCliqueOrder:
-    """clique_order: a vertex cover imposed clique by clique, the cliques of
-    the greedy partition in reverse, as the CLI's alpha runs."""
+    """MCQ's branching order, taken row by row: on a full row the branch
+    set at limit k holds the cliques of the greedy partition by ascending
+    degree from the (k+1)-th on, so the searches branch on the cliques last
+    first.  The CLI's alpha imposes within ``cover_degree_order``."""
 
     @staticmethod
     def _partition(g):
@@ -517,25 +615,30 @@ class TestCliqueOrder:
             cliques.append(clique)
         return cliques
 
+    @staticmethod
+    def _root_branch(g, k):
+        """The vertices of the root's branch set at limit k."""
+        ranks = _Ranks(g)
+        row = full_row(g.v)
+        _value, rec = row.clique_partition(ranks.nbr, k)
+        return {ranks.label[r] for r in range(1, g.v + 1) if ranks.branch(row, k, rec) >> r & 1}
+
     @pytest.mark.parametrize("v,d,seed", SWEEP)
     def test_cover_in_cliques_last_first(self, v, d, seed):
         g = random_graph(v, d, seed)
-        order = clique_order(g).order
-        assert sorted(order) == sorted(cover_degree_order(g).order)
         partition = self._partition(g)
         # Row.clique_bound splits a full row in rank space the same way
         assert len(partition) == full_row(v).clique_bound(_Ranks(g).nbr)
-        runs = [[p for p in clique if p in order] for clique in reversed(partition)]
-        assert list(order) == [p for run in runs for p in run]
-        for run in runs:
-            assert all(q in g.adjacency[p] for p in run for q in run if q != p)
+        for k in range(len(partition)):
+            assert self._root_branch(g, k) == {p for clique in partition[k:] for p in clique}
+        for clique in partition:
+            assert all(q in g.adjacency[p] for p in clique for q in clique if q != p)
 
     def test_small_graphs(self):
-        assert clique_order(empty_graph(4)).order == ()
-        assert clique_order(complete_graph(4)).order == (1, 2, 3)
-        # the path 1-2-3-4: cliques {1, 2} then {4, 3}; the anticlique {1, 4}
-        # is left out
-        assert clique_order(path_graph(4)).order == (3, 2)
+        assert self._root_branch(empty_graph(4), 3) == {4}
+        assert self._root_branch(complete_graph(4), 0) == {1, 2, 3, 4}
+        # the path 1-2-3-4: cliques {1, 2} then {4, 3}
+        assert self._root_branch(path_graph(4), 1) == {3, 4}
 
     @pytest.mark.parametrize("v,d,seed", SWEEP)
     def test_searches_under_it_match_the_oracle(self, v, d, seed):
@@ -543,15 +646,10 @@ class TestCliqueOrder:
         rng = random.Random(seed)
         weights = {y: rng.randint(1, 9) for y in range(1, v + 1)}
         anticliques = all_anticliques(g)
-        order = clique_order(g)
+        order = cover_degree_order(g)
         for w in (None, weights):
             value = {X: len(X) if w is None else sum(w[p] for p in X) for X in anticliques}
-            opts = SearchOptions(order=order, weights=w)
-            res = max_anticlique(g, opts)
-            assert res.alpha == value[res.witness] == max(value.values())
-            reference = SearchOptions(weights=w)
-            assert (maximum_sets(g, res, opts)[0]
-                    == maximum_sets(g, max_anticlique(g, reference), reference)[0])
+            _oracle_sweep(g, SearchOptions(order=order, weights=w), anticliques, value)
 
 
 class TestBipartite:
