@@ -94,9 +94,10 @@ class Prune:
     consumer of an exclusion run may raise ``limit`` between the rows it
     receives; currentmax raises it to each finalized row's value.
 
-    ``branch(row, L, rec)``, if given, is the mask of the positions that an
-    own-premise run imposes first on a row its last check, at L, kept with
-    the record ``rec`` (see ``_exclusion_run``).
+    ``branch(row, L, rec)``, if given, returns the mask of the row's
+    *branch set*: the positions among which an own-premise run chooses the
+    row's next vertex first (see ``_exclusion_run``).  L is the limit and
+    ``rec`` the record of the row's last check.
     """
 
     bound: Callable[..., tuple[int, object]]
@@ -247,9 +248,11 @@ def _exclusion_run(
     """The row-stack loop behind every engine; yields the finalized rows.
 
     Anti-implications of the vertices of ``seq`` are imposed on the top row;
-    a split pushes the t-out son below the t-in son.  ``row.pa`` is set
-    before each ``impose``, so the t-out son, which is the row itself, and
-    the t-in son, which copies it, leave t out.  It has two meanings:
+    a split pushes the t-out son below the t-in son.  Each stack entry is
+    ``(row, pending, kept_at, rec)``: the row, its pending anti-implications,
+    the limit it was last checked at and the bound record of that check.
+    ``pending`` is taken before each ``impose`` and both sons of a split get
+    it, so both leave t out.  It has two meanings:
 
     * under the paper's rule it is an index into ``seq``: the next vertex
       to impose, stepped in sequence;
@@ -277,41 +280,39 @@ def _exclusion_run(
     search passes g's relabelled masks and ``labels``, the vertex of g at
     each position, for the trace.
     """
-    own_premise = rule == "own-premise"   # pa is the pending mask
+    own_premise = rule == "own-premise"
     branch = None if prune is None else prune.branch
     n = len(seq)
     if nbr is None:
         nbr = {t: g.nbr_mask(t) for t in seq}
-    stack = [full_row(g.v)]
-    if own_premise:
-        stack[0].pa = sum(1 << t for t in seq)
-    # with prune set: the limit each stacked row was kept at, and the bound
-    # record of each stacked row and of the current one
-    kept_at, recs, rec = [-1], [None], None
+    # without prune every row stays at limit -1 with no bound record, so
+    # none is checked
+    limit, zero_rec = -1, None
+    stack = [(full_row(g.v), sum(1 << t for t in seq) if own_premise else 0, limit, zero_rec)]
     stats.peak_stack = 1
     while stack:
         if deadline is not None and time.monotonic() > deadline:
             raise SearchTimeout("search exceeded its time budget")
-        row = stack.pop()
+        row, pending, kept_at, rec = stack.pop()
         if prune is not None:
-            rec = recs.pop()
-            if kept_at.pop() < prune.limit:
-                row, rec = _kept(row, rec, prune, stats, trace, labels)
-                if row is None:
-                    continue
+            limit = prune.limit
+        if kept_at < limit:
+            row, rec = _kept(row, rec, prune, stats, trace, labels)
+            if row is None:
+                continue
         # paper rule: a popped row's pending anti-implication may hold
         # already; test it once, then run the mechanical case analysis until
         # split or finalize
-        if (not own_premise and row.pa < n
-                and anti_implication_holds(row, seq[row.pa], nbr[seq[row.pa]])):
+        if (not own_premise and pending < n
+                and anti_implication_holds(row, seq[pending], nbr[seq[pending]])):
             stats.trivial_changes += 1
-            row.pa += 1
+            pending += 1
         while row is not None:
             if own_premise:
                 # drop the pending vertices that hold, and choose t
                 notz = ~row.zero_mask
                 groups = row.groups
-                pend = rest = row.pa & notz
+                pend = rest = pending & notz
                 if prune is None:
                     t = most = 0
                     while rest:
@@ -331,7 +332,7 @@ def _exclusion_run(
                     # the lowest rank that does not hold, in the branch set
                     # first; each vertex passed over holds and is dropped
                     t = 0
-                    inside = pend & branch(row, prune.limit, rec) if branch else 0
+                    inside = pend & branch(row, limit, rec) if branch else 0
                     for rest in (inside, pend ^ inside):
                         while rest:
                             bit = rest & -rest
@@ -344,19 +345,17 @@ def _exclusion_run(
                             pend ^= bit
                         if t:
                             break
-                stats.trivial_changes += (row.pa ^ pend).bit_count()
+                stats.trivial_changes += (pending ^ pend).bit_count()
                 if not t:
-                    row.pa = 0
                     break
-                row.pa = pend ^ 1 << t
+                pending = pend ^ 1 << t
             else:
-                pa = row.pa
-                if pa >= n:
+                if pending >= n:
                     break
-                t = seq[pa]
-                row.pa = pa + 1
-            # pa now leaves t out, so the t-in son that impose builds
-            # inherits it, and the t-out son is the row itself
+                t = seq[pending]
+                pending += 1
+            # pending now leaves t out; both sons of a split get it, the
+            # t-out son on the stack and the t-in son as the current row
             outcome = impose(row, t, nbr[t])
             if type(outcome) is Split:
                 stats.rsp += 1
@@ -368,10 +367,7 @@ def _exclusion_run(
                     if one is None:
                         one, rec, zero = zero, zero_rec, None
                 if zero is not None:
-                    stack.append(zero)
-                    if prune is not None:
-                        kept_at.append(prune.limit)
-                        recs.append(zero_rec)
+                    stack.append((zero, pending, limit, zero_rec))
                     stats.peak_stack = max(stats.peak_stack, len(stack) + 1)
                 row = one
             else:
@@ -380,7 +376,7 @@ def _exclusion_run(
                 if prune is not None and type(outcome) is Mutated:
                     row, rec = _kept(row, rec, prune, stats, trace, labels)
             if trace:
-                trace("impose", _snapshot(t, outcome, row, stack,
+                trace("impose", _snapshot(t, outcome, row, pending, stack,
                                           None if own_premise else seq, labels))
         if row is None:
             continue
@@ -419,26 +415,27 @@ def _shown(row: Row, labels: Sequence[int] | None = None) -> str:
     return (row if labels is None else row.relabel([1 << p for p in labels])).debug()
 
 
-def _snapshot(t, outcome, current, stack, seq, labels) -> dict:
+def _snapshot(t, outcome, current, pending, stack, seq, labels) -> dict:
     """An ``impose`` event: the vertex, the outcome and the working stack,
-    top first.  Each row shows its pending vertex in ``seq``, or with
-    ``seq`` None (a chosen run) its pending vertices that are not 0."""
+    top first: the current row, with ``pending``, then the stack entries.
+    Each row shows its pending vertex in ``seq``, or with ``seq`` None (a
+    chosen run) its pending vertices that are not 0."""
     def vertex(p: int) -> int:
         return p if labels is None else labels[p]
 
-    def label(r: Row) -> str:
+    def label(r: Row, pend: int) -> str:
         if seq is None:
-            pending = "{" + ",".join(
-                str(vertex(p)) for p in _positions(r.pa & ~r.zero_mask)) + "}"
+            shown = "{" + ",".join(
+                str(vertex(p)) for p in _positions(pend & ~r.zero_mask)) + "}"
         else:
-            pending = vertex(seq[r.pa]) if r.pa < len(seq) else "-"
-        return f"{_shown(r, labels)} PA={pending}"
+            shown = vertex(seq[pend]) if pend < len(seq) else "-"
+        return f"{_shown(r, labels)} PA={shown}"
 
-    working = [] if current is None else [label(current)]
+    working = [] if current is None else [label(current, pending)]
     return {
         "t": vertex(t),
         "outcome": type(outcome).__name__.lower(),
-        "working": working + [label(r) for r in reversed(stack)],
+        "working": working + [label(r, pend) for r, pend, _, _ in reversed(stack)],
     }
 
 

@@ -189,4 +189,4 @@ def _take(row: Row, t: int, live: int, owner: int | None) -> Row:
             zeros |= 1 << prem
         elif not live >> prem & 1 and (rest := anti & ~live):
             groups[prem] = rest
-    return Row(row.v, zeros, ones, groups, row.pa)
+    return Row(row.v, zeros, ones, groups)

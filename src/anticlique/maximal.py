@@ -26,7 +26,7 @@ from .enumerator import (
     _until,
     run_standard,
 )
-from .errors import GuardExceeded
+from .errors import ConfigurationError, GuardExceeded
 from .graph import Graph, to_complement
 from .rows import Row, _positions
 from . import search   # called by module name, so a wrapper on search.max_anticlique sees it
@@ -225,9 +225,14 @@ def chromatic_with_stats(
     One budget, ``timeout_s`` from this call, covers the clique number's
     search and the colouring's (SearchTimeout).
     """
-    guard = max_v if max_v is not None else int(
-        os.environ.get(CHROMATIC_GUARD_ENV, DEFAULT_CHROMATIC_MAX_V)
-    )
+    guard = max_v
+    if guard is None:
+        text = os.environ.get(CHROMATIC_GUARD_ENV, str(DEFAULT_CHROMATIC_MAX_V))
+        try:
+            guard = int(text)
+        except ValueError:
+            raise ConfigurationError(
+                f"{CHROMATIC_GUARD_ENV} must be an integer, got {text!r}") from None
     if g.v > guard:
         raise GuardExceeded(
             f"chromatic_number refuses v={g.v} above its size guard {guard}; "

@@ -88,25 +88,20 @@ class Row:
     Position p is bit p of every mask (bit 0 is never set).  ``zero_mask``
     and ``one_mask`` hold the ``0`` and ``1`` positions; ``groups`` maps
     each premise to its anticonclusion mask; every position in none of them
-    is free.  ``pa`` tells which anti-implications of the imposition order
-    are still pending on this row.  Under the paper's rule it counts those
-    already imposed, i.e. it indexes the next one in the order; under the
-    own-premise rule, pruned or not, which chooses each row's next vertex,
-    it is the mask of the order's vertices not yet imposed (0 on a
-    finalized row).
+    is free.  A row holds what its symbols say and nothing else: which
+    anti-implications are still pending on it is the exclusion run's state,
+    kept beside it on the run's stack.
     ``impose`` changes the row it is given in place and builds every new
     row with a group table of its own, so rows never share a group table.
     """
 
-    __slots__ = ("v", "zero_mask", "one_mask", "groups", "pa")
+    __slots__ = ("v", "zero_mask", "one_mask", "groups")
 
-    def __init__(self, v: int, zero_mask: int, one_mask: int,
-                 groups: dict[int, int], pa: int):
+    def __init__(self, v: int, zero_mask: int, one_mask: int, groups: dict[int, int]):
         self.v = v
         self.zero_mask = zero_mask
         self.one_mask = one_mask
         self.groups = groups
-        self.pa = pa
 
     # Not called in the package any more; kept because perfbench/tracer.py
     # wraps it by name.
@@ -116,7 +111,6 @@ class Row:
         son.zero_mask = self.zero_mask
         son.one_mask = self.one_mask
         son.groups = self.groups.copy()
-        son.pa = self.pa
         return son
 
     def relabel(self, bit: Sequence[int]) -> "Row":
@@ -126,7 +120,7 @@ class Row:
             return sum(map(bit.__getitem__, _positions(mask)))
 
         groups = {bit[prem].bit_length() - 1: move(anti) for prem, anti in self.groups.items()}
-        return Row(self.v, move(self.zero_mask), move(self.one_mask), groups, self.pa)
+        return Row(self.v, move(self.zero_mask), move(self.one_mask), groups)
 
     # -- derived position sets --------------------------------------------
 
@@ -433,17 +427,17 @@ class Row:
     __hash__ = None
 
     def __repr__(self):
-        return f"Row{self.debug()} pa={self.pa}"
+        return f"Row{self.debug()}"
 
 
 def full_row(v: int) -> Row:
     """The row (2, 2, ..., 2) encoding the whole powerset of 1..v."""
     if v < 1:
         raise ValueError(f"vertex count must be at least 1, got {v}")
-    return Row(v, 0, 0, {}, 0)
+    return Row(v, 0, 0, {})
 
 
-def row_from_debug(text: str, pa: int = 0) -> Row:
+def row_from_debug(text: str) -> Row:
     """Inverse of Row.debug, handy for fixtures: ``(a1,0,2,b1,b1)``."""
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
@@ -468,7 +462,7 @@ def row_from_debug(text: str, pa: int = 0) -> Row:
     if set(prems) != set(antis):
         raise ValueError("every group needs one premise and a non-empty anticonclusion")
     groups = {prems[g]: antis[g] for g in prems}
-    row = Row(len(tokens), masks["0"], masks["1"], groups, pa)
+    row = Row(len(tokens), masks["0"], masks["1"], groups)
     row.validate()
     return row
 

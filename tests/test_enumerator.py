@@ -489,10 +489,10 @@ class TestOwnPremiseRule:
         g = random_graph(v, d, seed)
         for order in (cover_degree_order(g), None):
             plain_rows, plain = run_standard(g, order, rule="own-premise")
-            plain_rows = [(r.debug(), r.pa) for r in plain_rows]
+            plain_rows = [r.debug() for r in plain_rows]
             traced_rows, traced = run_standard(g, order, rule="own-premise",
                                                trace=lambda kind, info: None)
-            assert [(r.debug(), r.pa) for r in traced_rows] == plain_rows
+            assert [r.debug() for r in traced_rows] == plain_rows
             assert traced == plain
 
     @pytest.mark.parametrize("spec", [

@@ -5,17 +5,20 @@ import pytest
 from anticlique import (
     ImpositionOrder,
     Mutated,
+    SearchOptions,
     Split,
     Unchanged,
     full_row,
     impose,
+    max_anticlique,
     random_graph,
     row_from_debug,
     run_standard,
+    threshold_search,
 )
 from anticlique.imposition import anti_implication_holds
 from anticlique.rows import Row
-from conftest import member_masks_bruteforce, nbr_mask, random_row
+from conftest import independence_poly_bitmask, member_masks_bruteforce, nbr_mask, random_row
 
 
 class TestWorkedExamples:
@@ -195,40 +198,57 @@ class TestSoundnessSweep:
             assert got == expected
 
     def test_symbol_discipline_along_real_runs(self, monkeypatch):
-        """When t is imposed it is no longer pending on the row, and no
-        position still pending holds a 1 or a premise in any row produced;
-        checked on every imposition of real runs, in vertex order and in a
-        shuffled order, under both rules.  The paper's run keeps ``pa`` as
-        an index into the order; the own-premise run, which chooses each
-        row's next vertex, keeps the mask of the vertices still pending."""
+        """When t is imposed it is no longer pending on the rows produced,
+        which validate, and no position still pending holds a 1 or a
+        premise on any row of the working stack; checked on every
+        imposition of real runs, in vertex order and in a shuffled order,
+        under both rules, unpruned and pruned.  The pending sets are read
+        from the trace's ``PA=``: the paper's run shows the next vertex of
+        the order, the own-premise run, which chooses each row's next
+        vertex, the pending vertices that are not 0."""
         import anticlique.enumerator as enum_mod
         from anticlique.imposition import impose as raw_impose
 
         seq, rule = (), ""   # the order and the rule of the run in progress
+        state = {"produced": 0, "pruned": 0, "checked": 0}
 
-        def pending(row, t):
-            """The vertices still pending on ``row`` as t is imposed."""
-            if rule == "paper":
-                assert seq[row.pa - 1] == t
-                return set(seq[row.pa:])
-            assert row.pa & ~sum(1 << p for p in seq) == 0
-            return {p for p in seq if row.pa >> p & 1}
+        def pending(shown):
+            """The vertices pending on a traced row, from its ``PA=``."""
+            if shown.startswith("{"):
+                return {int(p) for p in shown[1:-1].split(",") if p}
+            if rule == "own-premise":
+                raise AssertionError(f"own-premise run traced PA={shown}")
+            return set() if shown == "-" else set(seq[seq.index(int(shown)):])
 
         def checked(row, t, nbrs):
-            waiting, pa = pending(row, t), row.pa
-            assert t not in waiting
             out = raw_impose(row, t, nbrs)
             produced = (
-                [] if isinstance(out, Unchanged)
+                [row] if isinstance(out, Unchanged)
                 else [out.row] if isinstance(out, Mutated)
                 else [out.zero_son, out.one_son]
             )
             for r in produced:
                 r.validate()
-                assert r.pa == pa
+            state["produced"], state["pruned"] = len(produced), 0
+            return out
+
+        def hook(kind, info):
+            if kind == "prune":
+                state["pruned"] += 1
+            if kind != "impose":
+                return
+            # the sons that survived their checks are on top: the current
+            # row first, then the t-out son if the t-in son was kept too
+            survivors = state["produced"] - state["pruned"]
+            for i, entry in enumerate(info["working"]):
+                text, shown = entry.split(" PA=")
+                r = row_from_debug(text)   # validates
+                waiting = pending(shown)
+                if i < survivors:
+                    assert info["t"] not in waiting
                 for p in waiting:
                     assert p not in r.ones() | r.premset()
-            return out
+            state["checked"] += 1
 
         monkeypatch.setattr(enum_mod, "impose", checked)
         rng = random.Random(5)
@@ -236,10 +256,20 @@ class TestSoundnessSweep:
             g = random_graph(10, (seed % 4) * 0.25 + 0.2, seed)
             shuffled = list(range(1, g.v + 1))
             rng.shuffle(shuffled)
+            weights = {p: 1 + rng.randrange(4) for p in range(1, g.v + 1)}
+            k = max(len(independence_poly_bitmask(g)) - 3, 0)   # alpha - 2
             for seq in (tuple(range(1, g.v + 1)), tuple(shuffled)):
+                order = ImpositionOrder(seq)
                 for rule in ("paper", "own-premise"):
-                    rows, _stats = run_standard(g, ImpositionOrder(seq), rule=rule)
+                    rows, _stats = run_standard(g, order, rule=rule, trace=hook)
                     list(rows)
+                    threshold_search(g, k, "all", order=order, rule=rule, trace=hook)
+                rule = "own-premise"
+                max_anticlique(g, SearchOptions(order=order), trace=hook)
+                max_anticlique(g, SearchOptions(order=order, weights=weights), trace=hook)
+                rule = "paper"
+                max_anticlique(g, SearchOptions(order=order, bound="w_max"), trace=hook)
+        assert state["checked"] > 0
 
     def test_constant_clone_count_per_imposition(self, monkeypatch):
         clones = {"n": 0}
@@ -271,7 +301,7 @@ class TestSoundnessSweep:
         for _ in range(200):
             v = rng.randint(2, 10)
             row = random_row(rng, v)
-            before = (row.debug(), row.pa, row.zero_mask)
+            before = (row.debug(), row.zero_mask)
             groups = row.groups
             candidates = [p for p in range(1, v + 1) if p not in row.ones() | row.premset()]
             if not candidates:
@@ -280,7 +310,7 @@ class TestSoundnessSweep:
             B = {p for p in range(1, v + 1) if p != t and rng.random() < 0.3}
             out = impose(row, t, nbr_mask(B))
             if isinstance(out, Unchanged):
-                assert (row.debug(), row.pa, row.zero_mask) == before
+                assert (row.debug(), row.zero_mask) == before
             elif isinstance(out, Mutated):
                 assert out.row is row
             else:

@@ -27,7 +27,7 @@ from anticlique import (
 )
 import anticlique.maximal as maximal_module
 import anticlique.search as search_module
-from anticlique.errors import SearchTimeout
+from anticlique.errors import ConfigurationError, SearchTimeout
 from conftest import (
     EXAMPLE_ROW_13,
     complete_graph,
@@ -269,6 +269,12 @@ class TestChromaticNumber:
         monkeypatch.setenv("ANTICLIQUE_CHROMATIC_MAX_V", "4")
         with pytest.raises(GuardExceeded):
             chromatic_number(empty_graph(5))
+
+    def test_guard_env_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("ANTICLIQUE_CHROMATIC_MAX_V", "abc")
+        with pytest.raises(ConfigurationError, match="ANTICLIQUE_CHROMATIC_MAX_V"):
+            chromatic_number(empty_graph(5))
+        assert chromatic_number(empty_graph(5), max_v=10)[0] == 1
 
     def test_against_oracle(self):
         rng = random.Random(91)

@@ -52,7 +52,6 @@ class TestFullRow:
         r = full_row(5)
         assert r.debug() == "(2,2,2,2,2)"
         assert r.member_count() == 32
-        assert r.pa == 0
 
     def test_single_vertex(self):
         assert full_row(1).member_count() == 2
@@ -163,14 +162,14 @@ class TestRowEquality:
 class TestValidate:
     # position p is bit p of a mask
     @pytest.mark.parametrize("row", [
-        Row(4, 0, 0, {1: 1 << 3, 2: 1 << 3 | 1 << 4}, 0),
-        Row(3, 1 << 2, 0, {1: 1 << 2}, 0),
-        Row(3, 0, 1 << 1, {1: 1 << 2}, 0),
-        Row(3, 0, 0, {1: 0}, 0),
-        Row(3, 1 << 4, 0, {}, 0),
-        Row(3, 1, 0, {}, 0),
-        Row(3, 0, 0, {4: 1 << 1}, 0),
-        Row(3, 0, 0, {1: 1 << 5}, 0),
+        Row(4, 0, 0, {1: 1 << 3, 2: 1 << 3 | 1 << 4}),
+        Row(3, 1 << 2, 0, {1: 1 << 2}),
+        Row(3, 0, 1 << 1, {1: 1 << 2}),
+        Row(3, 0, 0, {1: 0}),
+        Row(3, 1 << 4, 0, {}),
+        Row(3, 1, 0, {}),
+        Row(3, 0, 0, {4: 1 << 1}),
+        Row(3, 0, 0, {1: 1 << 5}),
     ], ids=["two-groups", "zero-and-group", "one-and-premise", "empty-anti",
             "zero-out-of-range", "position-0", "premise-out-of-range",
             "anti-out-of-range"])
