@@ -2,17 +2,19 @@
 
 Machine-readable output with --json emits one JSON object per run, carrying
 the result payload, a graph descriptor, the solver counters and the wall
-time.  ``count``, ``poly``, ``enum``, ``maximal``, ``threshold`` and
-``alpha`` run the own-premise rule on ``cover_degree_order``: every vertex
-except a greedy maximal anticlique, whose vertices are never imposed.  Each
-row imposes a pending cover vertex of its own choice: ``count``, ``poly``,
-``enum`` and ``maximal`` the one with the most live neighbours, the pruned
-searches ``threshold`` and ``alpha`` the lowest-ranked one in the branch
-set of the row's clique partition, MCQ's branching rule (search.py), and a
-weighted ``alpha`` the heaviest.  On ``random_graph(60, 0.1, 3)``
+time.  ``count``, ``poly``, ``enum``, ``threshold`` and ``alpha`` run the
+own-premise rule on ``cover_degree_order``: every vertex except a greedy
+maximal anticlique, whose vertices are never imposed.  Each row imposes a
+pending cover vertex of its own choice: ``count``, ``poly`` and ``enum``
+the one with the most live neighbours, the pruned searches ``threshold``
+and ``alpha`` the lowest-ranked one in the branch set of the row's clique
+partition, MCQ's branching rule (search.py), and a weighted ``alpha`` the
+heaviest.  On ``random_graph(60, 0.1, 3)``
 ``count`` finalizes 60,357 rows (48,084 with every vertex pending, 133,689
 in the fixed descending-degree sequence).  ``count`` and ``poly`` run the
-paper's rule in vertex order with ``--rule paper``.
+paper's rule in vertex order with ``--rule paper``.  These five commands
+print the run with ``--trace``.  ``maximal`` lists the maximal anticliques
+by Bron and Kerbosch's search with Tomita's pivot, without rows.
 ``chromatic`` colours the graph by DSatur, stopping at the clique number
 that currentmax finds on the complement.
 
@@ -94,9 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gen", metavar="V,D,SEED",
                        help="generate the input graph inline instead of --graph")
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        return p
+
+    def trace(p: argparse.ArgumentParser) -> None:
+        # maximal, chromatic and oracle print no trace, so they take no --trace
         p.add_argument("--trace", action="store_true",
                        help="print the working stack after each imposition")
-        return p
 
     def timeout(p: argparse.ArgumentParser) -> None:
         p.add_argument("--timeout", type=_seconds, metavar="SECONDS",
@@ -108,6 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "cover (all vertices but a greedy maximal anticlique), "
                             "each row imposing the pending cover vertex with the most "
                             "live neighbours; paper: the paper's run in vertex order")
+        trace(p)
         timeout(p)
 
     p = solver("count", "number of anticliques f(G)")
@@ -120,6 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = solver("enum", "list anticliques")
     p.add_argument("--min-size", type=int, default=0)
+    trace(p)
     timeout(p)
     p.set_defaults(handler=_cmd_enum)
 
@@ -131,12 +138,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="list all maximum anticliques")
     p.add_argument("--core", action="store_true",
                    help="intersection of all maximum anticliques")
+    trace(p)
     timeout(p)
     p.set_defaults(handler=_cmd_alpha)
 
     p = solver("threshold", "anticliques of size above a threshold")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--first", action="store_true", help="stop at the first hit")
+    trace(p)
     timeout(p)
     p.set_defaults(handler=_cmd_threshold)
 

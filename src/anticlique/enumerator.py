@@ -27,9 +27,9 @@ pending position in the prune policy's *branch set* (for a search's clique
 bound, MCQ's: the positions outside the first limit - |ones| cliques of the
 row's greedy partition), or the lowest pending position when the branch
 set holds none.
-``fibonacci_number``, ``independence_polynomial``,
-``enumerate_anticliques`` and maximal.py's engines run the own-premise rule
-on the order they are given, by default ``cover_degree_order``: the vertices
+``fibonacci_number``, ``independence_polynomial`` and
+``enumerate_anticliques`` run the own-premise rule on the order they are
+given, by default ``cover_degree_order``: the vertices
 by descending degree, less a greedy maximal anticlique.  On
 ``random_graph(45, 0.08, 11)`` that finalizes 2,121 rows, where all
 vertices finalize 1,802 and the paper's run 180,154; on

@@ -1,11 +1,12 @@
 """Inclusion-maximal anticliques, and the chromatic number by DSatur.
 
-Every finalized row contributes its row-wise maximal members (one choice per
-group: premise or full anticonclusion).  Each is an anticlique, so it is
-inclusion-maximal exactly when every vertex lies in it or next to it;
-``maximal_family`` builds only the members that pass that test.
-``ContainIndex`` and ``sieve_maximal`` sieve an arbitrary family of sets down
-to its maximal ones.  ``chromatic_number`` colours the graph directly, by a
+``maximal_family`` lists the maximal anticliques directly, by Bron and
+Kerbosch's search with Tomita's pivot on the graph's neighbour masks; it
+runs no rows.  ``row_maximal_members`` gives a finalized row's row-wise
+maximal members (one choice per group: premise or full anticonclusion),
+and ``ContainIndex`` and ``sieve_maximal`` sieve an arbitrary family of
+sets down to its maximal ones; together they list the maximal anticliques
+from any run's rows.  ``chromatic_number`` colours the graph directly, by a
 DSatur branch and bound that stops at the clique number, which the paper's
 currentmax finds on the complement.
 """
@@ -14,18 +15,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .enumerator import (
-    ImpositionOrder,
-    SearchStats,
-    _check_deadline,
-    _deadline,
-    _default_order,
-    _remaining,
-    _until,
-    run_standard,
-)
+from .enumerator import SearchStats, _check_deadline, _deadline, _remaining
+# Not called here any more; kept because perfbench/tracer.py wraps it by name.
+from .enumerator import run_standard  # noqa: F401
 from .errors import ConfigurationError, GuardExceeded
 from .graph import Graph, to_complement
 from .rows import Row, _positions
@@ -111,94 +105,84 @@ def sieve_maximal(sets: Iterable[frozenset[int]], v: int) -> list[frozenset[int]
 
 @dataclass(frozen=True)
 class MaximalFamily:
-    """The maximal anticliques plus the counters behind them."""
+    """The maximal anticliques plus the counters of the search behind them.
+
+    The search is a tree of nodes (taken, candidates, excluded); a leaf is a
+    node without candidates, and it is a maximal anticlique exactly when it
+    has nothing excluded either.
+    """
 
     sets: list[frozenset[int]]
-    candidates: int   # row-wise maximal members of the finalized rows
-    dominated: int    # candidates that are not maximal: candidates - len(sets)
-    # Always 0: a later row's members all lack a vertex that every earlier
-    # row's members hold, so no candidate contains an earlier one.  Kept so
-    # the CLI's ``sieve`` JSON keeps its shape.
+    candidates: int   # leaves of the search
+    dominated: int    # leaves with an excluded vertex: candidates - len(sets)
+    # Always 0: the search lists each maximal anticlique once and no other
+    # set, so no listed set is displaced.  Kept so the CLI's ``sieve`` JSON
+    # keeps its shape.
     removed: int
-    stats: SearchStats
+    stats: SearchStats   # rsp: branches, finalized: sets, peak_stack: most nodes stacked
 
 
-def maximal_family(
-    g: Graph, order: ImpositionOrder | None = None, *, timeout_s: float | None = None
-) -> MaximalFamily:
+def maximal_family(g: Graph, *, timeout_s: float | None = None) -> MaximalFamily:
     """All inclusion-maximal anticliques of g, sorted lexicographically.
 
-    Every maximal anticlique is a row-wise maximal member of its own row, and
-    every such member is an anticlique, so a member is kept exactly when its
-    closed neighbourhood X | N(X) is all of V (Tsukiyama et al., 1977).  The
-    members are tested on bitmasks (``_maximal_masks``) and only the kept
-    ones are built; about half are not kept on denser graphs: 1,620 of 3,281
-    on ``random_graph(40, 0.3, 3)``.  The run is the own-premise rule on
-    ``order``, by default ``cover_degree_order(g)``, choosing each row's
-    next vertex within it.  One budget of
-    ``timeout_s`` covers the run and the members (SearchTimeout), checked
-    per group as a row's members are chosen and every DEADLINE_EVERY sets.
+    Bron and Kerbosch's search (1973) with Tomita, Tanaka and Takahashi's
+    pivot (2006), run for anticliques on the neighbour masks.  A node holds
+    the taken positions R, the candidates P, each of which R may take next,
+    and the excluded positions X, which R could take too but whose
+    anticliques an earlier branch lists.  Its pivot is the first position u
+    of P | X with the fewest candidates in N[u] = N(u) + u; every maximal
+    anticlique below the node takes one of those, so the node branches on
+    each w of them in ascending order: the son takes w and keeps the P and
+    X outside N[w], then w moves from P to X.  A node without candidates is
+    a leaf, and a maximal anticlique iff X is empty too.  The nodes wait on
+    an explicit stack, as the depth reaches alpha.  ``timeout_s`` bounds
+    the search (SearchTimeout), checked at every node taken from the stack.
+    ``MaximalFamily`` names what each counter counts.
     """
     deadline = _deadline(timeout_s)
-    rows, stats = run_standard(g, _default_order(g, order), rule="own-premise",
-                               timeout_s=_remaining(deadline))
     nbr = g.nbr_masks
-    candidates = 0
-    members = []   # ascending position tuples, which sort like sorted sets
-    for row in rows:
-        candidates += 1 << len(row.groups)
-        found = iter(_maximal_masks(row, nbr, deadline))
-        if deadline is not None:
-            found = _until(found, deadline)
-        members += map(tuple, map(_positions, found))
-    members.sort()
-    sets = list(map(frozenset, members))
-    return MaximalFamily(sets, candidates, candidates - len(sets), 0, stats)
-
-
-def _maximal_masks(row: Row, nbr: Sequence[int], deadline: float | None) -> list[int]:
-    """The masks of a finalized row's row-wise maximal members that are
-    maximal anticliques, ``nbr[p]`` being p's neighbour mask.
-
-    A member leaves out a group's premise, next to its whole anticonclusion,
-    or the anticonclusion, which lies in the premise's neighbourhood; so it
-    is maximal iff each ``0`` position has a neighbour in it.  Groups are
-    chosen in turn, and a choice is dropped once the groups left cannot
-    cover the ``0`` positions it leaves uncovered.
-    """
-    base = ((1 << (row.v + 1)) - 2) & ~row.zero_mask
-    for prem, anti in row.groups.items():
-        base &= ~(anti | 1 << prem)
-    need = row.zero_mask & ~_nbr_union(base, nbr)   # the 0s base leaves uncovered
-    if not row.groups:   # base is the row's only member
-        return [] if need else [base]
-    # each group's two choices: (positions added, part of need covered)
-    groups = [((1 << prem, need & nbr[prem]), (anti, need and need & _nbr_union(anti, nbr)))
-              for prem, anti in row.groups.items()]
-    reach = [0] * (len(groups) + 1)   # reach[j]: what groups j.. can cover
-    for j in range(len(groups) - 1, -1, -1):
-        reach[j] = reach[j + 1] | groups[j][0][1] | groups[j][1][1]
-    picks = [(base, need)]
-    for options, rest in zip(groups, reach[1:]):
-        picks = [(mask | add, left & ~cov) for mask, left in picks for add, cov in options
-                 if not left & ~cov & ~rest]
+    found = []   # the masks of the maximal anticliques
+    leaves = dominated = branches = peak = 0
+    stack = [(0, (1 << (g.v + 1)) - 2, 0)]   # (R, P, X), P never empty
+    while stack:
         _check_deadline(deadline)
-    return [mask for mask, _left in picks]
+        taken, cand, excl = stack.pop()
+        fewest, pivot_cover = cand.bit_count() + 1, 0
+        rest = cand | excl
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cover = cand & (nbr[low.bit_length() - 1] | low)
+            count = cover.bit_count()
+            if count < fewest:
+                fewest, pivot_cover = count, cover
+                if not count:   # an excluded position with no candidate next to it
+                    break
+        while pivot_cover:
+            w = pivot_cover & -pivot_cover
+            pivot_cover ^= w
+            outside = ~(nbr[w.bit_length() - 1] | w)
+            branches += 1
+            if cand & outside:
+                stack.append((taken | w, cand & outside, excl & outside))
+            else:
+                leaves += 1
+                if excl & outside:
+                    dominated += 1
+                else:
+                    found.append(taken | w)
+            cand ^= w
+            excl |= w
+        if len(stack) > peak:
+            peak = len(stack)
+    members = sorted(tuple(_positions(mask)) for mask in found)   # sort like sorted sets
+    stats = SearchStats(rsp=branches, peak_stack=peak, finalized=len(members))
+    return MaximalFamily(list(map(frozenset, members)), leaves, dominated, 0, stats)
 
 
-def _nbr_union(mask: int, nbr: Sequence[int]) -> int:
-    """The union of the neighbour masks of the positions in ``mask``."""
-    union = 0
-    while mask:
-        low = mask & -mask
-        union |= nbr[low.bit_length() - 1]
-        mask ^= low
-    return union
-
-
-def maximal_anticliques(g: Graph, order: ImpositionOrder | None = None) -> list[frozenset[int]]:
+def maximal_anticliques(g: Graph) -> list[frozenset[int]]:
     """All inclusion-maximal anticliques, sorted lexicographically."""
-    return maximal_family(g, order).sets
+    return maximal_family(g).sets
 
 
 def chromatic_number(

@@ -222,8 +222,9 @@ def _record(capsys, argv: str) -> dict:
 
 
 class TestListingRun:
-    """enum, threshold, maximal and chromatic run the own-premise rule in
-    ``cover_degree_order``; their answers are the paper's run's."""
+    """enum and threshold run the own-premise rule in ``cover_degree_order``,
+    maximal its own search and chromatic DSatur; their answers are the
+    paper's run's."""
 
     @pytest.mark.parametrize("argv", sorted(PARENT_ANSWERS))
     def test_answers_are_unchanged(self, capsys, argv):
@@ -236,7 +237,7 @@ class TestListingRun:
     @pytest.mark.parametrize("argv, stats", [
         ("enum --gen 20,0.2,1 --min-size 3", (34, 64, 4, 35, 0)),
         ("threshold --gen 30,0.25,1 --k 6", (325, 481, 6, 272, 54)),
-        ("maximal --gen 24,0.3,1", (94, 147, 5, 95, 0)),
+        ("maximal --gen 24,0.3,1", (340, 0, 8, 150, 0)),   # the search's counters
         ("chromatic --gen 14,0.5,1", (5, 20, 4, 2, 4)),   # the clique number's search
     ])
     def test_counters(self, capsys, argv, stats):
@@ -250,19 +251,17 @@ class TestListingRun:
         ("chromatic", (11, 71, 3, 12, 0)),
     ])
     def test_degree_order_counters(self, command, stats):
-        """test_counters' runs in the full ``degree_order``, which these
-        commands imposed before ``cover_degree_order``."""
-        if command == "enum":
-            g = random_graph(20, 0.2, 1)
-            rows, got = run_standard(g, degree_order(g), rule="own-premise")
-            list(rows)
-        elif command == "threshold":
+        """The own-premise runs in the full ``degree_order`` on test_counters'
+        graphs; enum and threshold imposed it before ``cover_degree_order``."""
+        if command == "threshold":
             g = random_graph(30, 0.25, 1)
             _rows, got = threshold_search(g, 6, "all", order=degree_order(g),
                                           rule="own-premise")
         else:
-            g = random_graph(*{"maximal": (24, 0.3, 1), "chromatic": (14, 0.5, 1)}[command])
-            got = maximal_family(g, degree_order(g)).stats
+            g = random_graph(*{"enum": (20, 0.2, 1), "maximal": (24, 0.3, 1),
+                               "chromatic": (14, 0.5, 1)}[command])
+            rows, got = run_standard(g, degree_order(g), rule="own-premise")
+            list(rows)
         assert tuple(got.as_dict().values()) == stats
 
     def test_enum_and_threshold_run_the_library(self, capsys):
@@ -588,25 +587,25 @@ class TestMaximalChromaticOracle:
         _, out, _ = run_cli(capsys, "maximal", "--graph", str(g5_file), "--json")
         payload = json.loads(out)
         assert payload["maximal"] == [[1, 3], [2, 3, 5], [4]]
-        # the paper's rows give 6 (test_maximal.py)
-        assert payload["sieve"]["candidates"] == 3
+        # the search's three leaves are the three sets (test_maximal.py)
+        assert payload["sieve"] == {"candidates": 3, "dominated": 0, "removed": 0}
 
     def test_maximal_pinned_payload(self, capsys):
-        # the sets of the contain-index sieve that maximal_family used to
-        # run; its counters on the paper's rows, 11111 candidates and 9450
-        # dominated, are pinned in test_maximal.py
+        # the sets of the contain-index sieve on the paper's rows, whose
+        # counters, 11111 candidates and 9450 dominated, are pinned in
+        # test_maximal.py
         _, out, _ = run_cli(capsys, "maximal", "--gen", "40,0.3,3", "--json")
         payload = json.loads(out)
         assert payload["count"] == len(payload["maximal"]) == 1661
         digest = hashlib.sha256(json.dumps(payload["maximal"]).encode()).hexdigest()
         assert digest == "9c50c3941bf1f1a256018e479cb3662884dbd52f19a58ae6102e2135c1e0a3c4"
         assert payload["maximal"][0] == [1, 3, 5, 6, 9, 22]
-        assert payload["sieve"] == {"candidates": 3281, "dominated": 1620, "removed": 0}
-        # the full degree order's rows, the default before cover_degree_order
-        g = random_graph(40, 0.3, 3)
-        fam = maximal_family(g, degree_order(g))
+        # the search's leaves: 65 of them have an excluded vertex
+        assert payload["sieve"] == {"candidates": 1726, "dominated": 65, "removed": 0}
+        assert payload["stats"] == {"rsp": 3996, "trivial_changes": 0, "peak_stack": 16,
+                                    "finalized": 1661, "deleted": 0}
+        fam = maximal_family(random_graph(40, 0.3, 3))
         assert [sorted(X) for X in fam.sets] == payload["maximal"]
-        assert (fam.candidates, fam.dominated, fam.removed) == (2556, 895, 0)
 
     def test_chromatic(self, capsys, g5, g5_file):
         _, out, _ = run_cli(capsys, "chromatic", "--graph", str(g5_file), "--json")
@@ -684,6 +683,13 @@ class TestJsonRoundTrip:
 
 
 class TestTrace:
+    @pytest.mark.parametrize("command", ["maximal", "chromatic", "oracle"])
+    def test_commands_without_a_run_to_print_refuse_trace(self, capsys, g5_file, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--graph", str(g5_file), "--trace"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
+
     def test_g5_final_output_stack(self, capsys, g5_file):
         code, out, _ = run_cli(capsys, "count", "--graph", str(g5_file), "--trace",
                                "--rule", "paper")

@@ -1,11 +1,13 @@
-"""The row-expanding engines against the oracle, in full and partial cover orders.
+"""The listing engines against the oracle, in full and partial cover orders.
 
-``enumerate_anticliques`` and ``maximal_family`` run the own-premise rule,
-imposing a given order as given and ``cover_degree_order(g)`` by default;
-``threshold_search`` runs either rule.  The paper's rows, from
-``run_standard(g, order)``, are checked alongside: either way the engines list
-exactly the oracle's sets.  ``chromatic_with_stats`` is checked against the
-oracle's chromatic number on the same sweep.
+``enumerate_anticliques`` runs the own-premise rule, imposing a given order
+as given and ``cover_degree_order(g)`` by default; ``threshold_search`` runs
+either rule.  The paper's rows, from ``run_standard(g, order)``, are checked
+alongside: either way the engines list exactly the oracle's sets.
+``maximal_family``, which runs no rows, is checked against the oracle's
+maximal sets, and the contain-index sieve of each run's row-wise maximal
+members against the same sets.  ``chromatic_with_stats`` is checked against
+the oracle's chromatic number on the same sweep.
 """
 
 import random
@@ -15,6 +17,7 @@ import pytest
 from anticlique import (
     ContainIndex,
     ImpositionOrder,
+    SearchStats,
     cover_degree_order,
     degree_order,
     enumerate_anticliques,
@@ -94,19 +97,20 @@ class TestAgainstTheOracle:
                         assert listed == _sorted(rep.maximum_sets)
 
     def test_maximal_family(self, v, d, seed):
-        """Also the two facts maximal.py relies on, in the paper's rows as in
-        the own-premise ones: no row-wise maximal member repeats
-        (maximal_family does not deduplicate), and no candidate
-        contains an earlier one (``MaximalFamily.removed`` is always 0)."""
+        """Also the two facts the contain-index sieve on rows relies on, in
+        the paper's rows as in the own-premise ones: no row-wise maximal
+        member repeats, and no candidate contains an earlier one."""
         g = random_graph(v, d, seed)
         expected = _sorted(oracle_report(g).maximal_sets)
+        fam = maximal_family(g)
+        assert fam.sets == expected
+        assert fam.dominated == fam.candidates - len(fam.sets)
+        assert (fam.stats.finalized, fam.removed) == (len(fam.sets), 0)
         for order in _orders(g, seed).values():
-            fam = maximal_family(g, order)
-            assert fam.sets == expected
             runs = [_own_premise_rows(g, order)]
             if order is not None:
                 runs.append(run_standard(g, order))
-            for run_index, (rows, _stats) in enumerate(runs):
+            for rows, _stats in runs:
                 members = [X for row in rows for X in row_maximal_members(row)]
                 assert len(set(members)) == len(members)
                 index = ContainIndex(v)
@@ -114,10 +118,6 @@ class TestAgainstTheOracle:
                     index.add(X)
                 assert _sorted(index.sets()) == expected
                 assert index.removed == 0
-                if run_index == 0:
-                    assert fam.candidates == len(members)
-                    assert fam.dominated == index.dominated
-                    assert fam.removed == 0
 
     def test_chromatic(self, v, d, seed):
         g = random_graph(v, d, seed)
@@ -132,24 +132,23 @@ class TestTheRunBehind:
 
     def test_enumerate_follows_the_rows(self):
         g = random_graph(14, 0.3, 7)
-        for order in _orders(g, 7).values():
-            rows, _stats = _own_premise_rows(g, order)
-            expected = [X for row in rows for X in row.expand(2)]
-            assert list(enumerate_anticliques(g, 2, order)) == expected
-
-    def test_maximal_family_stats(self):
-        g = random_graph(14, 0.3, 7)
         finalized = {}
         for name, order in _orders(g, 7).items():
             rows, stats = _own_premise_rows(g, order)
-            list(rows)
-            assert maximal_family(g, order).stats == stats
+            expected = [X for row in rows for X in row.expand(2)]
+            assert list(enumerate_anticliques(g, 2, order)) == expected
             finalized[name] = stats.finalized
         # the run chooses its vertices within the order's set: the three sets
         # give three runs, and the full degree order, the full vertex order's
         # set, gives the full order's run
         rows, stats = _own_premise_rows(g, degree_order(g))
         list(rows)
-        assert maximal_family(g, degree_order(g)).stats == stats
         assert len(set(finalized.values())) == 3
         assert stats.finalized == finalized["full"]
+
+    def test_maximal_family_stats(self):
+        """maximal_family runs no rows: its counters are its search's."""
+        g = random_graph(14, 0.3, 7)
+        fam = maximal_family(g)
+        assert (len(fam.sets), fam.candidates, fam.dominated, fam.removed) == (23, 25, 2, 0)
+        assert fam.stats == SearchStats(rsp=51, peak_stack=5, finalized=23)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from anticlique import (
     ContainIndex,
     GuardExceeded,
+    SearchStats,
     chromatic_number,
     cover_degree_order,
     cover_order,
@@ -133,11 +134,14 @@ class TestMaximalAnticliques:
         assert _as_sorted(maximal_anticliques(complete_graph(4))) == [[1], [2], [3], [4]]
 
     def test_family_counters(self, g5):
+        # the search pivots on 3 and branches on 3 and 4; below 3 it pivots
+        # on 2 and branches on 1 and 2, and below {2, 3} on 5
         fam = maximal_family(g5)
-        assert fam.candidates == 3  # two rows, one carrying a group
+        assert fam.candidates == 3   # every leaf is maximal
         assert len(fam.sets) == 3
-        assert fam.dominated == fam.candidates - len(fam.sets)
+        assert fam.dominated == fam.candidates - len(fam.sets) == 0
         assert fam.removed == 0
+        assert fam.stats == SearchStats(rsp=5, peak_stack=1, finalized=3)
 
     def test_paper_rows_candidates(self, g5):
         rows, _stats = run_standard(g5)
@@ -146,7 +150,7 @@ class TestMaximalAnticliques:
         assert len(sieve_maximal(members, 5)) == 3
 
     def test_paper_rows_pinned(self):
-        # the counters maximal_family had on the paper's rows in vertex order
+        # the contain-index sieve's counters on the paper's rows in vertex order
         g = random_graph(40, 0.3, 3)
         rows, _stats = run_standard(g)
         members = [X for row in rows for X in row_maximal_members(row)]
@@ -158,17 +162,18 @@ class TestMaximalAnticliques:
         assert _as_sorted(index.sets()) == _as_sorted(maximal_family(g).sets)
 
     def test_candidates_are_checked_against_the_budget(self):
-        # a perfect matching on 32 vertices finalizes one row with 16 groups:
-        # the run takes a millisecond, judging its 2**16 candidates far longer
+        # a perfect matching on 32 vertices has 2**16 maximal anticliques:
+        # the search branches 131,070 times, about 0.3 s
         g = graph_from_edges(32, [(2 * i + 1, 2 * i + 2) for i in range(16)])
         with pytest.raises(SearchTimeout):
             maximal_family(g, timeout_s=0.02)
 
     @pytest.mark.filterwarnings("ignore::anticlique.errors.StackBoundWarning")
     def test_anticonclusions_lie_in_their_premises_neighbourhood(self):
-        """maximal_family tests only a member's 0 positions for cover: the
-        premise or the anticonclusion it leaves out is covered by the other,
-        because every anticonclusion lies in its premise's neighbourhood."""
+        """A row-wise maximal member is maximal iff each of the row's 0
+        positions has a neighbour in it: the premise or the anticonclusion
+        it leaves out is covered by the other, because every anticonclusion
+        lies in its premise's neighbourhood."""
         groups = 0
         for v in range(3, 21):
             for d in (0.15, 0.3, 0.5, 0.8):
@@ -184,11 +189,12 @@ class TestMaximalAnticliques:
         assert groups == 2830
 
     def test_closed_neighbourhood_matches_sieve_and_oracle(self):
-        """The neighbourhood test keeps exactly what the contain-index sieve
-        keeps, in the same counts, under the full and a greedy cover order,
-        in the own-premise rows that maximal_family runs and in the paper's.
-        No row-wise maximal member repeats, which maximal_family relies on
-        instead of deduplicating."""
+        """The search, branching on closed neighbourhoods, lists exactly
+        what the contain-index sieve keeps of the row-wise maximal members,
+        under the full and a greedy cover order, in the own-premise rows and
+        in the paper's; its counters are the reference search's.  No
+        row-wise maximal member repeats, and no candidate contains an
+        earlier one."""
         checked = 0
         for v in range(4, 19, 2):
             for d in (0.15, 0.3, 0.5, 0.8):
@@ -198,6 +204,14 @@ class TestMaximalAnticliques:
                     if i not in cover and j not in cover:
                         cover.add(i if len(g.adjacency[i]) >= len(g.adjacency[j]) else j)
                 expected = _as_sorted(oracle_report(g).maximal_sets)
+                fam = maximal_family(g)
+                assert _as_sorted(fam.sets) == expected
+                assert fam.sets == sorted(fam.sets, key=sorted)
+                sets, leaves, dominated, branches = _bron_kerbosch(g)
+                assert (fam.sets, fam.candidates, fam.dominated) == (sets, leaves, dominated)
+                assert fam.dominated == fam.candidates - len(fam.sets)
+                assert (fam.stats.rsp, fam.stats.finalized, fam.removed) == (
+                    branches, len(sets), 0)
                 for order, rule in itertools.product(
                     (full_order(v), cover_order(g, cover)), ("own-premise", "paper")
                 ):
@@ -209,13 +223,6 @@ class TestMaximalAnticliques:
                         index.add(X)
                     assert _as_sorted(index.sets()) == expected
                     assert index.removed == 0
-                    if rule == "own-premise":
-                        fam = maximal_family(g, order)
-                        assert _as_sorted(fam.sets) == expected
-                        assert fam.sets == sorted(fam.sets, key=sorted)
-                        assert fam.candidates == len(members)
-                        assert fam.dominated == index.dominated == fam.candidates - len(fam.sets)
-                        assert fam.removed == 0
                     checked += 1
         assert checked == 128
 
@@ -364,6 +371,33 @@ class TestChromaticNumber:
                             lambda deadline: taken.append(1) or check(deadline))
         assert chromatic_number(g)[0] == chi
         assert len(taken) == steps
+
+
+def _bron_kerbosch(g):
+    """maximal_family's search by recursion on sets, as (maximal sets
+    sorted, leaves, leaves with an excluded vertex, branches).  The pivot is
+    the first vertex of P | X with the fewest candidates in its closed
+    neighbourhood, as there."""
+    closed = {y: g.adjacency[y] | {y} for y in range(1, g.v + 1)}
+    sets, counts = [], [0, 0, 0]
+
+    def node(R, P, X):
+        pivot = min(sorted(P | X), key=lambda u: len(P & closed[u]))
+        for w in sorted(P & closed[pivot]):
+            counts[2] += 1
+            son_P, son_X = P - closed[w], X - closed[w]
+            if son_P:
+                node(R | {w}, son_P, son_X)
+            else:
+                counts[0] += 1
+                if son_X:
+                    counts[1] += 1
+                else:
+                    sets.append(R | {w})
+            P, X = P - {w}, X | {w}
+
+    node(frozenset(), frozenset(range(1, g.v + 1)), frozenset())
+    return sorted(sets, key=sorted), *counts
 
 
 def _colourable(g, k) -> bool:

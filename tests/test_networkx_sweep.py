@@ -1,9 +1,10 @@
 """The searches against networkx at v = 30-80, beyond the brute-force range.
 
 networkx finds maximum (weight) cliques and every maximal clique of the
-complement graph with code that shares nothing with the row machinery:
-alpha is the clique number of the complement, and the maximum anticliques
-are its largest maximal cliques.  The module is skipped when networkx is
+complement graph with code that shares nothing with the row machinery or
+with maximal_family's bitmask search: alpha is the clique number of the
+complement, the maximal anticliques are its maximal cliques, and the
+maximum anticliques are its largest ones.  The module is skipped when networkx is
 missing; CI runs it on its own and fails if anything here is skipped.
 """
 
@@ -19,12 +20,13 @@ from anticlique import (
     max_anticlique,
     max_weight_anticlique,
     maximal_anticliques,
+    maximal_family,
     maximum_sets,
     random_graph,
     threshold_alpha,
     threshold_search,
 )
-from conftest import is_anticlique
+from conftest import complete_graph, cycle_graph, empty_graph, graph_from_edges, is_anticlique
 
 nx = pytest.importorskip("networkx")
 
@@ -76,6 +78,33 @@ def test_maximal_matches_networkx(v, d, seed):
     g = random_graph(v, d, seed)
     expected = sorted(sorted(c) for c in nx.find_cliques(_complement(g)))
     assert [sorted(X) for X in maximal_anticliques(g)] == expected
+
+
+# maximal_family at every density; (60, 0.1) is left out: 447,270 sets on
+# seed 1, about 4 s here and 4 s in networkx
+MAXIMAL_GRID = [(v, d, seed) for v in (30, 40, 50, 60) for d in (0.1, 0.3, 0.5)
+                for seed in (1, 2, 3) if (v, d) != (60, 0.1)]
+
+
+@pytest.mark.parametrize("v, d, seed", MAXIMAL_GRID)
+def test_maximal_family_matches_networkx(v, d, seed):
+    g = random_graph(v, d, seed)
+    expected = sorted(sorted(c) for c in nx.find_cliques(_complement(g)))
+    fam = maximal_family(g)
+    assert [sorted(X) for X in fam.sets] == expected
+    assert fam.dominated == fam.candidates - len(expected)
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(empty_graph(40), id="edgeless"),
+    pytest.param(complete_graph(40), id="complete"),
+    pytest.param(cycle_graph(5), id="five-cycle"),
+    pytest.param(graph_from_edges(24, [(2 * i + 1, 2 * i + 2) for i in range(12)]),
+                 id="perfect-matching"),
+])
+def test_maximal_family_on_named_graphs(g):
+    expected = sorted(sorted(c) for c in nx.find_cliques(_complement(g)))
+    assert [sorted(X) for X in maximal_family(g).sets] == expected
 
 
 @pytest.mark.parametrize("v, d, seed", CASES)
