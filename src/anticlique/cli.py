@@ -380,7 +380,7 @@ def _cmd_alpha(args, g: Graph, deadline: float | None):
 
 @_graph_command
 def _cmd_threshold(args, g: Graph, deadline: float | None):
-    run = dict(order=cover_degree_order(g), rule="own-premise", trace=_trace_printer(args),
+    run = dict(order=cover_degree_order(g), trace=_trace_printer(args),
                timeout_s=_remaining(deadline))
     if args.first:
         found, stats = threshold_search(g, args.k, "first", **run)

@@ -129,11 +129,10 @@ def cover_order(g: Graph, vertices: Iterable[int]) -> ImpositionOrder:
     return order
 
 
-def degree_order(g: Graph, order: ImpositionOrder | None = None) -> ImpositionOrder:
-    """The vertices of ``order`` (all of g's by default) by descending degree,
-    ties broken by the lower label."""
-    seq = _resolve_order(g, order).order
-    return ImpositionOrder(tuple(sorted(seq, key=lambda y: (-len(g.adjacency[y]), y))))
+def degree_order(g: Graph) -> ImpositionOrder:
+    """g's vertices by descending degree, ties broken by the lower label."""
+    return ImpositionOrder(tuple(sorted(range(1, g.v + 1),
+                                        key=lambda y: (-len(g.adjacency[y]), y))))
 
 
 def cover_degree_order(g: Graph) -> ImpositionOrder:

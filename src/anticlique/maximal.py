@@ -13,14 +13,13 @@ currentmax finds on the complement.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable
 
 from .enumerator import SearchStats, _check_deadline, _deadline, _remaining
 # Not called here any more; kept because perfbench/tracer.py wraps it by name.
 from .enumerator import run_standard  # noqa: F401
-from .errors import ConfigurationError, GuardExceeded
+from .errors import check_size_guard
 from .graph import Graph, to_complement
 from .rows import Row, _positions
 from . import search   # called by module name, so a wrapper on search.max_anticlique sees it
@@ -209,19 +208,8 @@ def chromatic_with_stats(
     One budget, ``timeout_s`` from this call, covers the clique number's
     search and the colouring's (SearchTimeout).
     """
-    guard = max_v
-    if guard is None:
-        text = os.environ.get(CHROMATIC_GUARD_ENV, str(DEFAULT_CHROMATIC_MAX_V))
-        try:
-            guard = int(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"{CHROMATIC_GUARD_ENV} must be an integer, got {text!r}") from None
-    if g.v > guard:
-        raise GuardExceeded(
-            f"chromatic_number refuses v={g.v} above its size guard {guard}; "
-            f"raise {CHROMATIC_GUARD_ENV} to override"
-        )
+    check_size_guard("chromatic_number", g.v, max_v, CHROMATIC_GUARD_ENV,
+                     DEFAULT_CHROMATIC_MAX_V)
     deadline = _deadline(timeout_s)
     # no colouring beats the clique number: once one reaches it, the search ends
     res = search.max_anticlique(to_complement(g), timeout_s=_remaining(deadline))

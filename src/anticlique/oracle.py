@@ -6,10 +6,9 @@ Everything here works directly off edge membership bitmasks: iterating all
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, GuardExceeded
+from .errors import ConfigurationError, check_size_guard
 from .graph import Graph, bipartition
 from .rows import Polynomial
 
@@ -35,14 +34,7 @@ def oracle_report(g: Graph, *, max_v: int | None = None) -> OracleReport:
     Refuses above the size guard (ANTICLIQUE_ORACLE_MAX_V, default 25)
     instead of silently taking forever.
     """
-    guard = max_v if max_v is not None else int(
-        os.environ.get(ORACLE_GUARD_ENV, DEFAULT_ORACLE_MAX_V)
-    )
-    if g.v > guard:
-        raise GuardExceeded(
-            f"oracle_report refuses v={g.v} above its size guard {guard}; "
-            f"raise {ORACLE_GUARD_ENV} to override"
-        )
+    check_size_guard("oracle_report", g.v, max_v, ORACLE_GUARD_ENV, DEFAULT_ORACLE_MAX_V)
     v = g.v
     nb = [0] * (v + 1)
     for i, j in g.edges:

@@ -33,19 +33,17 @@ holds the bound, maps the caller's imposition order into ranks and lists
 the sets above a limit; sets, witnesses, hits and the trace are mapped
 back to g's labels.
 
-The searches default to vertex order, and choose within it on each row.
-Under the clique bound ``max_anticlique`` and ``maximum_sets`` run the
-own-premise rule (see enumerator.py): each row imposes a pending vertex
-that does not hold yet, the lowest-ranked in its *branch set* if there is
-one.  Without weights that is MCQ's branching rule: with k = limit -
-|ones|, the branch set is the row's live positions outside the first k
-cliques of its partition, ``heads[k]`` of its record (``_branch_set``).
-An anticlique worth more than the limit takes a vertex of that set, since
-k cliques hold at most k of its vertices.  With weights the run takes the
-lowest-ranked (heaviest) pending vertex.  Under ``w_max``, which keeps no
-record, and in ``threshold_search``'s default, the paper's rule steps the
-order's sequence; ``threshold_search(rule="own-premise")`` runs the chosen
-run under either bound.  The CLI's ``alpha`` and ``threshold`` pass
+The searches default to vertex order, and take their imposition rule from
+their bound.  Under the clique bound they run the own-premise rule (see
+enumerator.py): each row imposes a pending vertex that does not hold yet,
+the lowest-ranked in its *branch set* if there is one.  Without weights
+that is MCQ's branching rule: with k = limit - |ones|, the branch set is
+the row's live positions outside the first k cliques of its partition,
+``heads[k]`` of its record (``_branch_set``).  An anticlique worth more
+than the limit takes a vertex of that set, since k cliques hold at most k
+of its vertices.  With weights the run takes the lowest-ranked (heaviest)
+pending vertex.  Under ``w_max``, which keeps no record, the paper's rule
+steps the order's sequence.  The CLI's ``alpha`` and ``threshold`` pass
 ``cover_degree_order(g)``.
 """
 
@@ -60,7 +58,6 @@ from .enumerator import (
     Prune,
     SearchStats,
     TraceHook,
-    _check_rule,
     _deadline,
     _exclusion_run,
     _remaining,
@@ -109,19 +106,17 @@ def threshold_search(
     *,
     order: ImpositionOrder | None = None,
     bound: str = "clique",
-    rule: str = "paper",
     trace: TraceHook | None = None,
     timeout_s: float | None = None,
 ):
     """Standard run that throws away every row whose bound drops to <= k.
 
-    ``bound`` is ``"clique"`` or the paper's ``"w_max"``; ``rule`` is the
-    imposition rule (see enumerator.py).  The paper's rule imposes
-    ``order`` as given; the own-premise rule takes its set and lets each row
-    choose, from its branch set under the clique bound.  The defaults are
-    the run that ``threshold_alpha`` probes with; ``maximum_sets`` under
-    the clique bound is the own-premise run at alpha - 1, and the CLI's
-    ``threshold`` passes ``rule="own-premise"`` and
+    ``bound`` is ``"clique"`` or the paper's ``"w_max"``, and picks the
+    imposition rule as in ``max_anticlique``: under the clique bound each
+    row imposes a pending vertex of ``order``, from its branch set if that
+    holds one; under ``w_max`` the paper's rule imposes ``order`` as given.  The defaults are
+    the run that ``threshold_alpha`` probes with; ``maximum_sets`` is this
+    run at alpha - 1, and the CLI's ``threshold`` passes
     ``cover_degree_order(g)``.
 
     mode="all": returns (the anticliques of size > k, each once, sorted;
@@ -133,11 +128,10 @@ def threshold_search(
         raise ConfigurationError(f"threshold must be non-negative, got {k}")
     if mode not in ("all", "first"):
         raise ConfigurationError(f"unknown threshold mode {mode!r}")
-    _check_rule(rule)
     ranks = _Ranks(g, bound=bound)
     stats = SearchStats()
     deadline = _deadline(timeout_s)
-    rows = ranks.run(g, order, stats, ranks.prune(k), trace, deadline, rule)
+    rows = ranks.run(g, order, stats, ranks.prune(k), trace, deadline)
     if mode == "all":
         return ranks.above(rows, k, deadline), stats
     row = next(rows, None)
@@ -304,7 +298,7 @@ class _Ranks:
     ``bound(row, limit=None, rec=None)`` is the named row bound to prune
     by, as (value, record) for ``Prune``, ``branch`` its branch set
     (``_branch_set`` for the unweighted clique bound, else None), ``rule``
-    the imposition rule of its currentmax search and ``member(row)`` a
+    the imposition rule of its searches and ``member(row)`` a
     member of a finalized row achieving the bound: cardinality without
     weights, total weight with them.
     """
@@ -340,14 +334,13 @@ class _Ranks:
         return Prune(self.bound, limit, self.branch)
 
     def run(self, g: Graph, order: ImpositionOrder | None, stats: SearchStats, prune: Prune,
-            trace: TraceHook | None, deadline: float | None,
-            rule: str | None = None) -> Iterator[Row]:
+            trace: TraceHook | None, deadline: float | None) -> Iterator[Row]:
         """The exclusion run imposing ``order`` (vertex order if None) under
-        ``rule``, by default this space's own, in rank space; it yields rows
-        in ranks and traces in g's labels."""
+        this space's rule, in rank space; it yields rows in ranks and traces
+        in g's labels."""
         seq = _resolve_order(g, order).order
         return _exclusion_run(g, tuple(map(self.rank.__getitem__, seq)), stats, prune,
-                              trace, deadline, rule or self.rule, self.nbr, self.label)
+                              trace, deadline, self.rule, self.nbr, self.label)
 
     def above(self, rows: Iterator[Row], k: int,
               deadline: float | None) -> list[frozenset[int]]:

@@ -255,8 +255,7 @@ class TestListingRun:
         graphs; enum and threshold imposed it before ``cover_degree_order``."""
         if command == "threshold":
             g = random_graph(30, 0.25, 1)
-            _rows, got = threshold_search(g, 6, "all", order=degree_order(g),
-                                          rule="own-premise")
+            _rows, got = threshold_search(g, 6, "all", order=degree_order(g))
         else:
             g = random_graph(*{"enum": (20, 0.2, 1), "maximal": (24, 0.3, 1),
                                "chromatic": (14, 0.5, 1)}[command])
@@ -271,8 +270,7 @@ class TestListingRun:
         enum = _record(capsys, "enum --gen 30,0.25,1 --min-size 7")
         assert enum["stats"] == stats.as_dict()
         assert enum["anticliques"] == sorted(sorted(X) for row in rows for X in row.expand(7))
-        _rows, stats = threshold_search(g, 6, "all", order=cover_degree_order(g),
-                                        rule="own-premise")
+        _rows, stats = threshold_search(g, 6, "all", order=cover_degree_order(g))
         threshold = _record(capsys, "threshold --gen 30,0.25,1 --k 6")
         assert threshold["stats"] == stats.as_dict()
         assert threshold["anticliques"] == enum["anticliques"]
@@ -542,8 +540,7 @@ class TestAlpha:
         # both phases run the own-premise rule in cover_degree_order
         opts = SearchOptions(order=cover_degree_order(g))
         res = max_anticlique(g, opts)
-        _rows, phase2 = threshold_search(g, res.alpha - 1, "all", order=opts.order,
-                                         rule="own-premise")
+        _rows, phase2 = threshold_search(g, res.alpha - 1, "all", order=opts.order)
         assert json.loads(out)["stats"] == (res.stats + phase2).as_dict()
 
     def test_bipartite_on_nonbipartite_is_usage_error(self, capsys, g5_file):
@@ -626,6 +623,12 @@ class TestMaximalChromaticOracle:
         code, _, err = run_cli(capsys, "oracle", "--gen", "30,0.5,1")
         assert code == 3
         assert "size guard" in err
+
+    def test_oracle_guard_not_an_integer_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("ANTICLIQUE_ORACLE_MAX_V", "abc")
+        code, _, err = run_cli(capsys, "oracle", "--gen", "8,0.3,1")
+        assert code == 2
+        assert "ANTICLIQUE_ORACLE_MAX_V" in err
 
 
 class TestGen:

@@ -10,8 +10,8 @@ The searches prune by the paper's w_max here, asked for with
 ``bound="w_max"``; w_max does not depend on labels, so these runs are the
 same in the searches' rank space.  The ``*_CLIQUE`` tables pin the same runs
 under the default clique bound: the answers are the same, the counters
-differ, and so do the currentmax witnesses that ``*_CLIQUE_WITNESS`` names
-(the clique bound's currentmax runs the own-premise rule, w_max the
+differ, and so do the witnesses that ``*_CLIQUE_WITNESS`` names (under
+the clique bound the searches run the own-premise rule, under w_max the
 paper's).
 
 ``STANDARD_OWN_PREMISE`` pins the standard run under the own-premise rule,
@@ -128,7 +128,9 @@ THRESHOLD_ALL = [
 # witnesses stayed, most counters fell.  The currentmax searches were
 # re-recorded again when they moved to the own-premise rule, each row
 # imposing from its branch set: alpha stayed, and the witnesses below
-# differ from the w_max run's.
+# differ from the w_max run's.  The threshold runs were re-recorded when
+# they too took the own-premise rule from the clique bound: every hit
+# stayed found or None and every count held; four first hits differ.
 CURRENTMAX_CLIQUE = [
     (6, 14, 5, 2, 5), (6, 17, 6, 1, 6), (11, 30, 7, 2, 10),
     (71, 171, 9, 3, 69), (157, 590, 8, 5, 153),
@@ -145,13 +147,20 @@ CURRENTMAX_CLIQUE_WITNESS = {
 }
 WEIGHTED_CLIQUE_WITNESS = {(45, 0.25, 4): "8 10 11 12 14 16 21 26 34 36 38"}
 THRESHOLD_FIRST_CLIQUE = [
-    (6, 8, 3, 1, 4), (0, 0, 1, 0, 1), (9, 13, 6, 1, 4), (2, 2, 1, 0, 3),
-    (7, 21, 5, 1, 3), (7, 3, 3, 0, 8), (70, 116, 5, 1, 67), (138, 79, 4, 0, 139),
-    (52, 87, 5, 1, 48), (195, 107, 4, 0, 196),
+    (4, 10, 2, 1, 3), (0, 0, 1, 0, 1), (4, 18, 5, 1, 0), (3, 5, 1, 0, 4),
+    (6, 22, 3, 1, 4), (7, 10, 1, 0, 8), (15, 51, 5, 1, 11), (73, 218, 5, 0, 74),
+    (97, 347, 5, 1, 93), (115, 403, 6, 0, 116),
 ]
+# (graph, k) -> first hit, where the clique-bound run's differs
+THRESHOLD_FIRST_CLIQUE_WITNESS = {
+    ((22, 0.2, 2), 7): "1 2 8 12 15 16 18 21",
+    ((28, 0.15, 3), 12): "1 5 6 10 11 12 13 19 22 24 25 26 28",
+    ((45, 0.25, 4), 11): "1 7 8 17 18 23 24 25 32 41 42 45",
+    ((60, 0.3, 5), 11): "12 14 17 18 27 28 29 33 36 40 51 59",
+}
 THRESHOLD_ALL_CLIQUE = [
-    (9, 12, 3, 1, 9), (85, 128, 6, 25, 61), (40, 124, 6, 10, 31),
-    (366, 517, 6, 11, 356), (598, 814, 6, 9, 590),
+    (6, 12, 2, 1, 6), (37, 108, 5, 15, 23), (23, 95, 3, 6, 18),
+    (199, 501, 7, 9, 191), (294, 949, 6, 5, 290),
 ]
 
 
@@ -272,8 +281,11 @@ def test_bipartite_currentmax_clique(case, stats):
 @pytest.mark.parametrize("case, stats", zip(THRESHOLD_FIRST, THRESHOLD_FIRST_CLIQUE))
 def test_threshold_first_clique(case, stats):
     spec, k, _paper_stats, hit = case
-    found, got = threshold_search(random_graph(*spec), k, "first")
+    hit = THRESHOLD_FIRST_CLIQUE_WITNESS.get((spec, k), hit)
+    g = random_graph(*spec)
+    found, got = threshold_search(g, k, "first")
     assert (_stats(got), _vertices(found)) == (stats, hit)
+    assert found is None or len(found) > k and is_anticlique(g, found)
 
 
 @pytest.mark.parametrize("case, stats", zip(THRESHOLD_ALL, THRESHOLD_ALL_CLIQUE))

@@ -263,7 +263,9 @@ class TestSoundnessSweep:
                 for rule in ("paper", "own-premise"):
                     rows, _stats = run_standard(g, order, rule=rule, trace=hook)
                     list(rows)
-                    threshold_search(g, k, "all", order=order, rule=rule, trace=hook)
+                # each bound picks its rule
+                for bound, rule in (("clique", "own-premise"), ("w_max", "paper")):
+                    threshold_search(g, k, "all", order=order, bound=bound, trace=hook)
                 rule = "own-premise"
                 max_anticlique(g, SearchOptions(order=order), trace=hook)
                 max_anticlique(g, SearchOptions(order=order, weights=weights), trace=hook)

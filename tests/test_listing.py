@@ -2,11 +2,11 @@
 
 ``enumerate_anticliques`` runs the own-premise rule, imposing a given order
 as given and ``cover_degree_order(g)`` by default; ``threshold_search`` runs
-either rule.  The paper's rows, from ``run_standard(g, order)``, are checked
-alongside: either way the engines list exactly the oracle's sets.
-``maximal_family``, which runs no rows, is checked against the oracle's
-maximal sets, and the contain-index sieve of each run's row-wise maximal
-members against the same sets.  ``chromatic_with_stats`` is checked against
+the rule its bound picks, under each bound.  The paper's rows, from
+``run_standard(g, order)``, are checked alongside: either way the engines
+list exactly the oracle's sets.  ``maximal_family``, which runs no rows, is
+checked against the oracle's maximal sets, and the contain-index sieve of
+each run's row-wise maximal members against the same sets.  ``chromatic_with_stats`` is checked against
 the oracle's chromatic number on the same sweep.
 """
 
@@ -31,8 +31,6 @@ from anticlique import (
 )
 from anticlique.maximal import chromatic_with_stats
 from conftest import anticlique_masks, mask_to_set
-
-RULES = ("own-premise", "paper")
 
 SWEEP = [(v, d, seed * 1000 + v)
          for seed in range(3) for v in (8, 12, 16) for d in (0.1, 0.3, 0.5, 0.7, 0.9)]
@@ -88,9 +86,9 @@ class TestAgainstTheOracle:
         truth = [mask_to_set(m) for m in anticlique_masks(g)]
         rep = oracle_report(g)
         for order in _orders(g, seed).values():
-            for rule in RULES:
+            for bound in ("clique", "w_max"):
                 for k in range(max(rep.alpha - 2, 0), rep.alpha + 1):
-                    listed, _stats = threshold_search(g, k, "all", order=order, rule=rule)
+                    listed, _stats = threshold_search(g, k, "all", order=order, bound=bound)
                     assert len(set(listed)) == len(listed)
                     assert listed == _sorted(X for X in truth if len(X) > k)
                     if k == rep.alpha - 1:

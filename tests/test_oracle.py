@@ -66,6 +66,12 @@ class TestOracleReport:
         with pytest.raises(GuardExceeded):
             oracle_report(empty_graph(4))
 
+    def test_guard_env_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("ANTICLIQUE_ORACLE_MAX_V", "abc")
+        with pytest.raises(ConfigurationError, match="ANTICLIQUE_ORACLE_MAX_V"):
+            oracle_report(empty_graph(4))
+        assert oracle_report(empty_graph(4), max_v=4).alpha == 4
+
     def test_guard_override(self, monkeypatch):
         monkeypatch.setenv("ANTICLIQUE_ORACLE_MAX_V", "3")
         assert oracle_report(empty_graph(6), max_v=6).alpha == 6

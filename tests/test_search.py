@@ -159,7 +159,7 @@ class TestAllMaxAnticliques:
         g = random_graph(30, 0.2, 5)
         res = max_anticlique(g)
         sets, stats = maximum_sets(g, res)
-        _rows, threshold_stats = threshold_search(g, res.alpha - 1, "all", rule="own-premise")
+        _rows, threshold_stats = threshold_search(g, res.alpha - 1, "all")
         assert stats == threshold_stats
         assert res.witness in sets
 
@@ -479,7 +479,7 @@ class TestResumedBound:
         for mode in ("all", "first"):
             for k in (res.alpha - 2, res.alpha - 1, res.alpha):
                 threshold_search(g, k, mode)
-                threshold_search(g, k, mode, rule="own-premise", order=cover_degree_order(g))
+                threshold_search(g, k, mode, order=cover_degree_order(g))
         maximum_sets(g, res)
         maximum_sets(g, res, SearchOptions(order=cover_degree_order(g)))
         assert 0 < replayed[1] < replayed[0]
@@ -581,10 +581,9 @@ class TestBranchSet:
         for k in (alpha - 2, alpha - 1, alpha):
             if k < 0:
                 continue
-            run = dict(order=order, rule="own-premise")
             above = sorted((X for X in anticliques if len(X) > k), key=sorted)
-            assert threshold_search(g, k, "all", **run)[0] == above
-            hit = threshold_search(g, k, "first", **run)[0]
+            assert threshold_search(g, k, "all", order=order)[0] == above
+            hit = threshold_search(g, k, "first", order=order)[0]
             assert hit in above if above else hit is None
 
     @pytest.mark.parametrize("seed", range(12))
