@@ -12,8 +12,11 @@ partition, MCQ's branching rule (search.py), and a weighted ``alpha`` the
 heaviest.  On ``random_graph(60, 0.1, 3)``
 ``count`` finalizes 60,357 rows (48,084 with every vertex pending, 133,689
 in the fixed descending-degree sequence).  ``count`` and ``poly`` run the
-paper's rule in vertex order with ``--rule paper``.  These five commands
-print the run with ``--trace``.  ``maximal`` lists the maximal anticliques
+paper's rule in vertex order with ``--rule paper``.  ``enum --min-size``,
+``threshold`` and unweighted ``alpha --all`` / ``--core`` stop splitting
+rows at their size floor (``--min-size``, k + 1, alpha) and settle them
+into their largest anticliques (enumerator.py).  These five commands print
+the run with ``--trace``.  ``maximal`` lists the maximal anticliques
 by Bron and Kerbosch's search with Tomita's pivot, without rows.
 ``chromatic`` colours the graph by DSatur, stopping at the clique number
 that currentmax finds on the complement.
@@ -330,7 +333,8 @@ def _cmd_poly(args, g: Graph, deadline: float | None):
 @_graph_command
 def _cmd_enum(args, g: Graph, deadline: float | None):
     rows, stats = run_standard(g, cover_degree_order(g), rule="own-premise",
-                               trace=_trace_printer(args), timeout_s=_remaining(deadline))
+                               min_size=args.min_size, trace=_trace_printer(args),
+                               timeout_s=_remaining(deadline))
     sets = sorted(expand_rows(rows, args.min_size, deadline), key=sorted)
     payload = {"anticliques": [sorted(X) for X in sets], "count": len(sets)}
     return payload, stats, map(_fmt_set, sets)

@@ -178,6 +178,7 @@ def run_standard(
     order: ImpositionOrder | None = None,
     *,
     rule: str = "paper",
+    min_size: int = 0,
     trace: TraceHook | None = None,
     timeout_s: float | None = None,
 ) -> tuple[Iterator[Row], SearchStats]:
@@ -187,7 +188,11 @@ def run_standard(
     is consumed and is complete once it is exhausted.  ``rule`` is
     ``"paper"`` or ``"own-premise"`` (see the module docstring); the
     own-premise run takes only the set of ``order`` and chooses each row's
-    next vertex within it.  With
+    next vertex within it.  A ``min_size`` of 1 or more is the size floor
+    of a listing that wants only members of that size (see
+    ``_exclusion_run``): rows are no longer split once their largest
+    member reaches it, and ``expand(min_size)`` of the rows yielded lists
+    exactly the anticliques of ``min_size`` vertices or more.  With
     ``trace`` set, the hook receives an event per imposition and per
     finalized row, plus a final "done" event.  The iterator raises
     SearchTimeout once ``timeout_s`` seconds have passed since this call.
@@ -195,7 +200,8 @@ def run_standard(
     _check_rule(rule)
     ord_ = _resolve_order(g, order)
     stats = SearchStats()
-    rows = _exclusion_run(g, ord_.order, stats, None, trace, _deadline(timeout_s), rule)
+    rows = _exclusion_run(g, ord_.order, stats, None, trace, _deadline(timeout_s), rule,
+                          floor=min_size if min_size >= 1 else None)
     return rows, stats
 
 
@@ -243,6 +249,7 @@ def _exclusion_run(
     rule: str = "paper",
     nbr: Sequence[int] | None = None,
     labels: Sequence[int] | None = None,
+    floor: int | None = None,
 ) -> Iterator[Row]:
     """The row-stack loop behind every engine; yields the finalized rows.
 
@@ -271,7 +278,16 @@ def _exclusion_run(
 
     With ``prune`` set, a row is deleted once its bound is at most the
     limit: after a Mutated outcome, for each son of a split, and when it is
-    popped if the limit has risen since it was pushed.  ``deadline`` is
+    popped if the limit has risen since it was pushed.
+
+    ``floor`` is a listing's size floor, the size below which it wants no
+    member.  Before each step a row whose w_max is below the floor is
+    deleted, and one whose w_max equals it is *settled* instead of split:
+    its largest members that hold no edge at a pending vertex
+    (``_largest_anticliques``) are yielded one by one, each as a
+    one-member row counted as finalized.  A settled row that yields none
+    is counted as deleted, and traced as a ``prune`` event, as is a row
+    deleted below the floor.  ``deadline`` is
     absolute, on time.monotonic().  ``impose`` and the paper's pop-time
     test get the imposed vertex's neighbour mask ``nbr[t]`` (by default
     built once per run for the vertices of ``seq`` only), and both stay
@@ -307,6 +323,12 @@ def _exclusion_run(
             stats.trivial_changes += 1
             pending += 1
         while row is not None:
+            if floor is not None:
+                # w_max, spelled out: perfbench/tracer.py counts Row.w_max
+                # calls as the searches' bound checks
+                w = row.v - row.zero_mask.bit_count() - len(row.groups)
+                if w <= floor:
+                    break
             if own_premise:
                 # drop the pending vertices that hold, and choose t
                 notz = ~row.zero_mask
@@ -379,6 +401,25 @@ def _exclusion_run(
                                           None if own_premise else seq, labels))
         if row is None:
             continue
+        if floor is not None and w <= floor:
+            if not own_premise:
+                pending = sum(1 << t for t in seq[pending:])
+            settled = 0
+            if w == floor:
+                full = (1 << (row.v + 1)) - 2
+                for X in _largest_anticliques(row, pending, nbr, deadline):
+                    settled += 1
+                    member = Row(row.v, full ^ X, X, {})
+                    stats.finalized += 1
+                    if trace:
+                        trace("finalize", {"row": _shown(member, labels), "count": 1})
+                    yield member
+            if not settled:
+                stats.deleted += 1
+                if trace:
+                    trace("prune", {"row": _shown(row, labels), "bound": min(w, floor - 1),
+                                    "limit": floor - 1})
+            continue
         stats.finalized += 1
         if trace:
             trace("finalize", {"row": _shown(row, labels), "count": row.member_count()})
@@ -392,6 +433,60 @@ def _exclusion_run(
         )
     if trace:
         trace("done", {})
+
+
+def _largest_anticliques(row: Row, pending: int, nbr: Sequence[int],
+                         deadline: float | None) -> Iterator[int]:
+    """The masks of ``row``'s largest members that hold no edge at a vertex
+    of ``pending``, depth first.
+
+    A largest member holds the ``1`` and free positions and every
+    anticonclusion, and for each group whose anticonclusion is a single
+    position either that position or the premise, in this order.  The
+    choice is made group by group in premise order, and a partial member
+    that holds an edge at a pending vertex is not extended.  Every vertex
+    not pending holds its anti-implication on the row (or is no vertex of
+    the order, and the order covers every edge), so the members yielded
+    are anticliques.  Past ``deadline`` SearchTimeout is raised; it is
+    checked every DEADLINE_EVERY partial members.
+    """
+    member = ((1 << (row.v + 1)) - 2) & ~row.zero_mask
+    swaps = []   # (anticonclusion, premise) bits of the one-position groups
+    for prem, anti in sorted(row.groups.items()):
+        member ^= 1 << prem
+        if not anti & (anti - 1):
+            member ^= anti
+            swaps.append((anti, 1 << prem))
+    # hit: the positions adjacent to a pending position of the member
+    hit = 0
+    rest = member & pending
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        hit |= nbr[bit.bit_length() - 1]
+    if hit & member:
+        return
+    todo = [(0, member, hit)]
+    visited = 0
+    while todo:
+        visited += 1
+        if not visited % DEADLINE_EVERY:
+            _check_deadline(deadline)
+        j, member, hit = todo.pop()
+        if j == len(swaps):
+            yield member
+            continue
+        # pushed premise first, so the anticonclusion is taken first
+        for bit in reversed(swaps[j]):
+            if bit & hit:
+                continue
+            if bit & pending:
+                near = nbr[bit.bit_length() - 1]
+                if near & member:
+                    continue
+                todo.append((j + 1, member | bit, hit | near))
+            else:
+                todo.append((j + 1, member | bit, hit))
 
 
 def _kept(row: Row, rec: object, prune: Prune, stats: SearchStats, trace: TraceHook | None,
@@ -493,12 +588,12 @@ def enumerate_anticliques(
     """Yield every anticlique of size >= min_size exactly once.
 
     Runs the own-premise rule on ``order``, by default
-    ``cover_degree_order(g)``; one budget of ``timeout_s`` covers the run
-    and the listing (SearchTimeout).  Finalized rows are disjoint, so no
-    deduplication is needed; the order is deterministic given the set of
-    ``order`` and the row expansion order.
+    ``cover_degree_order(g)``, with ``min_size`` as its size floor; one
+    budget of ``timeout_s`` covers the run and the listing (SearchTimeout).
+    Finalized rows are disjoint, so no deduplication is needed; the order is
+    deterministic given the set of ``order`` and the row expansion order.
     """
     deadline = _deadline(timeout_s)
     rows, _stats = run_standard(g, _default_order(g, order), rule="own-premise",
-                                timeout_s=_remaining(deadline))
+                                min_size=min_size, timeout_s=_remaining(deadline))
     yield from expand_rows(rows, min_size, deadline)

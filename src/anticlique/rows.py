@@ -348,40 +348,35 @@ class Row:
                        for prem, anti in self.groups.items())
 
     def expand(self, min_size: int = 0) -> Iterator[frozenset[int]]:
-        """Yield every member of size >= min_size exactly once.
+        """Yield every member of size >= min_size exactly once, by deficit.
 
-        Deterministic order: free-position subsets first (lexicographic over
-        ascending positions), then group choices nested premise-first, anti
-        subsets lexicographic, groups taken in premise-position order.  The
-        order is that of ``expand(0)`` with the small members left out, but
-        they are not visited: every branch of the free-subset recursion and
-        of the group choices whose largest reachable member is below
-        ``min_size`` is cut.
+        A member is the largest member (``max_member``) less some
+        positions, its deficit; the members of size >= min_size are those
+        whose deficit is at most slack = w_max - min_size.  Deterministic
+        order: the groups' choices nested in premise order, the first group
+        outermost, and the free positions innermost.  Each group keeps its
+        whole anticonclusion, then drops 1, 2, ... of its positions (the
+        kept ones lexicographic), then takes its premise instead; the free
+        positions are dropped last, 0, 1, 2, ... of them (the kept ones
+        lexicographic).  ``expand(m)`` is ``expand(0)`` without the members
+        below m, which are not visited: a choice that the slack left cannot
+        pay for is not entered.  Each member is one frozenset operation.
         """
-        # w_max() < min_size, spelled out: perfbench/tracer.py counts
+        # w_max() - min_size, spelled out: perfbench/tracer.py counts
         # Row.w_max calls as the searches' bound checks
-        if self.v - self.zero_mask.bit_count() - len(self.groups) < min_size:
-            return
-        ones = tuple(_positions(self.one_mask))
-        twos = tuple(_positions(self._free_mask()))
-        groups = sorted(self.groups.items())
-        choice_lists = [[(prem,), *_subsets_lex(tuple(_positions(anti)))]
-                        for prem, anti in groups]
-        # reach[j]: the most positions groups j.. can add to a member, each
-        # its whole (non-empty) anticonclusion
-        reach = [0] * (len(groups) + 1)
+        slack = self.v - self.zero_mask.bit_count() - len(self.groups) - min_size
+        if slack < 0:
+            return iter(())
+        if not slack and not self.groups:
+            # one member, every position not 0: a settled member's row
+            return iter((frozenset(_positions(((1 << (self.v + 1)) - 2) & ~self.zero_mask)),))
+        frees = tuple(_positions(self._free_mask()))
+        groups = [(prem, tuple(_positions(anti))) for prem, anti in sorted(self.groups.items())]
+        # reach[j]: the most positions groups j.. and the frees can drop
+        reach = [len(frees)] * (len(groups) + 1)
         for j in range(len(groups) - 1, -1, -1):
-            reach[j] = reach[j + 1] + groups[j][1].bit_count()
-        need = min_size - len(ones)
-        for free in _subsets_lex(twos, need - reach[0]):
-            if len(free) >= need:
-                # every group choice qualifies; _group_members' first case, inline
-                base = frozenset(ones + free)
-                for combo in itertools.product(*choice_lists):
-                    yield base.union(*combo)
-            else:
-                yield from _group_members(ones + free, choice_lists, reach, 0,
-                                          need - len(free))
+            reach[j] = reach[j + 1] + len(groups[j][1])
+        return _deficit_members(tuple(_positions(self.one_mask)), groups, frees, reach, 0, slack)
 
     # -- diagnostics -------------------------------------------------------
 
@@ -475,40 +470,48 @@ def _positions(mask: int) -> Iterator[int]:
     return itertools.compress(itertools.count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
 
-def _subsets_lex(items: tuple[int, ...], at_least: int = 0) -> Iterator[tuple[int, ...]]:
-    """The subsets of an ascending tuple with at least ``at_least`` elements,
-    lexicographic as sorted tuples; branches that cannot grow that large are
-    not entered."""
-    n = len(items)
-    if at_least <= 0:
-        yield ()
-
-    def rec(prefix: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
-        # the largest subset below items[i] is prefix + items[i:]
-        for i in range(start, min(n, n + len(prefix) + 1 - at_least)):
-            cur = prefix + (items[i],)
-            if len(cur) >= at_least:
-                yield cur
-            yield from rec(cur, i + 1)
-
-    yield from rec((), 0)
+def _choices(prem: int, anti: tuple[int, ...],
+             most: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """A group's choices that drop at most ``most`` positions of the
+    largest member, in ``Row.expand``'s order, as (kept positions, positions
+    dropped): the whole anticonclusion, then 1, 2, ... of its positions
+    dropped, then the premise."""
+    beta = len(anti)
+    for d in range(min(beta, most) + 1):
+        for kept in itertools.combinations(anti, beta - d):
+            yield kept, d
+    if beta - 1 <= most:
+        yield (prem,), beta - 1
 
 
-def _group_members(base: tuple[int, ...], choice_lists: list[list[tuple[int, ...]]],
-                   reach: list[int], j: int, need: int) -> Iterator[frozenset[int]]:
-    """``base`` plus one choice from each of ``choice_lists[j:]``, in product
-    order, keeping only the combinations that add at least ``need``
-    positions (``need <= reach[j]``)."""
-    if need <= 0:
-        members = frozenset(base)
-        for combo in itertools.product(*choice_lists[j:]):
-            yield members.union(*combo)
+def _deficit_members(head: tuple[int, ...], groups: list[tuple[int, tuple[int, ...]]],
+                     frees: tuple[int, ...], reach: list[int], j: int,
+                     slack: int) -> Iterator[frozenset[int]]:
+    """``head`` plus a choice from each of ``groups[j:]`` plus the free
+    positions, less at most ``slack`` positions in all, in ``Row.expand``'s
+    order; ``reach[j]`` is the most that groups j.. and the frees can drop."""
+    if 0 < slack < reach[j] and j < len(groups):
+        prem, anti = groups[j]
+        for kept, d in _choices(prem, anti, slack):
+            yield from _deficit_members(head + kept, groups, frees, reach, j + 1, slack - d)
         return
-    rest = reach[j + 1]
-    for choice in choice_lists[j]:
-        if len(choice) + rest >= need:
-            yield from _group_members(base + choice, choice_lists, reach, j + 1,
-                                      need - len(choice))
+    # every combination of the choices left fits in the slack (each drops
+    # nothing, or the slack covers all they can drop): their product, with
+    # the frees innermost
+    combos = itertools.product(*([kept for kept, _d in _choices(prem, anti, slack)]
+                                 for prem, anti in groups[j:]))
+    most = min(slack, len(frees))
+    if not most:
+        base = frozenset(head + frees)
+        for combo in combos:
+            yield base.union(*combo)
+        return
+    base, n = frozenset(head), len(frees)
+    for combo in combos:
+        chosen = base.union(*combo)
+        for d in range(most + 1):
+            for kept in itertools.combinations(frees, n - d):
+                yield chosen.union(kept)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -45,6 +45,13 @@ of its vertices.  With weights the run takes the lowest-ranked (heaviest)
 pending vertex.  Under ``w_max``, which keeps no record, the paper's rule
 steps the order's sequence.  The CLI's ``alpha`` and ``threshold`` pass
 ``cover_degree_order(g)``.
+
+The listings of the branch-set run, ``threshold_search`` in both modes
+and ``maximum_sets`` without weights, pass the exclusion run the size
+floor k + 1: a row whose w_max reaches it is settled into its largest
+members that are anticliques instead of being split (see
+``enumerator._exclusion_run``).  Currentmax, whose limit rises with each
+row it receives, weighted runs and the paper's rule run without one.
 """
 
 from __future__ import annotations
@@ -131,7 +138,7 @@ def threshold_search(
     ranks = _Ranks(g, bound=bound)
     stats = SearchStats()
     deadline = _deadline(timeout_s)
-    rows = ranks.run(g, order, stats, ranks.prune(k), trace, deadline)
+    rows = ranks.run(g, order, stats, ranks.prune(k), trace, deadline, k + 1)
     if mode == "all":
         return ranks.above(rows, k, deadline), stats
     row = next(rows, None)
@@ -230,7 +237,7 @@ def maximum_sets(
     stats = SearchStats()
     deadline = _deadline(timeout_s)
     k = res.alpha - 1
-    rows = ranks.run(g, opts.order, stats, ranks.prune(k), trace, deadline)
+    rows = ranks.run(g, opts.order, stats, ranks.prune(k), trace, deadline, k + 1)
     return ranks.above(rows, k, deadline), stats
 
 
@@ -334,13 +341,17 @@ class _Ranks:
         return Prune(self.bound, limit, self.branch)
 
     def run(self, g: Graph, order: ImpositionOrder | None, stats: SearchStats, prune: Prune,
-            trace: TraceHook | None, deadline: float | None) -> Iterator[Row]:
+            trace: TraceHook | None, deadline: float | None,
+            floor: int | None = None) -> Iterator[Row]:
         """The exclusion run imposing ``order`` (vertex order if None) under
         this space's rule, in rank space; it yields rows in ranks and traces
-        in g's labels."""
+        in g's labels.  ``floor`` is the size below which a listing wants
+        no member; it applies to the run that branches in the branch set
+        (unweighted, under the clique bound) and is dropped otherwise."""
         seq = _resolve_order(g, order).order
         return _exclusion_run(g, tuple(map(self.rank.__getitem__, seq)), stats, prune,
-                              trace, deadline, self.rule, self.nbr, self.label)
+                              trace, deadline, self.rule, self.nbr, self.label,
+                              floor if self.branch else None)
 
     def above(self, rows: Iterator[Row], k: int,
               deadline: float | None) -> list[frozenset[int]]:

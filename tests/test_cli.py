@@ -236,7 +236,7 @@ class TestListingRun:
 
     @pytest.mark.parametrize("argv, stats", [
         ("enum --gen 20,0.2,1 --min-size 3", (34, 64, 4, 35, 0)),
-        ("threshold --gen 30,0.25,1 --k 6", (325, 481, 6, 272, 54)),
+        ("threshold --gen 30,0.25,1 --k 6", (317, 449, 6, 425, 49)),
         ("maximal --gen 24,0.3,1", (340, 0, 8, 150, 0)),   # the search's counters
         ("chromatic --gen 14,0.5,1", (5, 20, 4, 2, 4)),   # the clique number's search
     ])
@@ -246,7 +246,7 @@ class TestListingRun:
 
     @pytest.mark.parametrize("command, stats", [
         ("enum", (37, 193, 4, 38, 0)),
-        ("threshold", (893, 3007, 7, 673, 221)),
+        ("threshold", (750, 2222, 7, 1140, 97)),
         ("maximal", (91, 454, 4, 92, 0)),
         ("chromatic", (11, 71, 3, 12, 0)),
     ])
@@ -265,7 +265,7 @@ class TestListingRun:
 
     def test_enum_and_threshold_run_the_library(self, capsys):
         g = random_graph(30, 0.25, 1)
-        rows, stats = run_standard(g, cover_degree_order(g), rule="own-premise")
+        rows, stats = run_standard(g, cover_degree_order(g), rule="own-premise", min_size=7)
         rows = list(rows)
         enum = _record(capsys, "enum --gen 30,0.25,1 --min-size 7")
         assert enum["stats"] == stats.as_dict()
@@ -282,11 +282,11 @@ class TestListingRun:
         assert not any(g.adjacency[y] & found for y in found)
 
 
-def _matching_file(tmp_path):
-    """A perfect matching on 40 vertices, edges (1,2), (3,4), ..."""
-    path = tmp_path / "matching.col"
-    path.write_text("p edge 40 20\n" + "".join(f"e {2 * i + 1} {2 * i + 2}\n"
-                                                for i in range(20)))
+def _matching_file(tmp_path, pairs=20):
+    """A perfect matching on 2 * pairs vertices, edges (1,2), (3,4), ..."""
+    path = tmp_path / f"matching{2 * pairs}.col"
+    path.write_text(f"p edge {2 * pairs} {pairs}\n" + "".join(f"e {2 * i + 1} {2 * i + 2}\n"
+                                                             for i in range(pairs)))
     return path
 
 
@@ -310,11 +310,15 @@ class TestListingTimeout:
     """Each command gives up on its budget with exit code 4."""
 
     @pytest.mark.parametrize("argv", [
-        "enum --gen 60,0.1,3 --min-size 40",          # 5 s run, nothing listed
+        "enum --gen 90,0.1,1 --min-size 32",          # about 3 s, nothing listed
         # a perfect matching: one row with 20 groups and 3**20 members
         "enum --graph MATCHING",
         "enum --graph MATCHING --min-size 20",        # 2**20 members
         "threshold --graph MATCHING --k 1",
+        # on 60 vertices the row settled at its size floor has 2**30
+        # largest members, chosen one by one
+        "enum --graph MATCHING60 --min-size 30",
+        "threshold --graph MATCHING60 --k 29",
         # imposing the odd vertices only: one row whose 2**20 maximum sets
         # are listed by the second phase
         "alpha --graph MATCHING --bipartite --all",
@@ -326,6 +330,7 @@ class TestListingTimeout:
         "chromatic --graph MYCIELSKI",                # DSatur runs about 20 s
     ])
     def test_exits_4_quickly(self, capsys, tmp_path, argv):
+        argv = argv.replace("MATCHING60", str(_matching_file(tmp_path, 30)))
         argv = argv.replace("MATCHING", str(_matching_file(tmp_path)))
         if "MYCIELSKI" in argv:
             argv = argv.replace("MYCIELSKI", str(_mycielski_file(tmp_path)))
@@ -339,6 +344,14 @@ class TestListingTimeout:
         assert time.perf_counter() - start < 2.0
         assert out == ""
         assert err.startswith("timeout: ") and err.count("\n") == 1
+
+    def test_nothing_at_the_floor_ends_at_once(self, capsys):
+        # no anticlique reaches 40 vertices: each row is dropped once its
+        # w_max falls below the size floor (a 5 s run without the floor)
+        start = time.perf_counter()
+        record = _record(capsys, "enum --gen 60,0.1,3 --min-size 40")
+        assert time.perf_counter() - start < 1.0
+        assert (record["count"], record["anticliques"]) == (0, [])
 
     @pytest.mark.parametrize("name, argv", [
         ("random_graph", "count --gen 5,0.5,1"),      # the load

@@ -130,7 +130,10 @@ THRESHOLD_ALL = [
 # imposing from its branch set: alpha stayed, and the witnesses below
 # differ from the w_max run's.  The threshold runs were re-recorded when
 # they too took the own-premise rule from the clique bound: every hit
-# stayed found or None and every count held; four first hits differ.
+# stayed found or None and every count held; four first hits differ.  Both
+# threshold tables were re-recorded when the runs got the size floor k + 1,
+# settling a row whose w_max reaches it instead of splitting it (each
+# member yielded is a finalized row): every hit and every count held.
 CURRENTMAX_CLIQUE = [
     (6, 14, 5, 2, 5), (6, 17, 6, 1, 6), (11, 30, 7, 2, 10),
     (71, 171, 9, 3, 69), (157, 590, 8, 5, 153),
@@ -147,9 +150,9 @@ CURRENTMAX_CLIQUE_WITNESS = {
 }
 WEIGHTED_CLIQUE_WITNESS = {(45, 0.25, 4): "8 10 11 12 14 16 21 26 34 36 38"}
 THRESHOLD_FIRST_CLIQUE = [
-    (4, 10, 2, 1, 3), (0, 0, 1, 0, 1), (4, 18, 5, 1, 0), (3, 5, 1, 0, 4),
-    (6, 22, 3, 1, 4), (7, 10, 1, 0, 8), (15, 51, 5, 1, 11), (73, 218, 5, 0, 74),
-    (97, 347, 5, 1, 93), (115, 403, 6, 0, 116),
+    (3, 6, 2, 1, 2), (0, 0, 1, 0, 1), (3, 14, 4, 1, 0), (3, 5, 1, 0, 4),
+    (5, 16, 3, 1, 3), (7, 10, 1, 0, 8), (13, 47, 5, 1, 9), (72, 218, 5, 0, 73),
+    (95, 342, 5, 1, 91), (115, 403, 6, 0, 116),
 ]
 # (graph, k) -> first hit, where the clique-bound run's differs
 THRESHOLD_FIRST_CLIQUE_WITNESS = {
@@ -159,8 +162,8 @@ THRESHOLD_FIRST_CLIQUE_WITNESS = {
     ((60, 0.3, 5), 11): "12 14 17 18 27 28 29 33 36 40 51 59",
 }
 THRESHOLD_ALL_CLIQUE = [
-    (6, 12, 2, 1, 6), (37, 108, 5, 15, 23), (23, 95, 3, 6, 18),
-    (199, 501, 7, 9, 191), (294, 949, 6, 5, 290),
+    (5, 8, 2, 1, 5), (30, 65, 5, 25, 17), (20, 71, 3, 10, 16),
+    (185, 463, 7, 11, 177), (289, 929, 6, 9, 285),
 ]
 
 

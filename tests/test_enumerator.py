@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -27,8 +28,9 @@ from anticlique import (
     run_standard,
     Polynomial,
 )
+from anticlique.rows import _positions
 from anticlique.cli import main
-from anticlique.enumerator import _check_order, expand_rows
+from anticlique.enumerator import RULES, _check_order, _largest_anticliques, expand_rows
 from anticlique.errors import SearchTimeout, StackBoundWarning
 from conftest import (
     all_anticliques,
@@ -41,6 +43,7 @@ from conftest import (
     induced_subgraph,
     mask_to_set,
     path_graph,
+    random_row,
 )
 
 
@@ -374,7 +377,8 @@ class TestTimeout:
             lambda: sum(1 for _ in run_standard(g, rule="own-premise", timeout_s=0.01)[0]),
             lambda: fibonacci_number(g, timeout_s=0.01),
             lambda: independence_polynomial(g, timeout_s=0.01),
-            lambda: sum(1 for _ in enumerate_anticliques(g, 40, timeout_s=0.01)),
+            # about 0.25 s: 176 sets of 23 or more
+            lambda: sum(1 for _ in enumerate_anticliques(g, 23, timeout_s=0.01)),
             lambda: maximal_family(g, timeout_s=0.01),
         )
         for run in runs:
@@ -504,3 +508,102 @@ class TestOwnPremiseRule:
         assert list(poly.coeffs) == independence_poly_bitmask(g)
         assert poly == rows_polynomial(paper)
         assert fibonacci_number(g) == sum(row.member_count() for row in paper) == poly.evaluate(1)
+
+
+class TestSizeFloor:
+    """``run_standard(..., min_size=m)`` stops splitting at the size floor m:
+    a row whose w_max falls below m is deleted, and one whose w_max is m is
+    settled into its largest members that are anticliques, each yielded as
+    a one-member row and counted as finalized (deleted if there is none)."""
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("v,d,seed", SWEEP[::3] + [(30, 0.25, 1)])
+    def test_lists_the_unfloored_runs_sets(self, v, d, seed, rule):
+        g = random_graph(v, d, seed)
+        order = cover_degree_order(g) if rule == "own-premise" else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StackBoundWarning)
+            full = list(run_standard(g, order, rule=rule)[0])
+            alpha = max(row.w_max() for row in full)
+            for m in range(1, alpha + 2):
+                rows, stats = run_standard(g, order, rule=rule, min_size=m)
+                rows = list(rows)
+                assert stats.finalized == len(rows)
+                for row in rows:
+                    assert row.w_max() > m or (row.member_count() == 1 and row.w_max() == m)
+                listed = sorted((X for row in rows for X in row.expand(m)), key=sorted)
+                assert listed == sorted((X for row in full for X in row.expand(m)), key=sorted)
+
+    def test_no_floor_below_one(self, g5):
+        runs = [run_standard(g5, rule="own-premise", min_size=m) for m in (0, -2)]
+        runs.append(run_standard(g5, rule="own-premise"))
+        rows = [[row.debug() for row in r] for r, _stats in runs]
+        assert rows[0] == rows[1] == rows[2]
+        assert runs[0][1] == runs[1][1] == runs[2][1]
+
+    def test_trace_events_match_the_counters(self):
+        g = random_graph(30, 0.25, 1)
+        events = Counter()
+        counts = set()
+
+        def hook(kind, info):
+            events[kind] += 1
+            if kind == "finalize":
+                counts.add(info["count"])
+            if kind == "prune":
+                assert info["bound"] <= info["limit"] == 6
+
+        rows, stats = run_standard(g, cover_degree_order(g), rule="own-premise",
+                                   min_size=7, trace=hook)
+        rows = list(rows)
+        assert events["finalize"] == stats.finalized == len(rows)
+        assert events["prune"] == stats.deleted > 0
+        assert 1 in counts and any(row.member_count() == 1 for row in rows)
+
+    def test_settled_matching_row_is_lazy(self):
+        # one row with 30 one-position groups: 2**30 largest members
+        g = graph_from_edges(60, [(2 * i + 1, 2 * i + 2) for i in range(30)])
+        rows, stats = run_standard(g, rule="own-premise", min_size=30)
+        first = [row.ones() for row in itertools.islice(rows, 3)]
+        assert len(set(first)) == 3 and stats.finalized == 3
+        assert all(len(X) == 30 and all(g.adjacency[y].isdisjoint(X) for y in X)
+                   for X in first)
+
+
+class TestLargestAnticliques:
+    """``_largest_anticliques``: the largest members of a row that hold no
+    edge at a pending vertex, in the order of ``row.expand(w_max)``."""
+
+    def test_against_the_filtered_expansion(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            v = rng.randint(1, 12)
+            row = random_row(rng, v)
+            nbr = [0] * (v + 1)
+            for i in range(1, v + 1):
+                for j in range(i + 1, v + 1):
+                    if rng.random() < 0.2:
+                        nbr[i] |= 1 << j
+                        nbr[j] |= 1 << i
+            pending = sum(1 << p for p in range(1, v + 1) if rng.random() < 0.5)
+
+            def clean(X):
+                return not any(pending >> p & 1 and nbr[p] & sum(1 << q for q in X) for p in X)
+
+            expected = [X for X in row.expand(row.w_max()) if clean(X)]
+            got = [frozenset(_positions(X)) for X in _largest_anticliques(row, pending, nbr, None)]
+            assert got == expected
+
+    def test_deadline_is_checked_while_nothing_is_found(self):
+        # 20 one-position groups, and a pending free vertex adjacent to both
+        # sides of the last one: every choice fails at the last group
+        row = row_from_debug("(" + ",".join(f"a{i},b{i}" for i in range(1, 21)) + ",2)")
+        nbr = [0] * 42
+        nbr[41] = 1 << 39 | 1 << 40
+        nbr[39] = nbr[40] = 1 << 41
+        with pytest.raises(SearchTimeout):
+            list(_largest_anticliques(row, 1 << 41, nbr, time.monotonic() - 1))
+        small = row_from_debug("(" + ",".join(f"a{i},b{i}" for i in range(1, 9)) + ",2)")
+        nbr = [0] * 18
+        nbr[17] = 1 << 15 | 1 << 16
+        assert list(_largest_anticliques(small, 1 << 17, nbr, None)) == []

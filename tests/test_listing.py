@@ -30,7 +30,7 @@ from anticlique import (
     threshold_search,
 )
 from anticlique.maximal import chromatic_with_stats
-from conftest import anticlique_masks, mask_to_set
+from conftest import anticlique_masks, independence_poly_bitmask, mask_to_set
 
 SWEEP = [(v, d, seed * 1000 + v)
          for seed in range(3) for v in (8, 12, 16) for d in (0.1, 0.3, 0.5, 0.7, 0.9)]
@@ -55,10 +55,10 @@ def _orders(g, seed):
     return {"default": None, "full": full_order(g.v), "cover": ImpositionOrder(tuple(partial))}
 
 
-def _own_premise_rows(g, order):
-    """The rows the own-premise engines expand for ``order``."""
+def _own_premise_rows(g, order, min_size=0):
+    """The rows the own-premise engines expand for ``order`` and ``min_size``."""
     return run_standard(g, cover_degree_order(g) if order is None else order,
-                        rule="own-premise")
+                        rule="own-premise", min_size=min_size)
 
 
 @pytest.mark.filterwarnings("ignore::anticlique.errors.StackBoundWarning")
@@ -132,14 +132,14 @@ class TestTheRunBehind:
         g = random_graph(14, 0.3, 7)
         finalized = {}
         for name, order in _orders(g, 7).items():
-            rows, stats = _own_premise_rows(g, order)
+            rows, stats = _own_premise_rows(g, order, 2)
             expected = [X for row in rows for X in row.expand(2)]
             assert list(enumerate_anticliques(g, 2, order)) == expected
             finalized[name] = stats.finalized
         # the run chooses its vertices within the order's set: the three sets
         # give three runs, and the full degree order, the full vertex order's
         # set, gives the full order's run
-        rows, stats = _own_premise_rows(g, degree_order(g))
+        rows, stats = _own_premise_rows(g, degree_order(g), 2)
         list(rows)
         assert len(set(finalized.values())) == 3
         assert stats.finalized == finalized["full"]
@@ -150,3 +150,20 @@ class TestTheRunBehind:
         fam = maximal_family(g)
         assert (len(fam.sets), fam.candidates, fam.dominated, fam.removed) == (23, 25, 2, 0)
         assert fam.stats == SearchStats(rsp=51, peak_stack=5, finalized=23)
+
+
+@pytest.mark.parametrize("spec", [
+    (30, 0.2, 1), (35, 0.15, 2), (40, 0.1, 3), (40, 0.3, 5), (45, 0.2, 4),
+])
+def test_listings_above_the_oracle_range(spec):
+    """At v = 30-45, where the brute-force oracle cannot go, the listings
+    at and near alpha against the tail of the independence polynomial that
+    ``conftest.independence_poly_bitmask`` computes by the vertex recursion."""
+    g = random_graph(*spec)
+    coeffs = independence_poly_bitmask(g)
+    alpha = len(coeffs) - 1
+    for m in (alpha - 2, alpha - 1, alpha):
+        listed = list(enumerate_anticliques(g, m))
+        above, _stats = threshold_search(g, m - 1)
+        assert len(listed) == len(above) == sum(coeffs[m:])
+        assert _sorted(listed) == above

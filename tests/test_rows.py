@@ -135,8 +135,9 @@ class TestContains:
 
 class TestExpand:
     def test_tail_row_order(self, tail_row):
+        # the whole anticonclusion, then none of it, then the premise
         assert list(tail_row.expand(0)) == [
-            frozenset({1}), frozenset(), frozenset({5})
+            frozenset({5}), frozenset(), frozenset({1})
         ]
 
     def test_min_size_filter(self, tail_row):
@@ -270,6 +271,23 @@ class TestPrunedExpand:
             full = list(row.expand(0))
             for m in range(0, row.w_max() + 2):
                 assert list(row.expand(m)) == [X for X in full if len(X) >= m]
+
+    def test_deficit_order(self):
+        # each group keeps its whole anticonclusion, drops 1, 2, ... of its
+        # positions, then takes its premise; the frees are dropped innermost
+        row = row_from_debug("(a1,b1,b1,2)")
+        assert [sorted(X) for X in row.expand(0)] == [
+            [2, 3, 4], [2, 3], [2, 4], [2], [3, 4], [3], [4], [], [1, 4], [1]]
+        assert [sorted(X) for X in row.expand(2)] == [[2, 3, 4], [2, 3], [2, 4], [3, 4], [1, 4]]
+
+    def test_only_the_largest_members_are_visited(self):
+        # 2**60 members, and the 61 of size 59 or more come at once, largest first
+        top = list(full_row(60).expand(59))
+        assert len(top) == 61 and len(top[0]) == 60
+        # 3**30 members, the 2**30 largest listed lazily
+        row = row_from_debug("(" + ",".join(f"a{i},b{i}" for i in range(1, 31)) + ")")
+        first = next(row.expand(30))
+        assert first == frozenset(range(2, 61, 2))
 
     def test_nothing_above_w_max(self, example_row):
         assert list(example_row.expand(example_row.w_max() + 1)) == []
