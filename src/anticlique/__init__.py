@@ -6,7 +6,6 @@ anti-implication per vertex, instead of visiting sets one by one.
 """
 
 from .enumerator import (
-    ImpositionOrder,
     SearchStats,
     cover_degree_order,
     cover_order,
@@ -67,7 +66,6 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "GuardExceeded",
-    "ImpositionOrder",
     "ImpositionOutcome",
     "MaxResult",
     "MaximalFamily",

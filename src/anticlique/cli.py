@@ -38,17 +38,16 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable
 
-from .enumerator import (
-    SearchStats,
+from .enumerator import SearchStats, cover_degree_order, expand_rows, rows_polynomial, run_standard
+from .errors import (
+    ConfigurationError,
+    GraphFormatError,
+    GuardExceeded,
+    SearchTimeout,
     _check_deadline,
     _deadline,
     _remaining,
-    cover_degree_order,
-    expand_rows,
-    rows_polynomial,
-    run_standard,
 )
-from .errors import ConfigurationError, GraphFormatError, GuardExceeded, SearchTimeout
 from .graph import FORMATS, Graph, parse_graph, random_graph, serialize_graph
 from .maximal import chromatic_with_stats, maximal_family
 from .oracle import oracle_report

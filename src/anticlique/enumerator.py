@@ -43,10 +43,18 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ConfigurationError, SearchTimeout, StackBoundWarning
+from .errors import (
+    DEADLINE_EVERY,
+    ConfigurationError,
+    SearchTimeout,
+    StackBoundWarning,
+    _check_deadline,
+    _deadline,
+    _remaining,
+    _until,
+)
 from .graph import Graph
 from .imposition import Mutated, Split, anti_implication_holds, impose
 from .rows import Polynomial, Row, _positions, full_row, spectrum_of_shapes
@@ -54,11 +62,6 @@ from .rows import Polynomial, Row, _positions, full_row, spectrum_of_shapes
 TraceHook = Callable[[str, dict], None]
 
 RULES = ("paper", "own-premise")
-
-DEADLINE_EVERY = 1024   # members listed between two deadline checks
-
-_T = TypeVar("_T")
-
 
 @dataclass
 class SearchStats:
@@ -105,37 +108,23 @@ class Prune:
     branch: Callable[..., int] | None = None
 
 
-@dataclass(frozen=True)
-class ImpositionOrder:
-    """The vertices whose anti-implications get imposed, in this order.
-
-    Any sequence of distinct vertices is sound as long as it is a vertex
-    cover, which run_standard verifies.  The paper's rule imposes it in this
-    sequence; an own-premise run, pruned or not, takes only the set and
-    chooses the sequence row by row.
-    """
-
-    order: tuple[int, ...]
+def full_order(v: int) -> tuple[int, ...]:
+    return tuple(range(1, v + 1))
 
 
-def full_order(v: int) -> ImpositionOrder:
-    return ImpositionOrder(tuple(range(1, v + 1)))
-
-
-def cover_order(g: Graph, vertices: Iterable[int]) -> ImpositionOrder:
+def cover_order(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
     """Validated cover order over a subset of vertices (sorted increasing)."""
-    order = ImpositionOrder(tuple(sorted(set(vertices))))
+    order = tuple(sorted(set(vertices)))
     _check_order(g, order)
     return order
 
 
-def degree_order(g: Graph) -> ImpositionOrder:
+def degree_order(g: Graph) -> tuple[int, ...]:
     """g's vertices by descending degree, ties broken by the lower label."""
-    return ImpositionOrder(tuple(sorted(range(1, g.v + 1),
-                                        key=lambda y: (-len(g.adjacency[y]), y))))
+    return tuple(sorted(range(1, g.v + 1), key=lambda y: (-len(g.adjacency[y]), y)))
 
 
-def cover_degree_order(g: Graph) -> ImpositionOrder:
+def cover_degree_order(g: Graph) -> tuple[int, ...]:
     """``degree_order(g)`` without a greedy maximal anticlique: a vertex cover.
 
     Walking ``degree_order(g)`` from its end, every vertex with no neighbour
@@ -144,16 +133,15 @@ def cover_degree_order(g: Graph) -> ImpositionOrder:
     them alone yields every anticlique; a vertex left out ends free or as an
     anticonclusion position and never costs an imposition.
     """
-    seq = degree_order(g).order
+    seq = degree_order(g)
     kept: set[int] = set()
     for y in reversed(seq):
         if kept.isdisjoint(g.adjacency[y]):
             kept.add(y)
-    return ImpositionOrder(tuple(y for y in seq if y not in kept))
+    return tuple(y for y in seq if y not in kept)
 
 
-def _check_order(g: Graph, order: ImpositionOrder) -> None:
-    seq = order.order
+def _check_order(g: Graph, seq: tuple[int, ...]) -> None:
     members = set(seq)
     if len(members) < len(seq):
         raise ConfigurationError("imposition order names a vertex twice")
@@ -166,16 +154,18 @@ def _check_order(g: Graph, order: ImpositionOrder) -> None:
             )
 
 
-def _resolve_order(g: Graph, order: ImpositionOrder | None) -> ImpositionOrder:
+def _resolve_order(g: Graph, order: Sequence[int] | None) -> tuple[int, ...]:
+    """``order`` as a tuple once checked; vertex order if None."""
     if order is None:
         return full_order(g.v)
-    _check_order(g, order)
-    return order
+    seq = tuple(order)
+    _check_order(g, seq)
+    return seq
 
 
 def run_standard(
     g: Graph,
-    order: ImpositionOrder | None = None,
+    order: Sequence[int] | None = None,
     *,
     rule: str = "paper",
     min_size: int = 0,
@@ -198,9 +188,9 @@ def run_standard(
     SearchTimeout once ``timeout_s`` seconds have passed since this call.
     """
     _check_rule(rule)
-    ord_ = _resolve_order(g, order)
+    seq = _resolve_order(g, order)
     stats = SearchStats()
-    rows = _exclusion_run(g, ord_.order, stats, None, trace, _deadline(timeout_s), rule,
+    rows = _exclusion_run(g, seq, stats, None, trace, _deadline(timeout_s), rule,
                           floor=min_size if min_size >= 1 else None)
     return rows, stats
 
@@ -210,30 +200,7 @@ def _check_rule(rule: str) -> None:
         raise ConfigurationError(f"unknown imposition rule {rule!r}; expected one of {RULES}")
 
 
-def _deadline(timeout_s: float | None) -> float | None:
-    return None if timeout_s is None else time.monotonic() + timeout_s
-
-
-def _until(items: Iterator[_T], deadline: float) -> Iterator[_T]:
-    """``items`` as they come; raises SearchTimeout once ``deadline`` (on
-    time.monotonic()) has passed, checked every DEADLINE_EVERY items."""
-    while chunk := list(islice(items, DEADLINE_EVERY)):
-        _check_deadline(deadline)
-        yield from chunk
-
-
-def _check_deadline(deadline: float | None) -> None:
-    """Raise SearchTimeout if ``deadline`` (on time.monotonic()) has passed."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise SearchTimeout("search exceeded its time budget")
-
-
-def _remaining(deadline: float | None) -> float | None:
-    """The seconds left until ``deadline``, as a ``timeout_s``."""
-    return None if deadline is None else deadline - time.monotonic()
-
-
-def _default_order(g: Graph, order: ImpositionOrder | None) -> ImpositionOrder:
+def _default_order(g: Graph, order: Sequence[int] | None) -> Sequence[int]:
     """The order an own-premise engine chooses within: ``order`` as given,
     by default ``cover_degree_order(g)``."""
     return cover_degree_order(g) if order is None else order
@@ -534,7 +501,7 @@ def _snapshot(t, outcome, current, pending, stack, seq, labels) -> dict:
 
 
 def fibonacci_number(
-    g: Graph, order: ImpositionOrder | None = None, *, timeout_s: float | None = None
+    g: Graph, order: Sequence[int] | None = None, *, timeout_s: float | None = None
 ) -> int:
     """Total number of anticliques of g (streaming, rows never stored).
 
@@ -547,7 +514,7 @@ def fibonacci_number(
 
 
 def independence_polynomial(
-    g: Graph, order: ImpositionOrder | None = None, *, timeout_s: float | None = None
+    g: Graph, order: Sequence[int] | None = None, *, timeout_s: float | None = None
 ) -> Polynomial:
     """Coefficient k counts the k-element anticliques; degree is alpha(g).
 
@@ -581,7 +548,7 @@ def expand_rows(
 def enumerate_anticliques(
     g: Graph,
     min_size: int = 0,
-    order: ImpositionOrder | None = None,
+    order: Sequence[int] | None = None,
     *,
     timeout_s: float | None = None,
 ) -> Iterator[frozenset[int]]:

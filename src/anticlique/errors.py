@@ -1,6 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the deadline helpers
+that raise SearchTimeout."""
 
 import os
+import time
+from itertools import islice
+from typing import Iterator, TypeVar
+
+DEADLINE_EVERY = 1024   # members listed between two deadline checks
+
+_T = TypeVar("_T")
 
 
 class GraphFormatError(ValueError):
@@ -40,6 +48,29 @@ def check_size_guard(name: str, v: int, max_v: int | None, env: str, default: in
 
 class SearchTimeout(RuntimeError):
     """A solver run exceeded its deadline."""
+
+
+def _deadline(timeout_s: float | None) -> float | None:
+    return None if timeout_s is None else time.monotonic() + timeout_s
+
+
+def _until(items: Iterator[_T], deadline: float) -> Iterator[_T]:
+    """``items`` as they come; raises SearchTimeout once ``deadline`` (on
+    time.monotonic()) has passed, checked every DEADLINE_EVERY items."""
+    while chunk := list(islice(items, DEADLINE_EVERY)):
+        _check_deadline(deadline)
+        yield from chunk
+
+
+def _check_deadline(deadline: float | None) -> None:
+    """Raise SearchTimeout if ``deadline`` (on time.monotonic()) has passed."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SearchTimeout("search exceeded its time budget")
+
+
+def _remaining(deadline: float | None) -> float | None:
+    """The seconds left until ``deadline``, as a ``timeout_s``."""
+    return None if deadline is None else deadline - time.monotonic()
 
 
 class StackBoundWarning(RuntimeWarning):

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import GraphFormatError, GuardExceeded, SearchTimeout
+from .errors import GraphFormatError, GuardExceeded, _check_deadline
 
 Edge = tuple[int, int]
 
@@ -121,13 +120,6 @@ def parse_graph(text: str, format: str, deadline: float | None = None) -> Graph:
     raise ValueError(f"unknown graph format {format!r}")
 
 
-def _check_deadline(deadline: float | None) -> None:
-    """Raise SearchTimeout if ``deadline`` has passed: enumerator's test,
-    which this module cannot import, enumerator importing it."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise SearchTimeout("graph parsing exceeded its time budget")
-
-
 def _lines(text: str, deadline: float | None = None) -> Iterator[str]:
     """``text.splitlines()``, split a block of about 64 KB at a time;
     ``deadline`` is checked before each block."""
@@ -228,11 +220,11 @@ def _parse_json(text: str, deadline: float | None) -> Graph:
         if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair)):
             raise GraphFormatError(f"edge #{k} must be a pair of integers")
         i, j = pair
-        if i == j:
-            raise GraphFormatError(f"edge #{k} is a self-loop at vertex {i}")
-        if not (1 <= i <= v) or not (1 <= j <= v):
-            raise GraphFormatError(f"edge #{k} ({i}, {j}) out of range 1..{v}")
-        _add_edge(edges, v, i, j, None)
+        try:
+            _add_edge(edges, v, i, j, None)
+        except GraphFormatError as exc:
+            # named here, not passed in: a name built per pair slows the loop
+            raise GraphFormatError(f"edge #{k}: {exc}") from None
     return _from_pairs(v, edges)
 
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .enumerator import SearchStats, _check_deadline, _deadline, _remaining
+from .enumerator import SearchStats
 # Not called here any more; kept because perfbench/tracer.py wraps it by name.
 from .enumerator import run_standard  # noqa: F401
-from .errors import check_size_guard
+from .errors import _check_deadline, _deadline, _remaining, check_size_guard
 from .graph import Graph, to_complement
 from .rows import Row, _positions
 from . import search   # called by module name, so a wrapper on search.max_anticlique sees it

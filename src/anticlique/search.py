@@ -58,22 +58,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .enumerator import (
-    ImpositionOrder,
     Prune,
     SearchStats,
     TraceHook,
-    _deadline,
     _exclusion_run,
-    _remaining,
     _resolve_order,
     _shown,
     cover_order,
     expand_rows,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _deadline, _remaining
 from .graph import Graph, bipartition
 from .imposition import anti_implication_holds, impose  # noqa: F401  wrapped by perfbench/tracer.py
 from .rows import CliqueRecord, Row
@@ -91,7 +88,7 @@ class SearchOptions:
     docstring).
     """
 
-    order: ImpositionOrder | None = None
+    order: Sequence[int] | None = None
     weights: Mapping[int, int] | None = None
     initial_witness: frozenset[int] | None = None
     bound: str = "clique"
@@ -111,7 +108,7 @@ def threshold_search(
     k: int,
     mode: str = "all",
     *,
-    order: ImpositionOrder | None = None,
+    order: Sequence[int] | None = None,
     bound: str = "clique",
     trace: TraceHook | None = None,
     timeout_s: float | None = None,
@@ -205,7 +202,7 @@ def max_weight_anticlique(
     g: Graph,
     weights: Mapping[int, int],
     *,
-    order: ImpositionOrder | None = None,
+    order: Sequence[int] | None = None,
     trace: TraceHook | None = None,
     timeout_s: float | None = None,
 ) -> MaxResult:
@@ -340,7 +337,7 @@ class _Ranks:
         """The policy that prunes by this space's bound at ``limit``."""
         return Prune(self.bound, limit, self.branch)
 
-    def run(self, g: Graph, order: ImpositionOrder | None, stats: SearchStats, prune: Prune,
+    def run(self, g: Graph, order: Sequence[int] | None, stats: SearchStats, prune: Prune,
             trace: TraceHook | None, deadline: float | None,
             floor: int | None = None) -> Iterator[Row]:
         """The exclusion run imposing ``order`` (vertex order if None) under
@@ -348,7 +345,7 @@ class _Ranks:
         in g's labels.  ``floor`` is the size below which a listing wants
         no member; it applies to the run that branches in the branch set
         (unweighted, under the clique bound) and is dropped otherwise."""
-        seq = _resolve_order(g, order).order
+        seq = _resolve_order(g, order)
         return _exclusion_run(g, tuple(map(self.rank.__getitem__, seq)), stats, prune,
                               trace, deadline, self.rule, self.nbr, self.label,
                               floor if self.branch else None)

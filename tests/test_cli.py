@@ -244,21 +244,23 @@ class TestListingRun:
         fields = ("rsp", "trivial_changes", "peak_stack", "finalized", "deleted")
         assert _record(capsys, argv)["stats"] == dict(zip(fields, stats))
 
-    @pytest.mark.parametrize("command, stats", [
+    @pytest.mark.parametrize("run, stats", [
         ("enum", (37, 193, 4, 38, 0)),
         ("threshold", (750, 2222, 7, 1140, 97)),
-        ("maximal", (91, 454, 4, 92, 0)),
-        ("chromatic", (11, 71, 3, 12, 0)),
+        ("own-premise 24,0.3,1", (91, 454, 4, 92, 0)),
+        ("own-premise 14,0.5,1", (11, 71, 3, 12, 0)),
     ])
-    def test_degree_order_counters(self, command, stats):
-        """The own-premise runs in the full ``degree_order`` on test_counters'
-        graphs; enum and threshold imposed it before ``cover_degree_order``."""
-        if command == "threshold":
+    def test_degree_order_counters(self, run, stats):
+        """Runs in the full ``degree_order`` on test_counters' graphs.  enum
+        and threshold imposed it before ``cover_degree_order``; the last two
+        are the unpruned own-premise run on the graphs of maximal and
+        chromatic, which run no rows."""
+        if run == "threshold":
             g = random_graph(30, 0.25, 1)
             _rows, got = threshold_search(g, 6, "all", order=degree_order(g))
         else:
-            g = random_graph(*{"enum": (20, 0.2, 1), "maximal": (24, 0.3, 1),
-                               "chromatic": (14, 0.5, 1)}[command])
+            v, d, seed = ("20,0.2,1" if run == "enum" else run.split()[1]).split(",")
+            g = random_graph(int(v), float(d), int(seed))
             rows, got = run_standard(g, degree_order(g), rule="own-premise")
             list(rows)
         assert tuple(got.as_dict().values()) == stats
@@ -733,7 +735,7 @@ class TestTrace:
         g = random_graph(24, 0.2, 3)
         code, out, _ = run_cli(capsys, "count", "--gen", "24,0.2,3", "--trace")
         assert code == 0
-        cover = set(cover_degree_order(g).order)
+        cover = set(cover_degree_order(g))
         imposed = {int(t) for t in re.findall(r"^impose (\d+):", out, re.M)}
         assert imposed and imposed <= cover
         shown = re.findall(r" PA=(\S*)$", out, re.M)
@@ -776,7 +778,7 @@ class TestTrace:
         assert code == 0
         # both impose within cover_degree_order, each row choosing from its
         # branch set, and show each row's pending vertices that are not 0
-        order = cover_degree_order(g).order
+        order = cover_degree_order(g)
         imposed = [int(t) for t in re.findall(r"^impose (\d+):", out, re.M)]
         assert imposed[0] in order and set(imposed) <= set(order)
         shown = re.findall(r" PA=\{([\d,]*)\}$", out, re.M)

@@ -10,7 +10,6 @@ import pytest
 
 from anticlique import (
     ConfigurationError,
-    ImpositionOrder,
     cover_degree_order,
     cover_order,
     degree_order,
@@ -27,11 +26,16 @@ from anticlique import (
     rows_polynomial,
     run_standard,
     Polynomial,
+    SearchOptions,
+    SearchStats,
+    max_anticlique,
+    threshold_search,
 )
 from anticlique.rows import _positions
 from anticlique.cli import main
 from anticlique.enumerator import RULES, _check_order, _largest_anticliques, expand_rows
 from anticlique.errors import SearchTimeout, StackBoundWarning
+from anticlique.search import _Ranks
 from conftest import (
     all_anticliques,
     anticlique_masks,
@@ -178,6 +182,31 @@ class TestEnumerate:
         assert list(enumerate_anticliques(g5)) == list(enumerate_anticliques(g5))
 
 
+def _rows_and_stats(run):
+    rows, stats = run
+    return [row.debug() for row in rows], stats
+
+
+def _ranks_run(g, order):
+    ranks, stats = _Ranks(g), SearchStats()
+    return _rows_and_stats((ranks.run(g, order, stats, ranks.prune(2), None, None, 3), stats))
+
+
+# every entry point that takes an order, as g, order -> a comparable result
+_BY_ORDER = {
+    "run_standard": lambda g, order: _rows_and_stats(run_standard(g, order)),
+    "run_standard own-premise": lambda g, order: _rows_and_stats(
+        run_standard(g, order, rule="own-premise", min_size=3)),
+    "fibonacci_number": fibonacci_number,
+    "independence_polynomial": independence_polynomial,
+    "enumerate_anticliques": lambda g, order: list(enumerate_anticliques(g, 3, order)),
+    "threshold_search": lambda g, order: threshold_search(g, 2, order=order),
+    "threshold_search first": lambda g, order: threshold_search(g, 2, "first", order=order),
+    "SearchOptions.order": lambda g, order: max_anticlique(g, SearchOptions(order=order)),
+    "_Ranks.run": _ranks_run,
+}
+
+
 class TestCoverOrders:
     def test_cover_run_matches_full_run(self):
         rng = random.Random(11)
@@ -196,18 +225,18 @@ class TestCoverOrders:
 
     def test_partial_order_requires_cover_flag(self, g5):
         with pytest.raises(ConfigurationError, match="vertex cover"):
-            run_standard(g5, ImpositionOrder((1, 2)))
+            run_standard(g5, (1, 2))
 
     def test_partial_order_must_actually_cover(self, g5):
         with pytest.raises(ConfigurationError, match="misses edge"):
-            run_standard(g5, ImpositionOrder((1, 2)))
+            run_standard(g5, (1, 2))
 
     def test_order_must_not_repeat_a_vertex(self, g5):
         with pytest.raises(ConfigurationError, match="twice"):
-            run_standard(g5, ImpositionOrder((2, 1, 3, 4, 5, 2)))
+            run_standard(g5, (2, 1, 3, 4, 5, 2))
 
     def test_full_order_helper(self, g5):
-        assert full_order(5).order == (1, 2, 3, 4, 5)
+        assert full_order(5) == (1, 2, 3, 4, 5)
 
     def test_smaller_class_cover_on_bipartite(self):
         g = make_graph(5, [(i, j) for i in (1, 2) for j in (3, 4, 5)])
@@ -218,6 +247,22 @@ class TestCoverOrders:
         g = empty_graph(4)
         order = cover_order(g, set())
         assert fibonacci_number(g, order) == 16
+
+    @pytest.mark.parametrize("entry", sorted(_BY_ORDER))
+    def test_an_order_is_any_sequence(self, entry):
+        """Each entry point that takes an order gives the same answer, rows
+        and stats for the order as a list and as a tuple, and refuses a
+        list that names a vertex twice or misses an edge."""
+        run = _BY_ORDER[entry]
+        g = random_graph(14, 0.3, 5)
+        order = list(cover_degree_order(g))
+        random.Random(5).shuffle(order)
+        assert run(g, order) == run(g, tuple(order))
+        with pytest.raises(ConfigurationError, match="twice"):
+            run(g, [*order, order[0]])
+        i, j = g.edges[0]
+        with pytest.raises(ConfigurationError, match="misses edge"):
+            run(g, [y for y in range(1, g.v + 1) if y not in (i, j)])
 
 
 # The seeded oracle sweep at v <= 16 (a subset of acceptance criterion 4's).
@@ -263,7 +308,7 @@ def _own_premise_rows(g, by_degree):
 class TestDegreeOrder:
     def test_descending_degree_ties_by_lower_label(self, g5):
         # degrees of g5: 1:3, 2:2, 3:1, 4:4, 5:2
-        assert degree_order(g5).order == (4, 1, 2, 5, 3)
+        assert degree_order(g5) == (4, 1, 2, 5, 3)
 
     def test_regular_graph_keeps_vertex_order(self):
         assert degree_order(cycle_graph(6)) == full_order(6)
@@ -281,17 +326,17 @@ class TestCoverDegreeOrder:
 
     def test_worked_example(self, g5):
         # degree order (4, 1, 2, 5, 3); from its end 3, 5 and 2 are kept
-        assert cover_degree_order(g5).order == (4, 1)
+        assert cover_degree_order(g5) == (4, 1)
 
     @pytest.mark.parametrize("v,d,seed", SWEEP)
     def test_a_cover_left_by_a_maximal_anticlique(self, v, d, seed):
         g = random_graph(v, d, seed)
         order = cover_degree_order(g)
         _check_order(g, order)
-        assert order.order == tuple(y for y in degree_order(g).order if y in order.order)
-        left = set(range(1, v + 1)) - set(order.order)
+        assert order == tuple(y for y in degree_order(g) if y in order)
+        left = set(range(1, v + 1)) - set(order)
         assert not any(g.adjacency[y] & left for y in left)
-        assert all(g.adjacency[y] & left for y in order.order)
+        assert all(g.adjacency[y] & left for y in order)
 
     def test_deterministic(self):
         g = random_graph(30, 0.2, 4)
@@ -300,7 +345,7 @@ class TestCoverDegreeOrder:
 
     def test_edgeless_graph_imposes_nothing(self):
         g = empty_graph(7)
-        assert cover_degree_order(g).order == ()
+        assert cover_degree_order(g) == ()
         rows, stats = run_standard(g, cover_degree_order(g), rule="own-premise")
         (row,) = rows
         assert row == full_row(7)
@@ -309,7 +354,7 @@ class TestCoverDegreeOrder:
 
     def test_complete_graph_leaves_out_one_vertex(self):
         # equal degrees: the last vertex of the order is the one kept
-        assert cover_degree_order(complete_graph(6)).order == (1, 2, 3, 4, 5)
+        assert cover_degree_order(complete_graph(6)) == (1, 2, 3, 4, 5)
         assert fibonacci_number(complete_graph(6)) == 7
 
 
@@ -344,7 +389,7 @@ def _shuffled_order(g, rng, partial):
                 cover.discard(y)
         seq = [y for y in seq if y in cover]
         rng.shuffle(seq)
-    return ImpositionOrder(tuple(seq))
+    return tuple(seq)
 
 
 @pytest.mark.filterwarnings("ignore::anticlique.errors.StackBoundWarning")
@@ -436,10 +481,10 @@ class TestChosenRun:
     def test_only_the_set_of_the_order_matters(self, v, d, seed):
         g = random_graph(v, d, seed)
         rng = random.Random(seed)
-        seq = list(cover_degree_order(g).order)
+        seq = list(cover_degree_order(g))
         rng.shuffle(seq)
         runs = []
-        for order in (cover_degree_order(g), ImpositionOrder(tuple(seq))):
+        for order in (cover_degree_order(g), tuple(seq)):
             rows, stats = run_standard(g, order, rule="own-premise")
             runs.append(([row.debug() for row in rows], stats))
         assert runs[0] == runs[1]

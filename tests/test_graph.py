@@ -21,7 +21,7 @@ from anticlique import (
     serialize_graph,
     to_complement,
 )
-from anticlique import graph
+from anticlique import errors, graph
 from anticlique.graph import MAX_PAIRS, MAX_V
 from conftest import G5_DIMACS, complete_graph, empty_graph, path_graph
 
@@ -62,6 +62,10 @@ class TestParse:
     def test_json_bad_edge(self):
         with pytest.raises(GraphFormatError, match="edge #0"):
             parse_graph('{"v": 3, "edges": [[1, 9]]}', "json")
+
+    def test_json_self_loop_names_the_edge(self):
+        with pytest.raises(GraphFormatError, match="edge #1: self-loop at vertex 2"):
+            parse_graph('{"v": 3, "edges": [[1, 2], [2, 2]]}', "json")
 
     def test_json_invalid(self):
         with pytest.raises(GraphFormatError, match="invalid JSON"):
@@ -124,7 +128,8 @@ class TestParse:
         # is read: the loop stops at its next check, before the last pair
         text = json.dumps({"v": 2, "edges": [[1, 2]] * (graph.PAIRS_PER_CHECK + 100)})
         now = [0.0]
-        monkeypatch.setattr(graph, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+        # the parser reads the clock through errors._check_deadline
+        monkeypatch.setattr(errors, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
         add_edge = graph._add_edge
         read = []
 

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from anticlique import (
-    ImpositionOrder,
     Mutated,
     SearchOptions,
     Split,
@@ -259,18 +258,17 @@ class TestSoundnessSweep:
             weights = {p: 1 + rng.randrange(4) for p in range(1, g.v + 1)}
             k = max(len(independence_poly_bitmask(g)) - 3, 0)   # alpha - 2
             for seq in (tuple(range(1, g.v + 1)), tuple(shuffled)):
-                order = ImpositionOrder(seq)
                 for rule in ("paper", "own-premise"):
-                    rows, _stats = run_standard(g, order, rule=rule, trace=hook)
+                    rows, _stats = run_standard(g, seq, rule=rule, trace=hook)
                     list(rows)
                 # each bound picks its rule
                 for bound, rule in (("clique", "own-premise"), ("w_max", "paper")):
-                    threshold_search(g, k, "all", order=order, bound=bound, trace=hook)
+                    threshold_search(g, k, "all", order=seq, bound=bound, trace=hook)
                 rule = "own-premise"
-                max_anticlique(g, SearchOptions(order=order), trace=hook)
-                max_anticlique(g, SearchOptions(order=order, weights=weights), trace=hook)
+                max_anticlique(g, SearchOptions(order=seq), trace=hook)
+                max_anticlique(g, SearchOptions(order=seq, weights=weights), trace=hook)
                 rule = "paper"
-                max_anticlique(g, SearchOptions(order=order, bound="w_max"), trace=hook)
+                max_anticlique(g, SearchOptions(order=seq, bound="w_max"), trace=hook)
         assert state["checked"] > 0
 
     def test_constant_clone_count_per_imposition(self, monkeypatch):

@@ -16,7 +16,6 @@ import pytest
 
 from anticlique import (
     ContainIndex,
-    ImpositionOrder,
     SearchStats,
     cover_degree_order,
     degree_order,
@@ -52,7 +51,7 @@ def _orders(g, seed):
             cover.discard(y)
     partial = [y for y in seq if y in cover]
     rng.shuffle(partial)
-    return {"default": None, "full": full_order(g.v), "cover": ImpositionOrder(tuple(partial))}
+    return {"default": None, "full": full_order(g.v), "cover": tuple(partial)}
 
 
 def _own_premise_rows(g, order, min_size=0):

@@ -383,7 +383,7 @@ class TestLimitContract:
             seen.setdefault(row.debug(), row)
             return row.w_max(), None
 
-        rows = _exclusion_run(g, full_order(g.v).order, SearchStats(), Prune(record, -1),
+        rows = _exclusion_run(g, full_order(g.v), SearchStats(), Prune(record, -1),
                               None, None)
         for row in rows:
             seen.setdefault(row.debug(), row)
@@ -654,14 +654,14 @@ class TestCliqueOrder:
 class TestBipartite:
     def test_path_options(self):
         opts = bipartite_options(path_graph(3))
-        assert opts.order.order == (2,)
+        assert opts.order == (2,)
         assert len(opts.initial_witness) == 2
         assert opts.initial_witness == {1, 3}
 
     def test_complete_bipartite_options(self):
         g = make_graph(5, [(i, j) for i in (1, 2) for j in (3, 4, 5)])
         opts = bipartite_options(g)
-        assert opts.order.order == (1, 2)
+        assert opts.order == (1, 2)
         assert len(opts.initial_witness) == 3
 
     def test_triangle_rejected(self):
